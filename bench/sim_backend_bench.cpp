@@ -1,5 +1,5 @@
-// Microbenchmark: cost per simulated context switch, fiber vs thread
-// execution backend. Probes:
+// Microbenchmark: host cost per simulated context switch on the fiber
+// engine. Probes:
 //
 //  * raw engine: one process delay()ing in a tight loop — each iteration is
 //    one scheduler->process switch, one process->scheduler yield and one
@@ -8,7 +8,10 @@
 //    protocol stack — what a rank-level context switch costs in situ. Run
 //    size-only (pure engine + protocol overhead), with the paper's 64-byte
 //    payload (inline small-message storage), and with a 4 KiB payload
-//    (pool-backed buffer, recycled by every recv).
+//    (pool-backed buffer, recycled by every recv); plus a wildcard
+//    ping-pong, an 8-rank iallreduce, the observability tax of each
+//    recording layer, and cold vs warm campaign throughput through the
+//    result cache.
 //
 // Host timings are inherently machine-dependent, so this is a standalone
 // binary (like kernels_native) and never part of the deterministic
@@ -35,12 +38,9 @@
 #include "tibsim/core/campaign.hpp"
 #include "tibsim/mpi/simmpi.hpp"
 #include "tibsim/obs/trace_sink.hpp"
-#include "tibsim/sim/execution_context.hpp"
 #include "tibsim/sim/simulation.hpp"
 
 namespace {
-
-using tibsim::sim::ExecBackend;
 
 struct Probe {
   double seconds = 0.0;
@@ -54,8 +54,8 @@ struct Probe {
   }
 };
 
-Probe rawEngineProbe(ExecBackend backend, int iterations) {
-  tibsim::sim::Simulation sim(backend);
+Probe rawEngineProbe(int iterations) {
+  tibsim::sim::Simulation sim;
   sim.spawn("spinner", [iterations](tibsim::sim::Process& p) {
     for (int i = 0; i < iterations; ++i) p.delay(1e-6);
   });
@@ -70,11 +70,8 @@ Probe rawEngineProbe(ExecBackend backend, int iterations) {
 /// Two ranks on one node exchanging `bytes`-sized messages. payloadBytes
 /// controls how much real data rides along: 0 = size-only, <= 64 exercises
 /// the inline small-message path, larger sizes the payload pool.
-Probe pingPongProbe(ExecBackend backend, int repetitions,
-                    std::size_t payloadBytes) {
-  tibsim::mpi::WorldConfig cfg = tibsim::mpi::WorldConfig::tibidaboNode();
-  cfg.simBackend = backend;
-  tibsim::mpi::MpiWorld world(cfg, 2);
+Probe pingPongProbe(int repetitions, std::size_t payloadBytes) {
+  tibsim::mpi::MpiWorld world(tibsim::mpi::WorldConfig::tibidaboNode(), 2);
   std::vector<std::byte> payload(payloadBytes, std::byte{0x5a});
   const std::size_t bytes = payloadBytes > 0 ? payloadBytes : 64;
   const auto start = std::chrono::steady_clock::now();
@@ -102,11 +99,10 @@ Probe pingPongProbe(ExecBackend backend, int repetitions,
 /// size-only probe is the tax each recording mode puts on every simulated
 /// message — the number that justifies leaving aggregate tracing and link
 /// telemetry on for campaign runs.
-Probe observedPingPongProbe(ExecBackend backend, int repetitions,
+Probe observedPingPongProbe(int repetitions,
                             const tibsim::obs::TraceMode* traceMode,
                             bool linkTelemetry) {
   tibsim::mpi::WorldConfig cfg = tibsim::mpi::WorldConfig::tibidaboNode();
-  cfg.simBackend = backend;
   cfg.linkTelemetry = linkTelemetry;
   if (traceMode) cfg.traceMode = *traceMode;
   tibsim::mpi::MpiWorld world(cfg, 2);
@@ -133,10 +129,8 @@ Probe observedPingPongProbe(ExecBackend backend, int repetitions,
 /// The ping-pong with the receiver matching on kAnySource/kAnyTag instead
 /// of the explicit (source, tag): what the wildcard scan over the mailbox
 /// costs on top of the exact-match path. Two ranks, size-only messages.
-Probe wildcardPingPongProbe(ExecBackend backend, int repetitions) {
-  tibsim::mpi::WorldConfig cfg = tibsim::mpi::WorldConfig::tibidaboNode();
-  cfg.simBackend = backend;
-  tibsim::mpi::MpiWorld world(cfg, 2);
+Probe wildcardPingPongProbe(int repetitions) {
+  tibsim::mpi::MpiWorld world(tibsim::mpi::WorldConfig::tibidaboNode(), 2);
   const auto start = std::chrono::steady_clock::now();
   const tibsim::mpi::WorldStats stats =
       world.run([repetitions](tibsim::mpi::MpiContext& ctx) {
@@ -162,10 +156,8 @@ Probe wildcardPingPongProbe(ExecBackend backend, int repetitions) {
 /// Non-blocking allreduce over 8 ranks (4 Tegra 2 nodes x 2 ranks): the
 /// request/wait machinery plus the binomial reduce + bcast per repetition.
 /// `reps` counts iallreduce/waitDoubles pairs.
-Probe iallreduceProbe(ExecBackend backend, int repetitions) {
-  tibsim::mpi::WorldConfig cfg = tibsim::mpi::WorldConfig::tibidaboNode();
-  cfg.simBackend = backend;
-  tibsim::mpi::MpiWorld world(cfg, 8);
+Probe iallreduceProbe(int repetitions) {
+  tibsim::mpi::MpiWorld world(tibsim::mpi::WorldConfig::tibidaboNode(), 8);
   const auto start = std::chrono::steady_clock::now();
   const tibsim::mpi::WorldStats stats =
       world.run([repetitions](tibsim::mpi::MpiContext& ctx) {
@@ -184,15 +176,13 @@ Probe iallreduceProbe(ExecBackend backend, int repetitions) {
 }
 
 /// Campaign throughput: the same fixed experiment subset run cold (fresh
-/// cache, every cell computed), warm (same cache, every cell replayed)
-/// and cold again across two worker processes. Tracks the result cache's
-/// speedup and the --procs scheduling overhead as numbers in
-/// BENCH_sim.json, not anecdotes.
+/// cache, every cell computed) and warm (same cache, every cell replayed).
+/// Tracks the result cache's speedup as a number in BENCH_sim.json, not an
+/// anecdote.
 struct CampaignProbe {
   std::size_t experiments = 0;
   double coldSeconds = 0.0;
   double warmSeconds = 0.0;
-  double procs2Seconds = 0.0;
 };
 
 CampaignProbe campaignThroughputProbe() {
@@ -201,12 +191,11 @@ CampaignProbe campaignThroughputProbe() {
   fs::remove_all(base);
   const std::vector<std::string> subset = {"tab01", "tab04", "imb_suite",
                                            "latency_penalty"};
-  const auto timedRun = [&](const fs::path& cache, int procs) {
+  const auto timedRun = [&](const fs::path& cache) {
     tibsim::core::CampaignOptions options;
     options.patterns = subset;
     options.summary = false;
     options.cacheDir = cache.string();
-    options.procs = procs;
     std::ostringstream sink;
     const auto start = std::chrono::steady_clock::now();
     tibsim::core::runCampaign(options, sink);
@@ -216,44 +205,31 @@ CampaignProbe campaignThroughputProbe() {
   };
   CampaignProbe probe;
   probe.experiments = subset.size();
-  probe.coldSeconds = timedRun(base / "cache", 1);
-  probe.warmSeconds = timedRun(base / "cache", 1);
-  probe.procs2Seconds = timedRun(base / "cache2", 2);
+  probe.coldSeconds = timedRun(base / "cache");
+  probe.warmSeconds = timedRun(base / "cache");
   fs::remove_all(base);
   return probe;
 }
 
-void report(const char* name, const Probe& fiber, const Probe& thread) {
-  std::printf("%-22s %12llu switches   fiber %8.1f ns/switch   thread "
-              "%8.1f ns/switch   ratio %.1fx",
-              name, static_cast<unsigned long long>(fiber.switches),
-              fiber.nsPerSwitch(), thread.nsPerSwitch(),
-              fiber.nsPerSwitch() > 0.0
-                  ? thread.nsPerSwitch() / fiber.nsPerSwitch()
-                  : 0.0);
-  if (fiber.reps > 0)
-    std::printf("   fiber %8.1f ns/round-trip", fiber.nsPerRep());
+void report(const char* name, const Probe& probe) {
+  std::printf("%-22s %12llu switches   %8.1f ns/switch", name,
+              static_cast<unsigned long long>(probe.switches),
+              probe.nsPerSwitch());
+  if (probe.reps > 0) std::printf("   %8.1f ns/round-trip", probe.nsPerRep());
   std::printf("\n");
 }
 
-tibsim::json::Value probeJson(const Probe& fiber, const Probe& thread) {
+tibsim::json::Value probeJson(const Probe& probe) {
   tibsim::json::Value v = tibsim::json::Value::object();
-  v["switches"] = static_cast<double>(fiber.switches);
-  v["fiberNsPerSwitch"] = fiber.nsPerSwitch();
-  v["threadNsPerSwitch"] = thread.nsPerSwitch();
-  if (fiber.reps > 0) v["fiberNsPerRoundTrip"] = fiber.nsPerRep();
+  v["switches"] = static_cast<double>(probe.switches);
+  v["fiberNsPerSwitch"] = probe.nsPerSwitch();
+  if (probe.reps > 0) v["fiberNsPerRoundTrip"] = probe.nsPerRep();
   return v;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The --procs scheduler re-invokes /proc/self/exe: when the campaign
-  // probe below spawns workers, that is THIS binary, so a leading "run"
-  // forwards straight to the campaign driver.
-  if (argc > 1 && std::strcmp(argv[1], "run") == 0)
-    return tibsim::core::socbenchMain(argc, argv);
-
   std::string jsonPath;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
@@ -267,42 +243,27 @@ int main(int argc, char** argv) {
   constexpr int kRawIterations = 200000;
   constexpr int kPingPongReps = 50000;
 
-  // Warm both paths once so first-touch page faults don't skew either side.
-  rawEngineProbe(ExecBackend::Fiber, 1000);
-  rawEngineProbe(ExecBackend::Thread, 1000);
+  // Warm up once so first-touch page faults don't skew the first probe.
+  rawEngineProbe(1000);
 
-  std::printf("sim backend microbenchmark (cost per simulated context "
+  std::printf("sim engine microbenchmark (cost per simulated context "
               "switch)\n\n");
-  const Probe rawFiber = rawEngineProbe(ExecBackend::Fiber, kRawIterations);
-  const Probe rawThread = rawEngineProbe(ExecBackend::Thread, kRawIterations);
-  report("raw engine", rawFiber, rawThread);
-  const Probe ppFiber = pingPongProbe(ExecBackend::Fiber, kPingPongReps, 0);
-  const Probe ppThread = pingPongProbe(ExecBackend::Thread, kPingPongReps, 0);
-  report("ping-pong size-only", ppFiber, ppThread);
-  const Probe pp64Fiber = pingPongProbe(ExecBackend::Fiber, kPingPongReps, 64);
-  const Probe pp64Thread =
-      pingPongProbe(ExecBackend::Thread, kPingPongReps, 64);
-  report("ping-pong 64 B inline", pp64Fiber, pp64Thread);
-  const Probe pp4kFiber =
-      pingPongProbe(ExecBackend::Fiber, kPingPongReps, 4096);
-  const Probe pp4kThread =
-      pingPongProbe(ExecBackend::Thread, kPingPongReps, 4096);
-  report("ping-pong 4 KiB pooled", pp4kFiber, pp4kThread);
-  const Probe wcFiber =
-      wildcardPingPongProbe(ExecBackend::Fiber, kPingPongReps);
-  const Probe wcThread =
-      wildcardPingPongProbe(ExecBackend::Thread, kPingPongReps);
-  report("ping-pong wildcard", wcFiber, wcThread);
+  const Probe raw = rawEngineProbe(kRawIterations);
+  report("raw engine", raw);
+  const Probe pp = pingPongProbe(kPingPongReps, 0);
+  report("ping-pong size-only", pp);
+  const Probe pp64 = pingPongProbe(kPingPongReps, 64);
+  report("ping-pong 64 B inline", pp64);
+  const Probe pp4k = pingPongProbe(kPingPongReps, 4096);
+  report("ping-pong 4 KiB pooled", pp4k);
+  const Probe wildcard = wildcardPingPongProbe(kPingPongReps);
+  report("ping-pong wildcard", wildcard);
   constexpr int kIallreduceReps = 10000;
-  const Probe iarFiber = iallreduceProbe(ExecBackend::Fiber, kIallreduceReps);
-  const Probe iarThread =
-      iallreduceProbe(ExecBackend::Thread, kIallreduceReps);
-  report("iallreduce 8 ranks", iarFiber, iarThread);
+  const Probe iallreduce = iallreduceProbe(kIallreduceReps);
+  report("iallreduce 8 ranks", iallreduce);
 
   // Observability tax: the same size-only ping-pong with the recording
-  // layers dialled up one at a time (fiber backend only — the thread
-  // backend's kernel wake-ups drown the deltas). Baseline is everything
-  // off; campaign defaults are link telemetry on, tracing off. Best-of-3
+  // layers dialled up one at a time. Baseline is everything off; campaign defaults are link telemetry on, tracing off. Best-of-3
   // because the deltas are within single-run scheduler jitter.
   using tibsim::obs::TraceMode;
   constexpr int kObsRuns = 7;
@@ -326,8 +287,7 @@ int main(int argc, char** argv) {
   for (int run = 0; run < kObsRuns; ++run) {
     for (std::size_t i = 0; i < obsConfigs.size(); ++i) {
       const Probe probe = observedPingPongProbe(
-          ExecBackend::Fiber, kObsReps, obsConfigs[i].mode,
-          obsConfigs[i].links);
+          kObsReps, obsConfigs[i].mode, obsConfigs[i].links);
       if (run == 0 || probe.seconds < obsBest[i].seconds) obsBest[i] = probe;
     }
   }
@@ -336,7 +296,7 @@ int main(int argc, char** argv) {
   const Probe& obsAgg = obsBest[2];
   const Probe& obsSampled = obsBest[3];
   const Probe& obsFull = obsBest[4];
-  std::printf("\nobservability tax (fiber, size-only ping-pong, %d reps, "
+  std::printf("\nobservability tax (size-only ping-pong, %d reps, "
               "best of %d interleaved, vs all recording off)\n",
               kObsReps, kObsRuns);
   const auto taxLine = [&](const char* name, const Probe& probe) {
@@ -354,32 +314,22 @@ int main(int argc, char** argv) {
 
   const CampaignProbe campaign = campaignThroughputProbe();
   std::printf("\ncampaign throughput (%zu experiments, result cache)\n"
-              "%-22s %8.3f s\n%-22s %8.3f s   %0.1fx vs cold\n"
-              "%-22s %8.3f s   %0.1fx vs cold\n",
+              "%-22s %8.3f s\n%-22s %8.3f s   %0.1fx vs cold\n",
               campaign.experiments, "cold", campaign.coldSeconds, "warm",
               campaign.warmSeconds,
               campaign.warmSeconds > 0.0
                   ? campaign.coldSeconds / campaign.warmSeconds
-                  : 0.0,
-              "cold --procs 2", campaign.procs2Seconds,
-              campaign.procs2Seconds > 0.0
-                  ? campaign.coldSeconds / campaign.procs2Seconds
                   : 0.0);
-
-  std::printf(
-      "\nfiber = user-space swapcontext on owned stacks; thread = one OS "
-      "thread per process with a mutex/condvar baton (two kernel wake-ups "
-      "per switch).\n");
 
   if (!jsonPath.empty()) {
     tibsim::json::Value doc = tibsim::json::Value::object();
     doc["schema"] = "tibsim-bench-sim-v1";
-    doc["rawEngine"] = probeJson(rawFiber, rawThread);
-    doc["pingPongSizeOnly"] = probeJson(ppFiber, ppThread);
-    doc["pingPong64BInline"] = probeJson(pp64Fiber, pp64Thread);
-    doc["pingPong4KiBPooled"] = probeJson(pp4kFiber, pp4kThread);
-    doc["pingPongWildcard"] = probeJson(wcFiber, wcThread);
-    doc["iallreduce8Ranks"] = probeJson(iarFiber, iarThread);
+    doc["rawEngine"] = probeJson(raw);
+    doc["pingPongSizeOnly"] = probeJson(pp);
+    doc["pingPong64BInline"] = probeJson(pp64);
+    doc["pingPong4KiBPooled"] = probeJson(pp4k);
+    doc["pingPongWildcard"] = probeJson(wildcard);
+    doc["iallreduce8Ranks"] = probeJson(iallreduce);
     tibsim::json::Value obs = tibsim::json::Value::object();
     const auto obsEntry = [&](const Probe& probe) {
       tibsim::json::Value v = tibsim::json::Value::object();
@@ -400,14 +350,9 @@ int main(int argc, char** argv) {
     ct["experiments"] = static_cast<double>(campaign.experiments);
     ct["coldSeconds"] = campaign.coldSeconds;
     ct["warmSeconds"] = campaign.warmSeconds;
-    ct["procs2Seconds"] = campaign.procs2Seconds;
     ct["warmSpeedup"] = campaign.warmSeconds > 0.0
                             ? campaign.coldSeconds / campaign.warmSeconds
                             : 0.0;
-    ct["procs2Speedup"] =
-        campaign.procs2Seconds > 0.0
-            ? campaign.coldSeconds / campaign.procs2Seconds
-            : 0.0;
     doc["campaignThroughput"] = ct;
     std::ofstream out(jsonPath);
     if (!out) {

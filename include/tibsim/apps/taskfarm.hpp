@@ -9,8 +9,7 @@
 // workers automatically take more of the queue. Task costs are drawn
 // deterministically from the farm seed, and the wildcard match order is the
 // engine's canonical delivery order, so the whole farm is byte-reproducible
-// for every --sim-shards value and both execution backends even at
-// thousands of workers.
+// for every --sim-shards value even at thousands of workers.
 
 #include <cstdint>
 #include <vector>

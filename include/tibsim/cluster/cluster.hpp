@@ -100,12 +100,11 @@ class ClusterSimulation {
 };
 
 /// Probe-then-sweep stack auto-sizing: run `body` once on a `probeNodes`
-/// slice of `spec`, read the execution backend's stack high-water
-/// telemetry, and return sim::recommendedStackBytes(hwm) — the value to
-/// put in JobOptions::fiberStackBytes for the full-scale sweep. Returns 0
-/// (keep the backend default) when the backend reports no telemetry (the
-/// thread backend does not). The result depends on the host ABI and
-/// backend, so use it only for runtime sizing — never serialise it into
+/// slice of `spec`, read the fiber stack high-water telemetry, and return
+/// sim::recommendedStackBytes(hwm) — the value to put in
+/// JobOptions::fiberStackBytes for the full-scale sweep. Returns 0 (keep
+/// the engine default) when the probe recorded no stack use. The result
+/// depends on the host ABI, so use it only for runtime sizing — never serialise it into
 /// campaign artefacts. When `probeResult` is non-null the probe job's
 /// JobResult is copied out so callers can fold its (deterministic) world
 /// accounting into their experiment totals.

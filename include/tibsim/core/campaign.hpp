@@ -29,9 +29,6 @@ struct CampaignOptions {
   std::string traceExportDir;
   bool compat = false;  ///< render each experiment's full text report
   bool summary = true;  ///< print the campaign run summary
-  /// Execution backend for simulation processes: "" keeps the process-wide
-  /// default (fiber, or TIBSIM_SIM_BACKEND), else "fiber"/"thread".
-  std::string simBackend;
   /// Trace recording mode for traced worlds: "" keeps the process-wide
   /// default (full, or TIBSIM_TRACE_MODE), else "full"/"sampled"/
   /// "aggregate".
@@ -55,23 +52,12 @@ struct CampaignOptions {
   /// Content-addressed result cache directory (--cache). When non-empty,
   /// each experiment cell is keyed by core/result_cache.hpp's digest
   /// (experiment + version tag, platform spec bytes, seed, resolved
-  /// backend/trace/shard/stall options, binary fingerprint); hits replay
+  /// trace/shard/stall/verify options, binary fingerprint); hits replay
   /// their JSON/CSV byte-identically from disk and misses are stored
   /// atomically after computing. Ignored (with a summary note) when
   /// --trace-export is set: exported timeline artefacts are written
   /// during the run and cannot be replayed. Empty disables caching.
   std::string cacheDir;
-  /// Worker processes for uncached cells (--procs). The parent partitions
-  /// cache misses across N re-invocations of this binary (an internal
-  /// --worker-cells spec), workers write into the cache, and the parent
-  /// folds everything in canonical order — artefacts stay byte-identical
-  /// for every --procs value. Requires cacheDir; 1 (the default) computes
-  /// misses in-process.
-  int procs = 1;
-  /// Internal (set by the parent via --worker-cells): comma-separated
-  /// exact experiment names this process must compute and store into
-  /// cacheDir. Non-empty selects exactly these cells, ignoring patterns.
-  std::string workerCells;
 };
 
 struct ExperimentRun {
@@ -84,10 +70,9 @@ struct ExperimentRun {
   obs::RunCounters counters;  ///< world traffic/trace accounting
   ResultSet results;
   std::string json;  ///< the deterministic result document
-  /// True when this run replayed from the result cache (or from a worker
-  /// process that stored it there) instead of executing in-process. The
-  /// host-only engine fields (hostSeconds, stack high-water, shard-gang
-  /// counters) are zero then: no engine ran here.
+  /// True when this run replayed from the result cache instead of
+  /// executing. The host-only engine fields (hostSeconds, stack
+  /// high-water, shard-gang counters) are zero then: no engine ran here.
   bool fromCache = false;
 };
 
@@ -97,7 +82,7 @@ struct CampaignResult {
   int jobs = 1;
   std::uint64_t seed = 42;
   std::size_t cacheHits = 0;    ///< cells replayed from the result cache
-  std::size_t cacheMisses = 0;  ///< cells computed (in-process or workers)
+  std::size_t cacheMisses = 0;  ///< cells computed
 };
 
 /// Run every experiment matching options.patterns. Reports go to `out`;
@@ -117,20 +102,13 @@ std::string resultDocument(const Experiment& experiment, std::uint64_t seed,
 /// The `socbench` CLI:
 ///   socbench list [glob...]
 ///   socbench run [glob...] [--json DIR] [--csv DIR] [--jobs N] [--seed S]
-///                [--cache DIR] [--procs N]
-///                [--sim-backend fiber|thread]
+///                [--cache DIR] [--sim-shards N]
 ///                [--trace-mode full|sampled|aggregate]
 ///                [--trace-export DIR] [--stall-report]
-///                [--compat] [--no-summary]
+///                [--verify-collectives] [--compat] [--no-summary]
 /// Flags accept both "--flag value" and "--flag=value". Numeric flags are
 /// validated (a usage error, not an uncaught std::stoi abort). Returns the
 /// process exit code.
 int socbenchMain(int argc, const char* const* argv);
-
-/// Entry point for the legacy single-figure binaries: behaves like
-/// `socbench run <pattern> --compat` with any extra argv flags appended
-/// (so `fig03_singlecore --json out/` still works).
-int runCompatBinary(const std::string& pattern, int argc,
-                    const char* const* argv);
 
 }  // namespace tibsim::core

@@ -9,7 +9,7 @@
 // running executable's bytes. On a hit the cell's JSON document, engine
 // counters and world accounting replay from disk byte-identically; on a
 // miss the freshly computed cell is stored atomically (write-temp +
-// rename) so concurrent worker processes never expose torn entries. A
+// rename) so campaigns sharing a cache directory never see torn entries. A
 // corrupt or truncated entry is indistinguishable from a miss: load()
 // validates the whole document and returns nothing rather than trusting
 // partial bytes.
@@ -54,14 +54,13 @@ class CacheHasher {
 };
 
 /// Every ingredient of one cell's cache key. The caller resolves the
-/// effective settings (after --sim-backend/--trace-mode/--sim-shards
-/// overrides and environment defaults) so "--trace-mode full" and an
+/// effective settings (after --trace-mode/--sim-shards overrides and
+/// environment defaults) so "--trace-mode full" and an
 /// unset flag that defaults to full produce the same key.
 struct CacheKeyInputs {
   std::string experiment;   ///< registry name
   std::string versionTag;   ///< Experiment::versionTag()
   std::uint64_t seed = 0;   ///< campaign seed (pre experiment mixing)
-  std::string simBackend;   ///< resolved backend name ("fiber"/"thread")
   std::string traceMode;    ///< resolved trace mode name
   int simShards = 1;        ///< resolved shard count
   bool stallReport = false; ///< resolved watchdog arming

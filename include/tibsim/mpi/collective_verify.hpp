@@ -12,7 +12,7 @@
 // report naming both ranks, both tuples, the call sites and the simulated
 // time. The comparison happens on the existing match path in canonical
 // delivery order, so the report is byte-identical across --sim-shards
-// values and both execution backends — the dynamic cross-check for the
+// values — the dynamic cross-check for the
 // static `collective-match` lint rule.
 //
 // Mismatches whose tag subspaces never meet (e.g. barrier vs gather) do
@@ -95,7 +95,7 @@ struct CollectiveStamp {
 std::string describeStamp(const CollectiveStamp& stamp);
 
 /// Render the mismatch report carried by the ContractError. Derived from
-/// simulated state only: byte-stable across backends and shard counts.
+/// simulated state only: byte-stable across shard counts.
 std::string formatCollectiveMismatch(int rank, int node, int sender,
                                      std::uint64_t comm,
                                      const CollectiveStamp& local,

@@ -18,7 +18,7 @@
 //  * Wildcard receives (kAnySource / kAnyTag) match in mailbox delivery
 //    order, which the engine already reconstructs canonically — exact
 //    single-queue (sim-time, sender-ordinal) order — for every --sim-shards
-//    value and both execution backends. A wildcard receive therefore
+//    value. A wildcard receive therefore
 //    returns the same message everywhere, byte-for-byte.
 //  * Non-blocking collectives (ibarrier/ibcast/iallreduce) are lazy: the
 //    request records the operation and wait() executes it, mirroring how

@@ -15,7 +15,7 @@
 //  * (communicator, tag, source) matching, including deterministic
 //    wildcard receives: kAnySource/kAnyTag match the first message in
 //    canonical delivery order, which the engine reconstructs identically
-//    for every --sim-shards value and both backends (communicator.hpp);
+//    for every --sim-shards value (communicator.hpp);
 //  * collectives built from point-to-point with the textbook algorithms
 //    (binomial bcast/reduce, dissemination barrier, ring alltoall), all
 //    routed through mpi::Communicator — the world is communicator id 0.
@@ -55,10 +55,6 @@ struct WorldConfig {
   net::Protocol protocol = net::Protocol::TcpIp;
   int ranksPerNode = 1;
   net::TopologySpec topology;  ///< .nodes is derived from the rank count
-  /// Execution backend for the rank processes (fiber by default; see
-  /// sim/execution_context.hpp). Snapshot of the process-wide default at
-  /// config construction so a campaign-level override flows through.
-  sim::ExecBackend simBackend = sim::defaultExecBackend();
   /// How a traced run records spans (obs layer sink: full / sampled /
   /// aggregate). Snapshot of the process-wide default so --trace-mode and
   /// TIBSIM_TRACE_MODE flow through. Tracing itself stays opt-in via
@@ -67,7 +63,7 @@ struct WorldConfig {
   std::size_t traceReservoirPerRank = 512;  ///< sampled mode: spans kept/rank
   std::uint64_t traceSeed = 0;              ///< sampled mode reservoir seed
   /// Per-rank fiber stack size; 0 = engine default (TIBSIM_FIBER_STACK_KB
-  /// or 256 KiB). The thread backend ignores it.
+  /// or 256 KiB).
   std::size_t fiberStackBytes = 0;
   /// Logical-process shards for the event engine (see sim/shard_scheduler).
   /// Snapshot of the process-wide default (--sim-shards / TIBSIM_SIM_SHARDS)
@@ -105,7 +101,7 @@ struct WorldStats {
   double fabricQueueingSeconds = 0.0;
   /// Stamp comparisons performed by the collective verifier (zero when
   /// WorldConfig::verifyCollectives is off). Summed over per-rank counters
-  /// after the run, so the value is shard- and backend-invariant.
+  /// after the run, so the value is shard-invariant.
   std::uint64_t collectiveChecks = 0;
   int nodes = 0;
   sim::EngineStats engine;  ///< discrete-event engine counters for the run
@@ -334,9 +330,8 @@ class MpiContext {
   /// Per-rank communicator-creation counter: each split()/dup() this rank
   /// participates in consumes one ordinal, and the new communicator's id is
   /// derived from the *leader's* ordinal — learned through the collective
-  /// itself, never from shared state, so ids are shard- and
-  /// backend-invariant. Starts at 1: (leader 0, ordinal 0) would collide
-  /// with the world id.
+  /// itself, never from shared state, so ids are shard-invariant. Starts
+  /// at 1: (leader 0, ordinal 0) would collide with the world id.
   std::uint64_t nextCommOrdinal_ = 1;
   // Flat vector, not a hash map: a rank has a handful of requests in
   // flight, and wait() usually completes them in issue order, so the linear
@@ -519,6 +514,10 @@ class MpiWorld {
     std::uint64_t nextMessageId = 0;
     std::uint64_t nextPoolTicket = 0;
     std::uint64_t messageCount = 0;  ///< order-free partial of stats_
+    /// Deliver/DataArrival/CtsResume ops submitted and not yet replayed.
+    /// Per shard because gang threads run windows concurrently; the window
+    /// barrier sums them to decide whether a merge is due.
+    std::uint64_t pendingChannelOps = 0;
     double payloadBytes = 0.0;       ///< exact integer-valued partial sum
     std::vector<DeferredOp> ops;
     std::vector<PendingSpan> spans;
@@ -666,11 +665,6 @@ class MpiWorld {
   std::vector<std::vector<std::uint64_t>> shardOrdByDispatch_;
   /// Scratch: shards with unmerged dispatch records this barrier.
   std::vector<std::size_t> mergeScratch_;
-  /// Submitted Deliver/DataArrival/CtsResume ops not yet replayed. While
-  /// zero, window barriers batch: dispatch logs and order-insensitive ops
-  /// accumulate and one deferred merge replays them, still in exact global
-  /// order (windows are time-partitioned whether or not a merge ran).
-  std::uint64_t pendingChannelOps_ = 0;
   /// Dispatch records merged across all shardBarrier() calls this run
   /// (EngineStats::shardMergeRecords).
   std::uint64_t shardMergeRecords_ = 0;

@@ -10,7 +10,7 @@
 // into compute / send / recv / link segments with the residual blocked
 // time reported as wait. The piggyback state is O(1) per rank and every
 // update happens at canonical delivery points, so the result is
-// byte-identical across shard counts, backends and --jobs.
+// byte-identical across shard counts and --jobs.
 
 #include <cstdint>
 

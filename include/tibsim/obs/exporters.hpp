@@ -2,7 +2,7 @@
 // Trace exporters: serialise a span timeline (or its per-rank summary) into
 // the formats a post-mortem actually uses. All output is deterministic —
 // byte-identical for identical input — so exported artefacts can be diffed
-// across runs, --jobs values and execution backends.
+// across runs, --jobs values and shard counts.
 
 #include <span>
 #include <string>

@@ -1,7 +1,7 @@
 #pragma once
 // Fiber stack telemetry: pattern-fill a stack at creation, scan it on
-// teardown to find the high-water mark. The fiber backend owns plain heap
-// stacks, so "how much did this rank actually use" is one linear scan for
+// teardown to find the high-water mark. Every fiber owns a plain mapped
+// stack, so "how much did this rank actually use" is one linear scan for
 // the first overwritten fill byte — no guard pages, no signal handlers.
 // High-water marks feed EngineStats and let TIBSIM_FIBER_STACK_KB be
 // shrunk below 64 KiB with evidence instead of hope (ROADMAP item).

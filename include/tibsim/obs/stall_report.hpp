@@ -8,8 +8,8 @@
 // per blocked rank — rank, node, communicator, pending operation, peer,
 // tag, the simulated time it has been blocked, and the rank's most
 // recent retained trace spans — sorted by rank, derived from simulated
-// state only, so the report is byte-stable across backends and shard
-// counts and can be pinned in tests.
+// state only, so the report is byte-stable across shard counts and can
+// be pinned in tests.
 
 #include <cstdint>
 #include <string>

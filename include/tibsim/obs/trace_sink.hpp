@@ -18,7 +18,7 @@
 //
 // Sampling is seeded explicitly (SinkConfig::seed, fed from the campaign
 // RNG), never from global state, so artefacts are byte-identical across
-// --jobs values and both execution backends.
+// --jobs values and shard counts.
 
 #include <array>
 #include <cstddef>

@@ -41,7 +41,7 @@ FaultPlan planCollectiveFault(const DramErrorModel& model, int ranks,
 /// forced on; returns the mismatch report starting at its
 /// "collective mismatch" marker (empty if the run — unexpectedly —
 /// completes). Every byte of the report is simulation-derived, so it is
-/// identical across backends and shard counts.
+/// identical across shard counts.
 std::string runCollectiveFaultDemo(mpi::WorldConfig config, int ranks,
                                    int steps, const FaultPlan& plan);
 

@@ -4,11 +4,10 @@
 // Every Simulation tracks how much machinery it turned over: events
 // dispatched, process context switches, peak concurrently-live processes,
 // the event-queue high-water mark, and how much host wall-clock each
-// simulated second cost. The counters are backend-independent (fiber and
-// thread backends dispatch the identical event sequence), so everything
-// except `hostSeconds` is deterministic and safe to serialise into campaign
-// artefacts. `hostSeconds` is a host measurement and must stay out of the
-// byte-identical JSON; it only feeds the human-facing run summary.
+// simulated second cost. Everything except `hostSeconds` is deterministic
+// and safe to serialise into campaign artefacts. `hostSeconds` is a host
+// measurement and must stay out of the byte-identical JSON; it only feeds
+// the human-facing run summary.
 
 #include <algorithm>
 #include <cstddef>
@@ -24,8 +23,7 @@ struct EngineStats {
   std::size_t queueHighWater = 0;
   double simSeconds = 0.0;
   double hostSeconds = 0.0;  // wall-clock; nondeterministic, never serialised
-  /// Largest per-process stack configured on the fiber backend (0 on the
-  /// thread backend, whose stacks belong to the OS).
+  /// Largest per-process fiber stack configured.
   std::size_t fiberStackBytes = 0;
   /// Deepest fiber stack use observed across all finished processes
   /// (pattern-scan high-water mark). Depends on compiler frame layout, so —

@@ -1,37 +1,28 @@
 #pragma once
-// Pluggable execution backends for cooperative simulation processes.
+// The cooperative execution context behind every simulation Process.
 //
 // A Process needs exactly three transfers of control: host -> process
 // (switchIn), process -> host (yieldToHost), and the initial entry into the
-// process body (start + first switchIn). ExecutionContext abstracts how
-// those transfers happen:
+// process body (start + first switchIn). ExecutionContext performs them
+// with a stackful user-space fiber on an owned, configurable-size stack: a
+// switch is a register-file swap in user space, with no kernel wake-up and
+// no OS thread per process. That is what makes 65,536-rank worlds
+// feasible.
 //
-//  * ExecBackend::Fiber — stackful user-space fibers (ucontext/swapcontext)
-//    with an owned, configurable-size stack per process. A switch is two
-//    register-file swaps in user space; no kernel wake-up, no OS thread per
-//    process. This is the default: it makes 1024-node (2048-rank) cluster
-//    runs feasible.
-//  * ExecBackend::Thread — the original one-OS-thread-per-process baton
-//    handoff through a mutex/condition-variable pair. Portable to platforms
-//    without a usable <ucontext.h> and the only backend ThreadSanitizer can
-//    reason about; kept as a fallback and as a differential oracle.
-//
-// Both backends uphold the same contract: exactly one party (host or
-// process) runs at any moment, transfers are synchronous, and the entry
-// function runs to completion before the context is destroyed (Process
-// guarantees this by unwinding via ProcessKilled on teardown).
+// Contract: exactly one party (host or process) runs at any moment,
+// transfers are synchronous, and the entry function runs to completion
+// before the context is destroyed (Process guarantees this by unwinding
+// via ProcessKilled on teardown). AddressSanitizer and ThreadSanitizer
+// builds announce every switch through the sanitizers' fiber interfaces,
+// so both tools follow the ranks across stacks.
+
+#include <setjmp.h>
+#include <ucontext.h>
 
 #include <cstddef>
 #include <functional>
-#include <memory>
-#include <string>
 
 namespace tibsim::sim {
-
-enum class ExecBackend {
-  Fiber,   // user-space stackful fibers (default)
-  Thread,  // one OS thread per process, condvar baton (portable fallback)
-};
 
 /// Smallest usable fiber stack. Low enough that stack-sizing experiments
 /// guided by the high-water telemetry can go well below the 256 KiB engine
@@ -53,35 +44,8 @@ inline constexpr int kPooledStacksMinRanks = 16384;
 /// Stack size to use for a sweep whose probe run measured
 /// `highWaterBytes` of peak stack use: 2x headroom, rounded up to a whole
 /// page, floored at kMinFiberStackBytes. Returns 0 when highWaterBytes is 0
-/// (no telemetry — e.g. the thread backend), meaning "keep the default".
+/// (no telemetry), meaning "keep the default".
 std::size_t recommendedStackBytes(std::size_t highWaterBytes);
-
-/// "fiber" or "thread".
-const char* toString(ExecBackend backend);
-
-/// Parse "fiber"/"thread" (case-sensitive). Throws ContractError otherwise.
-ExecBackend parseExecBackend(const std::string& name);
-
-/// Process-wide default backend used by Simulation() and WorldConfig.
-/// Initialised once from the TIBSIM_SIM_BACKEND environment variable
-/// ("fiber" or "thread"); Fiber when unset or unrecognised.
-ExecBackend defaultExecBackend();
-void setDefaultExecBackend(ExecBackend backend);
-
-/// RAII override of the process-wide default backend (tests, campaigns).
-class ScopedExecBackend {
- public:
-  explicit ScopedExecBackend(ExecBackend backend)
-      : previous_(defaultExecBackend()) {
-    setDefaultExecBackend(backend);
-  }
-  ~ScopedExecBackend() { setDefaultExecBackend(previous_); }
-  ScopedExecBackend(const ScopedExecBackend&) = delete;
-  ScopedExecBackend& operator=(const ScopedExecBackend&) = delete;
-
- private:
-  ExecBackend previous_;
-};
 
 /// One cooperative execution context (the "how" of a Process). Not
 /// thread-safe: the host side drives start/switchIn from one thread.
@@ -89,51 +53,60 @@ class ExecutionContext {
  public:
   using Entry = std::function<void()>;
 
-  virtual ~ExecutionContext() = default;
+  /// stackBytes == 0 means defaultStackBytes(). When pooledStack is true
+  /// the stack is leased from the process-wide slab arena (see
+  /// kPooledStacksMinRanks) instead of a private guarded mapping; overflow
+  /// detection then moves from an immediate guard-page fault to a
+  /// sentinel-page check when the stack is released.
+  explicit ExecutionContext(std::size_t stackBytes = 0,
+                            bool pooledStack = false);
+  ~ExecutionContext();
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
   /// Arm the context with its entry function. The entry does not run until
   /// the first switchIn(). Must be called exactly once, before switchIn().
-  virtual void start(Entry entry) = 0;
+  void start(Entry entry);
 
   /// Host -> context. Runs the context until it yields or its entry
   /// returns; blocks the host for the duration.
-  virtual void switchIn() = 0;
+  void switchIn();
 
   /// Context -> host. Callable only from inside the running entry.
-  virtual void yieldToHost() = 0;
+  void yieldToHost();
 
-  /// Which backend actually services this context. May differ from the
-  /// requested one (Fiber falls back to Thread under ThreadSanitizer,
-  /// which cannot follow swapcontext).
-  virtual ExecBackend backend() const = 0;
-
-  /// Size of the owned stack, or 0 for backends whose stacks belong to the
-  /// OS (thread backend).
-  virtual std::size_t stackBytes() const { return 0; }
+  /// Size of the owned stack.
+  std::size_t stackBytes() const { return stackBytes_; }
 
   /// Deepest observed use of the owned stack, measured by scanning for the
-  /// first overwritten fill byte (obs::scanStackHighWater). 0 when the
-  /// backend cannot measure it. A value equal to stackBytes() means the
-  /// whole stack was scribbled — treat the stack as undersized.
-  virtual std::size_t stackHighWaterBytes() const { return 0; }
+  /// first overwritten fill byte (obs::scanStackHighWater). A value equal
+  /// to stackBytes() means the whole stack was scribbled — treat the stack
+  /// as undersized.
+  std::size_t stackHighWaterBytes() const;
 
   /// Fiber stack size: TIBSIM_FIBER_STACK_KB (KiB) when set, else 256 KiB.
   static std::size_t defaultStackBytes();
 
-  /// Build a context for `backend`. stackBytes == 0 means
-  /// defaultStackBytes(); only the fiber backend uses it. When pooledStack
-  /// is true the fiber backend leases its stack from the process-wide slab
-  /// arena (see kPooledStacksMinRanks) instead of owning a private guarded
-  /// mapping; overflow detection moves from an immediate guard-page fault
-  /// to a sentinel-page check when the stack is released.
-  static std::unique_ptr<ExecutionContext> create(ExecBackend backend,
-                                                  std::size_t stackBytes = 0,
-                                                  bool pooledStack = false);
+ private:
+  static void run(unsigned selfHi, unsigned selfLo);
 
- protected:
-  ExecutionContext() = default;
+  Entry entry_;
+  char* stack_ = nullptr;       ///< lowest usable address (grows down)
+  std::size_t stackBytes_ = 0;  ///< usable bytes, page-rounded
+  bool pooled_ = false;         ///< stack leased from the slab arena
+  bool armed_ = false;
+  bool entered_ = false;
+  bool done_ = false;
+  ucontext_t fiberCtx_{};
+  ucontext_t hostCtx_{};
+  jmp_buf hostJmp_{};
+  jmp_buf fiberJmp_{};
+  // Sanitizer fiber bookkeeping (left untouched in plain builds): the
+  // host stack ASan switches back to, and the TSan fiber handles.
+  const void* hostStackBottom_ = nullptr;
+  std::size_t hostStackSize_ = 0;
+  void* tsanFiber_ = nullptr;
+  void* tsanHost_ = nullptr;
 };
 
 }  // namespace tibsim::sim

@@ -3,13 +3,12 @@
 //
 // tibsim runs distributed applications (real control flow, modelled costs)
 // against simulated hardware. Application code executes inside cooperative
-// `Process`es scheduled one-at-a-time by the event loop; the mechanics of a
-// context switch live behind the pluggable ExecutionContext interface
-// (user-space fibers by default, one-OS-thread-per-process as a portable
-// fallback — see execution_context.hpp). Either way exactly one party — the
-// scheduler or a single process — runs at any moment, giving deterministic,
-// data-race-free simulation while letting application code be written as
-// straight-line code (SimGrid-style) instead of event callbacks.
+// `Process`es scheduled one-at-a-time by the event loop; each process runs
+// on its own user-space fiber (ExecutionContext, execution_context.hpp).
+// Exactly one party — the scheduler or a single process — runs at any
+// moment, giving deterministic, data-race-free simulation while letting
+// application code be written as straight-line code (SimGrid-style)
+// instead of event callbacks.
 //
 // Time is a double in seconds. Events with equal timestamps fire in the
 // order they were scheduled (FIFO tie-break via a sequence number).
@@ -79,7 +78,7 @@ class Process {
   friend class Simulation;
   Process(Simulation& sim, std::uint64_t id, std::string name, Body body);
 
-  void start(ExecBackend backend, std::size_t stackBytes, bool pooledStack);
+  void start(std::size_t stackBytes, bool pooledStack);
   void switchIn();      // scheduler -> process; blocks scheduler until yield
   void yieldToHost();   // process -> scheduler
   void kill();          // request ProcessKilled unwind and run it to the end
@@ -102,20 +101,15 @@ class Process {
 /// processes. Not thread-safe: drive it from a single thread.
 class Simulation {
  public:
-  Simulation() : Simulation(defaultExecBackend()) {}
   /// `stackBytes` sizes each process's fiber stack; 0 means the engine
-  /// default (TIBSIM_FIBER_STACK_KB or 256 KiB). Thread backend ignores it.
-  explicit Simulation(ExecBackend backend, std::size_t stackBytes = 0)
-      : backend_(backend), stackBytes_(stackBytes) {}
+  /// default (TIBSIM_FIBER_STACK_KB or 256 KiB).
+  explicit Simulation(std::size_t stackBytes = 0) : stackBytes_(stackBytes) {}
   ~Simulation();
 
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
   double now() const { return now_; }
-
-  /// Execution backend new processes are created on.
-  ExecBackend backend() const { return backend_; }
 
   /// Configured per-process stack size (0 = engine default).
   std::size_t stackBytes() const { return stackBytes_; }
@@ -311,7 +305,6 @@ class Simulation {
   void pushQueue(double t, Process* proc, std::uint64_t aux);
 
   double now_ = 0.0;
-  ExecBackend backend_;
   std::size_t stackBytes_ = 0;
   bool pooledStacks_ = false;
   std::uint64_t nextSeq_ = 0;

@@ -1,12 +1,8 @@
 #include "tibsim/core/campaign.hpp"
 
-#include <spawn.h>
-#include <sys/wait.h>
-
 #include <algorithm>
 #include <charconv>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -19,10 +15,7 @@
 #include "tibsim/mpi/collective_verify.hpp"
 #include "tibsim/obs/stall_report.hpp"
 #include "tibsim/obs/trace_sink.hpp"
-#include "tibsim/sim/execution_context.hpp"
 #include "tibsim/sim/shard_scheduler.hpp"
-
-extern char** environ;
 
 namespace tibsim::core {
 
@@ -72,83 +65,6 @@ json::Value linkKindJson(const obs::LinkKindCounters& kind) {
   return out;
 }
 
-std::vector<std::string> splitCommaList(const std::string& text) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::size_t end = comma == std::string::npos ? text.size() : comma;
-    if (end > start) parts.push_back(text.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return parts;
-}
-
-/// Re-invoke this binary once per worker with an exact --worker-cells list,
-/// blocking until every worker exits. Workers communicate results through
-/// the cache only (no pipes), so the parent replays them afterwards in the
-/// existing canonical order. A worker that fails is a campaign failure:
-/// its cells would silently fall back to in-process recomputation
-/// otherwise, hiding the breakage.
-void runWorkerProcesses(const std::vector<std::vector<std::string>>& shards,
-                        const CampaignOptions& options, int workerJobs) {
-  std::vector<pid_t> pids;
-  for (const std::vector<std::string>& cells : shards) {
-    if (cells.empty()) continue;
-    std::string joined;
-    for (const std::string& name : cells)
-      joined += (joined.empty() ? "" : ",") + name;
-    std::vector<std::string> args = {
-        "socbench",     "run",
-        "--worker-cells", joined,
-        "--cache",      options.cacheDir,
-        "--seed",       std::to_string(options.seed),
-        "--jobs",       std::to_string(workerJobs),
-        "--no-summary"};
-    if (!options.simBackend.empty()) {
-      args.push_back("--sim-backend");
-      args.push_back(options.simBackend);
-    }
-    if (!options.traceMode.empty()) {
-      args.push_back("--trace-mode");
-      args.push_back(options.traceMode);
-    }
-    if (options.simShards > 0) {
-      args.push_back("--sim-shards");
-      args.push_back(std::to_string(options.simShards));
-    }
-    if (options.stallReport) args.push_back("--stall-report");
-    if (options.verifyCollectives) args.push_back("--verify-collectives");
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (std::string& arg : args) argv.push_back(arg.data());
-    argv.push_back(nullptr);
-    // /proc/self/exe pins the image this process is running (even if the
-    // file was replaced since exec), so workers share our binary
-    // fingerprint and their cache entries replay here.
-    pid_t pid = -1;
-    const int rc = ::posix_spawn(&pid, "/proc/self/exe", nullptr, nullptr,
-                                 argv.data(), environ);
-    TIB_REQUIRE_MSG(rc == 0, "cannot spawn campaign worker: " +
-                                 std::string(std::strerror(rc)));
-    pids.push_back(pid);
-  }
-  // Collect every worker before judging any: leaking live children on a
-  // first-failure throw would leave them racing the parent's fallback.
-  std::vector<int> statuses(pids.size(), 0);
-  for (std::size_t i = 0; i < pids.size(); ++i)
-    TIB_REQUIRE_MSG(::waitpid(pids[i], &statuses[i], 0) == pids[i],
-                    "waitpid lost a campaign worker");
-  for (const int status : statuses) {
-    TIB_REQUIRE_MSG(WIFEXITED(status) && WEXITSTATUS(status) == 0,
-                    "campaign worker failed with status " +
-                        std::to_string(WIFEXITED(status)
-                                           ? WEXITSTATUS(status)
-                                           : -WTERMSIG(status)));
-  }
-}
-
 }  // namespace
 
 std::string resultDocument(const Experiment& experiment, std::uint64_t seed,
@@ -163,7 +79,7 @@ std::string resultDocument(const Experiment& experiment, std::uint64_t seed,
   doc["seed"] = static_cast<double>(seed);
   if (engine != nullptr) {
     // Deterministic counters only: hostSeconds is a wall-clock measurement
-    // and would break byte-identical output across runs/backends/--jobs.
+    // and would break byte-identical output across runs and --jobs.
     json::Value stats = json::Value::object();
     stats["eventsDispatched"] = static_cast<double>(engine->eventsDispatched);
     stats["contextSwitches"] = static_cast<double>(engine->contextSwitches);
@@ -177,7 +93,7 @@ std::string resultDocument(const Experiment& experiment, std::uint64_t seed,
   if (counters != nullptr) {
     // World traffic + trace accounting. Everything here is a function of
     // the simulated runs (counts, modelled bytes, sink bookkeeping), so it
-    // stays byte-identical across runs/backends/--jobs.
+    // stays byte-identical across runs and --jobs.
     json::Value worlds = json::Value::object();
     worlds["worlds"] = static_cast<double>(counters->worlds);
     worlds["messages"] = static_cast<double>(counters->messages);
@@ -212,7 +128,7 @@ std::string resultDocument(const Experiment& experiment, std::uint64_t seed,
     // Link-utilization telemetry (net/fabric.hpp): per-kind busy time,
     // bytes, transfer counts and queueing-delay histograms. Recorded at
     // canonical fabric occupancy points only, so the object is
-    // byte-identical across runs, backends, --jobs and --sim-shards.
+    // byte-identical across runs, --jobs and --sim-shards.
     if (counters->links.any()) {
       json::Value links = json::Value::object();
       links["uplink"] = linkKindJson(counters->links.uplink);
@@ -242,43 +158,21 @@ std::string resultDocument(const Experiment& experiment, std::uint64_t seed,
 
 CampaignResult runCampaign(const CampaignOptions& options,
                            std::ostream& out) {
-  const ExperimentRegistry& registry = ExperimentRegistry::global();
-  const bool workerMode = !options.workerCells.empty();
-  std::vector<const Experiment*> selected;
-  if (workerMode) {
-    // Internal worker invocation: the parent hands down exact names (no
-    // globs), and this process computes them into the cache.
-    for (const std::string& name : splitCommaList(options.workerCells)) {
-      const Experiment* experiment = registry.find(name);
-      TIB_REQUIRE_MSG(experiment != nullptr,
-                      "worker cell not registered: " + name);
-      selected.push_back(experiment);
-    }
-    TIB_REQUIRE_MSG(!selected.empty(), "--worker-cells names no experiment");
-    TIB_REQUIRE_MSG(!options.cacheDir.empty(),
-                    "--worker-cells requires --cache");
-  } else {
-    selected = registry.match(options.patterns);
-    std::string patternText;
-    for (const std::string& p : options.patterns)
-      patternText += (patternText.empty() ? "" : " ") + p;
-    TIB_REQUIRE_MSG(!selected.empty(),
-                    "no experiment matches: " + patternText);
-  }
+  const std::vector<const Experiment*> selected =
+      ExperimentRegistry::global().match(options.patterns);
+  std::string patternText;
+  for (const std::string& p : options.patterns)
+    patternText += (patternText.empty() ? "" : " ") + p;
+  TIB_REQUIRE_MSG(!selected.empty(), "no experiment matches: " + patternText);
 
   int jobs = options.jobs;
   if (jobs < 1)
     jobs = static_cast<int>(
         std::max<unsigned>(1, std::thread::hardware_concurrency()));
 
-  // Backend override for the whole campaign (restored on return). The
-  // WorldConfig of every simulation built below snapshots this default.
-  std::optional<sim::ScopedExecBackend> backendOverride;
-  if (!options.simBackend.empty())
-    backendOverride.emplace(sim::parseExecBackend(options.simBackend));
-
-  // Trace-mode override, same snapshot pattern: every WorldConfig built
-  // below captures the default trace mode at construction.
+  // Trace-mode override for the whole campaign (restored on return): every
+  // WorldConfig built below captures the default trace mode at
+  // construction.
   std::optional<obs::ScopedTraceMode> traceOverride;
   if (!options.traceMode.empty())
     traceOverride.emplace(obs::parseTraceMode(options.traceMode));
@@ -312,18 +206,12 @@ CampaignResult runCampaign(const CampaignOptions& options,
   // runs and a replayed cell cannot reproduce them.
   const bool cacheEnabled =
       !options.cacheDir.empty() && options.traceExportDir.empty();
-  const int procs = std::max(1, options.procs);
-  TIB_REQUIRE_MSG(procs == 1 || (cacheEnabled && !workerMode),
-                  "--procs > 1 requires --cache (workers exchange results "
-                  "through the cache) and is incompatible with "
-                  "--trace-export");
   std::optional<ResultCache> cache;
   std::vector<std::string> keys(selected.size());
   if (cacheEnabled) {
     cache.emplace(options.cacheDir);
     CacheKeyInputs base;
     base.seed = options.seed;
-    base.simBackend = sim::toString(sim::defaultExecBackend());
     base.traceMode = obs::toString(obs::defaultTraceMode());
     base.simShards = sim::defaultSimShards();
     base.stallReport = obs::defaultStallReport();
@@ -341,9 +229,7 @@ CampaignResult runCampaign(const CampaignOptions& options,
   if (options.summary) {
     out << "=== socbench: " << selected.size() << " experiment"
         << (selected.size() == 1 ? "" : "s") << ", jobs=" << jobs
-        << (procs > 1 ? ", procs=" + std::to_string(procs) : "")
         << ", seed=" << options.seed
-        << ", sim-backend=" << sim::toString(sim::defaultExecBackend())
         << ", sim-shards=" << sim::defaultSimShards()
         << ", trace-mode=" << obs::toString(obs::defaultTraceMode())
         << " ===\n"
@@ -354,15 +240,6 @@ CampaignResult runCampaign(const CampaignOptions& options,
   // sweep; TaskPool::parallelFor is nested-safe. jobs == 1 runs serial.
   TaskPool pool(static_cast<std::size_t>(jobs));
   const auto campaignStart = std::chrono::steady_clock::now();  // tibsim-lint: allow(wall-clock)
-
-  const auto replay = [](ExperimentRun& run, CachedRun&& hit) {
-    run.cells = hit.cells;
-    run.engine = hit.engine;  // deterministic fields; host-only stay zero
-    run.counters = std::move(hit.counters);
-    run.results = std::move(hit.results);
-    run.json = std::move(hit.resultJson);
-    run.fromCache = true;
-  };
 
   // Probe: hits replay immediately, misses queue for computation. The
   // canonical selection order is preserved throughout — runs[i] is filled
@@ -376,7 +253,12 @@ CampaignResult runCampaign(const CampaignOptions& options,
     run.title = experiment.title();
     if (cache) {
       if (std::optional<CachedRun> hit = cache->load(run.name, keys[i])) {
-        replay(run, std::move(*hit));
+        run.cells = hit->cells;
+        run.engine = hit->engine;  // deterministic fields; host-only stay 0
+        run.counters = std::move(hit->counters);
+        run.results = std::move(hit->results);
+        run.json = std::move(hit->resultJson);
+        run.fromCache = true;
         ++campaign.cacheHits;
         continue;
       }
@@ -384,28 +266,6 @@ CampaignResult runCampaign(const CampaignOptions& options,
     missing.push_back(i);
   }
   campaign.cacheMisses = missing.size();
-
-  // Multi-process scheduling: partition the misses round-robin over the
-  // canonical order, let workers compute them into the cache, then replay
-  // what they stored. Anything a worker somehow failed to store (it would
-  // have exited nonzero first) falls through to in-process computation.
-  if (procs > 1 && !missing.empty()) {
-    std::vector<std::vector<std::string>> shards(
-        static_cast<std::size_t>(procs));
-    for (std::size_t m = 0; m < missing.size(); ++m)
-      shards[m % static_cast<std::size_t>(procs)].push_back(
-          campaign.runs[missing[m]].name);
-    runWorkerProcesses(shards, options, std::max(1, jobs / procs));
-    std::vector<std::size_t> still;
-    for (const std::size_t i : missing) {
-      ExperimentRun& run = campaign.runs[i];
-      if (std::optional<CachedRun> hit = cache->load(run.name, keys[i]))
-        replay(run, std::move(*hit));
-      else
-        still.push_back(i);
-    }
-    missing = std::move(still);
-  }
 
   pool.parallelFor(missing.size(), [&](std::size_t m) {
     const std::size_t i = missing[m];
@@ -434,9 +294,7 @@ CampaignResult runCampaign(const CampaignOptions& options,
     }
   });
   campaign.wallSeconds = secondsSince(campaignStart);
-  // The index is the parent's job: workers writing it concurrently would
-  // race, and the parent's post-campaign scan sees every entry anyway.
-  if (cache && !workerMode) cache->writeIndex();
+  if (cache) cache->writeIndex();
 
   if (!options.jsonDir.empty()) {
     const std::filesystem::path dir(options.jsonDir);
@@ -503,7 +361,7 @@ CampaignResult runCampaign(const CampaignOptions& options,
         // Link telemetry: per-kind scalar table, then (after a blank line,
         // the __worlds.csv convention) the nonzero queueing-delay buckets.
         // Doubles go through json::formatNumber so the artefact is
-        // byte-identical across runs, backends, --jobs and --sim-shards.
+        // byte-identical across runs, --jobs and --sim-shards.
         std::string csv =
             "kind,busySeconds,bytes,transfers,queueSeconds,"
             "maxLinkBusySeconds\n";
@@ -570,10 +428,7 @@ CampaignResult runCampaign(const CampaignOptions& options,
     out << "-- run summary --\n"
         << table.render() << '\n'
         << "campaign wall-clock: " << fmt(campaign.wallSeconds, 2)
-        << " s with " << jobs << " job" << (jobs == 1 ? "" : "s");
-    if (procs > 1)
-      out << " across " << procs << " worker processes";
-    out << '\n';
+        << " s with " << jobs << " job" << (jobs == 1 ? "" : "s") << '\n';
     if (cache) {
       out << "result cache: " << campaign.cacheHits << " hit"
           << (campaign.cacheHits == 1 ? "" : "s") << ", "
@@ -600,9 +455,7 @@ CampaignResult runCampaign(const CampaignOptions& options,
                           fmt(run.engine.hostSecondsPerSimSecond(), 4)});
     }
     if (anyEngine) {
-      out << "-- engine (sim-backend="
-          << sim::toString(sim::defaultExecBackend()) << ") --\n"
-          << engineTable.render() << '\n';
+      out << "-- engine --\n" << engineTable.render() << '\n';
     }
     // Shard-gang block: only when a sharded engine actually ran. Window
     // counts and barrier host time are run-summary-only (never serialised).
@@ -728,9 +581,7 @@ void printUsage(std::ostream& out) {
          "usage:\n"
          "  socbench list [glob...]\n"
          "  socbench run [glob...] [--json DIR] [--csv DIR] [--jobs N]\n"
-         "               [--seed S] [--cache DIR] [--procs N]\n"
-         "               [--sim-backend fiber|thread]\n"
-         "               [--sim-shards N]\n"
+         "               [--seed S] [--cache DIR] [--sim-shards N]\n"
          "               [--trace-mode full|sampled|aggregate]\n"
          "               [--trace-export DIR] [--stall-report]\n"
          "               [--verify-collectives]\n"
@@ -740,19 +591,10 @@ void printUsage(std::ostream& out) {
          "Flags accept both '--flag value' and '--flag=value'.\n"
          "--cache DIR keys every experiment cell by a content hash "
          "(experiment + version tag, platform spec bytes, seed, resolved\n"
-         "backend/trace/shard options, binary fingerprint): hits replay "
-         "their JSON/CSV byte-identically from DIR, misses are computed\n"
-         "and stored atomically. Any ingredient change — a rebuilt binary, "
-         "an edited Table-1 number — is an automatic miss.\n"
-         "--procs N partitions uncached cells across N worker processes "
-         "(re-invocations of this binary) that fill the cache; the parent\n"
-         "folds results in canonical order, so artefacts are byte-identical "
-         "for every --procs/--jobs/--sim-shards combination. Requires\n"
-         "--cache.\n"
-         "--sim-backend picks the cooperative-process implementation "
-         "(user-space fibers by default; 'thread' is the portable\n"
-         "one-OS-thread-per-rank fallback). TIBSIM_SIM_BACKEND sets the "
-         "same default from the environment.\n"
+         "trace/shard/stall/verify options, binary fingerprint): hits "
+         "replay their JSON/CSV byte-identically from DIR, misses are\n"
+         "computed and stored atomically. Any ingredient change — a rebuilt "
+         "binary, an edited Table-1 number — is an automatic miss.\n"
          "--sim-shards partitions every simulated world's switch tree into "
          "N per-subtree event engines under conservative (lookahead)\n"
          "synchronisation. Artefacts are byte-identical for any N; shards "
@@ -778,7 +620,9 @@ void printUsage(std::ostream& out) {
          "matching a disagreeing stamp fails with a deterministic report\n"
          "naming both ranks, both tuples and the call sites — the dynamic "
          "cross-check for tibsim_lint's collective-match rule.\n"
-         "TIBSIM_VERIFY_COLLECTIVES=1 sets the same default.\n";
+         "TIBSIM_VERIFY_COLLECTIVES=1 sets the same default.\n"
+         "--compat prints each selected experiment's text report — its "
+         "tables and ASCII charts — instead of the run summary.\n";
 }
 
 }  // namespace
@@ -844,10 +688,6 @@ int socbenchMain(int argc, const char* const* argv) {
                   << *v << "\"\n";
         return 2;
       }
-    } else if (arg == "--sim-backend") {
-      const std::string* v = flagValue("--sim-backend");
-      if (v == nullptr) return 2;
-      options.simBackend = *v;
     } else if (arg == "--sim-shards") {
       const std::string* v = flagValue("--sim-shards");
       if (v == nullptr) return 2;
@@ -860,20 +700,6 @@ int socbenchMain(int argc, const char* const* argv) {
       const std::string* v = flagValue("--cache");
       if (v == nullptr) return 2;
       options.cacheDir = *v;
-    } else if (arg == "--procs") {
-      const std::string* v = flagValue("--procs");
-      if (v == nullptr) return 2;
-      if (!parseNumber(*v, options.procs) || options.procs < 1) {
-        std::cerr << "socbench: --procs expects a positive integer, got \""
-                  << *v << "\"\n";
-        return 2;
-      }
-    } else if (arg == "--worker-cells") {
-      // Internal: set by the parent of a --procs campaign; see
-      // CampaignOptions::workerCells.
-      const std::string* v = flagValue("--worker-cells");
-      if (v == nullptr) return 2;
-      options.workerCells = *v;
     } else if (arg == "--trace-mode") {
       const std::string* v = flagValue("--trace-mode");
       if (v == nullptr) return 2;
@@ -901,13 +727,6 @@ int socbenchMain(int argc, const char* const* argv) {
     printUsage(std::cerr);
     return 2;
   }
-  if (options.procs > 1 && options.cacheDir.empty()) {
-    std::cerr << "socbench: --procs " << options.procs
-              << " requires --cache DIR (workers exchange results through "
-                 "the cache)\n";
-    return 2;
-  }
-
   try {
     runCampaign(options, std::cout);
   } catch (const std::exception& error) {
@@ -915,14 +734,6 @@ int socbenchMain(int argc, const char* const* argv) {
     return 1;
   }
   return 0;
-}
-
-int runCompatBinary(const std::string& pattern, int argc,
-                    const char* const* argv) {
-  std::vector<const char*> args = {"socbench", "run", pattern.c_str(),
-                                   "--compat"};
-  for (int i = 1; i < argc; ++i) args.push_back(argv[i]);
-  return socbenchMain(static_cast<int>(args.size()), args.data());
 }
 
 }  // namespace tibsim::core

@@ -342,7 +342,7 @@ ResultSet runCampaignExperiment(ExperimentContext& ctx) {
 }
 
 ResultSet runScaleBigCluster(ExperimentContext& ctx) {
-  // The thousand-node sweep the fiber execution backend exists for: HPL
+  // The thousand-node sweep the fiber engine exists for: HPL
   // (weak-scaled, modest memory fraction so the 1024-node factorisation
   // stays inside a CI budget — scaling shape needs the panel/bcast/update
   // structure, not a full-memory matrix) and HYDRO (strong-scaled, fixed
@@ -355,10 +355,9 @@ ResultSet runScaleBigCluster(ExperimentContext& ctx) {
   // Probe-then-sweep stack auto-sizing: run each application once on an
   // 8-node slice, read the fiber stack high-water telemetry, and give
   // every sweep cell guard-paged stacks sized for the deeper of the two
-  // (2x high-water, page-rounded — see sim::recommendedStackBytes). On
-  // the thread backend the probes report no telemetry and the sweep keeps
-  // the backend's default stacks. The probe worlds are folded into the
-  // experiment's world accounting like any other run.
+  // (2x high-water, page-rounded — see sim::recommendedStackBytes). The
+  // probe worlds are folded into the experiment's world accounting like
+  // any other run.
   constexpr int kProbeNodes = 8;
   const cluster::ClusterSpec probeSpec =
       cluster::ClusterSpec::tibidaboScaled(kProbeNodes);

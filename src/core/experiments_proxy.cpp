@@ -40,7 +40,7 @@ ResultSet runTaskFarm(ExperimentContext& ctx) {
   // 2 ranks/node on Tibidabo-style trees: 128, 512 and 2,048 ranks. The
   // 2,048-rank point is the headline — a single master feeding 2,047
   // workers through one wildcard receive, byte-identical for every
-  // --sim-shards value and both execution backends.
+  // --sim-shards value.
   const std::vector<int> nodeCounts = {64, 256, 1024};
 
   apps::TaskFarm::Params probeParams;

@@ -341,7 +341,6 @@ std::string cacheKey(const CacheKeyInputs& inputs) {
   h.str(inputs.experiment);
   h.str(inputs.versionTag);
   h.u64(inputs.seed);
-  h.str(inputs.simBackend);
   h.str(inputs.traceMode);
   h.i64(inputs.simShards);
   h.boolean(inputs.stallReport);

@@ -177,7 +177,7 @@ Communicator Communicator::split(int color, int key,
   // Three parent-comm allgathers carry everyone's (color, key, ordinal);
   // afterwards each member derives the new communicator locally from
   // identical data — no shared mutable state, so the ids come out the same
-  // for every --sim-shards value and both backends.
+  // for every --sim-shards value.
   const std::vector<double> colors = allgather(static_cast<double>(color));
   const std::vector<double> keys = allgather(static_cast<double>(key));
   const std::vector<double> ordinals =

@@ -231,7 +231,14 @@ MpiWorld::MpiWorld(WorldConfig config, int ranks)
                                      frequencyHz_);
 }
 
-MpiWorld::~MpiWorld() = default;
+MpiWorld::~MpiWorld() {
+  // A world whose run() threw still holds blocked rank fibers. Unwind them
+  // first: their destructors (CollectiveGuard among them) reach into the
+  // contexts, mailboxes, fabric and pools, which reverse declaration order
+  // would otherwise free before the engines.
+  sim_.reset();
+  for (Engine& e : engines_) e.sim.reset();
+}
 
 void MpiWorld::chargeCpu(int node, double seconds) {
   stats_.nodeBusySeconds[static_cast<std::size_t>(node)] += seconds;
@@ -571,8 +578,8 @@ std::vector<std::byte> MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm,
       const std::uint32_t slot = *it;
       Message& m = messageAt(ctx.rank(), slot);
       // Wildcards resolve here: the first match in mailbox order is the
-      // canonical choice (delivery order is already shard- and
-      // backend-invariant), so kAnySource/kAnyTag stay deterministic.
+      // canonical choice (delivery order is already shard-invariant), so
+      // kAnySource/kAnyTag stay deterministic.
       if (!matches(m, comm, src, tag)) continue;
       const int msgSrc = m.src;
       const int msgTag = m.tag;
@@ -582,7 +589,7 @@ std::vector<std::byte> MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm,
         // Collective verifier: the consumed message's stamp must agree
         // with whatever collective this rank is executing. The comparison
         // rides the canonical match order, so any report is byte-identical
-        // across shard counts and backends.
+        // across shard counts.
         verifyCollectiveMatch(ctx, m);
         if (m.receiverCharged) {
           // Delivery already charged receiverCost and folded it into the
@@ -698,8 +705,7 @@ WorldStats MpiWorld::run(const RankBody& body) {
   const int shards = effectiveSimShards();
   if (shards > 1) return runSharded(body, shards);
   sharded_ = false;
-  sim_ = std::make_unique<sim::Simulation>(config_.simBackend,
-                                           config_.fiberStackBytes);
+  sim_ = std::make_unique<sim::Simulation>(config_.fiberStackBytes);
   // Huge worlds lease fiber stacks from the slab arena so the VMA count
   // stays far below vm.max_map_count (private guarded stacks cost 2 each).
   sim_->setPooledStacks(ranks_ >= sim::kPooledStacksMinRanks);

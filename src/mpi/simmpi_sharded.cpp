@@ -63,7 +63,7 @@ void MpiWorld::submitWireOp(Engine& eng, DeferredOp&& op) {
   // pushed at the barrier sorts exactly where the single-queue engine's
   // immediate push would have — (G of this dispatch, this index).
   op.pushIdx = eng.sim->notePendingPush();
-  ++pendingChannelOps_;
+  ++eng.pendingChannelOps;
   eng.ops.push_back(std::move(op));
 }
 
@@ -216,11 +216,11 @@ void MpiWorld::shardBarrier() {
     TIB_ASSERT(e.spanCursor == e.spans.size());
     e.ops.clear();
     e.spans.clear();
+    e.pendingChannelOps = 0;
     // Resolve surviving provisional event keys against this window's
     // ordinals and clear the dispatch log.
     e.sim->finalizeWindowKeys(shardOrdByDispatch_[s]);
   }
-  pendingChannelOps_ = 0;
 }
 
 WorldStats MpiWorld::runSharded(const RankBody& body, int shards) {
@@ -276,8 +276,7 @@ WorldStats MpiWorld::runSharded(const RankBody& body, int shards) {
   for (Engine& e : engines_) {
     TIB_ASSERT(e.firstRank >= 0);  // the leaf map is surjective for
                                    // shards <= leafCount
-    e.sim = std::make_unique<sim::Simulation>(config_.simBackend,
-                                              config_.fiberStackBytes);
+    e.sim = std::make_unique<sim::Simulation>(config_.fiberStackBytes);
     // World-level (not per-shard) rank count decides stack pooling so the
     // policy is identical under every --sim-shards value.
     e.sim->setPooledStacks(ranks_ >= sim::kPooledStacksMinRanks);
@@ -321,17 +320,22 @@ WorldStats MpiWorld::runSharded(const RankBody& body, int shards) {
   std::uint64_t barrierSkips = 0;
   shardMergeRecords_ = 0;
   // A barrier with no pending channel ops has nothing another shard can
-  // observe: defer the merge and let compute-phase windows batch. The cap
-  // bounds the accumulated dispatch-log/op memory between real merges.
+  // observe: defer the merge and let compute-phase windows batch (dispatch
+  // logs and order-insensitive ops accumulate and one deferred merge
+  // replays them, still in exact global order — windows are
+  // time-partitioned whether or not a merge ran). The cap bounds the
+  // accumulated dispatch-log/op memory between real merges.
   constexpr std::size_t kBarrierBatchRecords = 32768;
   const auto maybeBarrier = [this, &barrierSkips, &barrierCalls] {
-    if (pendingChannelOps_ == 0) {
-      std::size_t records = 0;
-      for (Engine& e : engines_) records += e.sim->dispatchLog().size();
-      if (records < kBarrierBatchRecords) {
-        ++barrierSkips;
-        return;
-      }
+    std::uint64_t pendingOps = 0;
+    std::size_t records = 0;
+    for (const Engine& e : engines_) {
+      pendingOps += e.pendingChannelOps;
+      records += e.sim->dispatchLog().size();
+    }
+    if (pendingOps == 0 && records < kBarrierBatchRecords) {
+      ++barrierSkips;
+      return;
     }
     ++barrierCalls;
     shardBarrier();

@@ -150,7 +150,7 @@ class FullSink final : public TraceSink {
 /// draws from its own RNG stream (seed mixed with the rank), and span
 /// arrival order per rank is deterministic (the event loop is), so the
 /// reservoir is a pure function of (seed, run) — identical across --jobs
-/// and backends.
+/// and shard counts.
 class SampledSink final : public TraceSink {
  public:
   SampledSink(std::size_t perRank, std::uint64_t seed)

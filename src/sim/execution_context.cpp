@@ -1,32 +1,22 @@
 #include "tibsim/sim/execution_context.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "tibsim/common/assert.hpp"
 #include "tibsim/obs/stack_telemetry.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <setjmp.h>
-#include <sys/mman.h>
-#include <ucontext.h>
-#include <unistd.h>
-#define TIBSIM_HAVE_UCONTEXT 1
-#else
-#define TIBSIM_HAVE_UCONTEXT 0
-#endif
-
-// ThreadSanitizer cannot follow swapcontext (it loses the shadow stack and
-// reports false races), so fiber requests are serviced by the thread backend
-// in TSan builds. AddressSanitizer *can* follow fibers, but only if every
-// switch is announced through the fiber annotations below.
+// AddressSanitizer and ThreadSanitizer both intercept longjmp: ASan rejects
+// a jump onto a different stack and TSan loses track of which stack it is
+// on. Sanitizer builds therefore switch through swapcontext and announce
+// every switch through the sanitizer's fiber interface.
 #if defined(__SANITIZE_THREAD__)
 #define TIBSIM_TSAN 1
 #elif defined(__has_feature)
@@ -52,6 +42,9 @@
 #if TIBSIM_ASAN
 #include <sanitizer/common_interface_defs.h>
 #endif
+#if TIBSIM_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace tibsim::sim {
 
@@ -67,93 +60,21 @@ void asanFinishSwitch(void* fakeStackSave, const void** bottomOld,
   __sanitizer_finish_switch_fiber(fakeStackSave, bottomOld, sizeOld);
 }
 #else
-// Unused in TSan builds, where FiberContext is compiled out entirely.
 [[maybe_unused]] void asanStartSwitch(void**, const void*, std::size_t) {}
 [[maybe_unused]] void asanFinishSwitch(void*, const void**, std::size_t*) {}
 #endif
 
-// ---------------------------------------------------------------------------
-// ThreadContext — the original baton handoff, verbatim semantics: one OS
-// thread per context, parked on a condition variable whenever the host side
-// holds the baton. Two kernel wake-ups per simulated context switch.
-// ---------------------------------------------------------------------------
-
-class ThreadContext final : public ExecutionContext {
- public:
-  ThreadContext() = default;
-
-  ~ThreadContext() override {
-    // Process guarantees the entry has returned (normally or by ProcessKilled
-    // unwinding) before destroying the context, so join() only reaps.
-    if (thread_.joinable()) thread_.join();
-  }
-
-  void start(Entry entry) override {
-    TIB_ASSERT(!thread_.joinable());
-    entry_ = std::move(entry);
-    thread_ = std::thread([this] {
-      {
-        // Wait for the host to hand over the baton the first time.
-        std::unique_lock lock(mutex_);
-        cv_.wait(lock, [this] { return batonWithContext_; });
-      }
-      entry_();
-      std::lock_guard lock(mutex_);
-      done_ = true;
-      batonWithContext_ = false;
-      cv_.notify_all();
-    });
-  }
-
-  void switchIn() override {
-    {
-      std::lock_guard lock(mutex_);
-      TIB_ASSERT(!done_);
-      batonWithContext_ = true;
-    }
-    cv_.notify_all();
-    std::unique_lock lock(mutex_);
-    cv_.wait(lock, [this] { return !batonWithContext_; });
-  }
-
-  void yieldToHost() override {
-    std::unique_lock lock(mutex_);
-    batonWithContext_ = false;
-    cv_.notify_all();
-    cv_.wait(lock, [this] { return batonWithContext_; });
-  }
-
-  ExecBackend backend() const override { return ExecBackend::Thread; }
-
- private:
-  Entry entry_;
-  std::thread thread_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool batonWithContext_ = false;
-  bool done_ = false;
-};
-
-// ---------------------------------------------------------------------------
-// FiberContext — stackful user-space fiber on an owned mmap'd stack; no OS
-// thread is created. The mapping carries one PROT_NONE guard page below the
-// stack (stacks grow down), so an overflow faults immediately instead of
-// silently corrupting whatever the allocator placed next door — essential
-// once sweeps auto-size stacks near the measured high-water mark.
-// ucontext (getcontext/makecontext) builds the initial stack frame and
-// performs the first entry; steady-state switches use _setjmp/_longjmp,
-// which save and restore only the register file — glibc's swapcontext
-// issues a rt_sigprocmask syscall on every call, and that syscall is the
-// bulk of its cost (the libtask/libaco technique).
-//
-// Under AddressSanitizer every switch goes through swapcontext instead and
-// is announced with the ASan fiber annotations: ASan intercepts longjmp and
-// rejects a jump onto a different stack, while the annotated swapcontext
-// path is the documented way to switch stacks under ASan. The perf budget
-// does not apply to sanitizer builds.
-// ---------------------------------------------------------------------------
-
-#if TIBSIM_HAVE_UCONTEXT && !TIBSIM_TSAN
+#if TIBSIM_TSAN
+void* tsanCreateFiber() { return __tsan_create_fiber(0); }
+void tsanDestroyFiber(void* fiber) { __tsan_destroy_fiber(fiber); }
+void* tsanCurrentFiber() { return __tsan_get_current_fiber(); }
+void tsanSwitchTo(void* fiber) { __tsan_switch_to_fiber(fiber, 0); }
+#else
+void* tsanCreateFiber() { return nullptr; }
+void tsanDestroyFiber(void*) {}
+[[maybe_unused]] void* tsanCurrentFiber() { return nullptr; }
+[[maybe_unused]] void tsanSwitchTo(void*) {}
+#endif
 
 // ---------------------------------------------------------------------------
 // FiberStackArena — slab-allocated fiber stacks for huge worlds. Each kernel
@@ -174,45 +95,40 @@ class ThreadContext final : public ExecutionContext {
 
 class FiberStackArena {
  public:
-  struct Lease {
-    char* stack = nullptr;     ///< lowest usable address (stacks grow down)
-    std::size_t bytes = 0;     ///< usable stack bytes (page-rounded)
-    char* sentinel = nullptr;  ///< pattern page directly below the stack
-  };
-
   static FiberStackArena& instance() {
     // tibsim-lint: allow(shard-shared) — mutex-guarded process-wide arena
     static FiberStackArena arena;
     return arena;
   }
 
-  Lease acquire(std::size_t stackBytes) {
-    const std::size_t page = pageBytes();
+  /// Lowest usable address of a stackBytes-sized stack; its sentinel page
+  /// sits directly below.
+  char* acquire(std::size_t stackBytes) {
     std::lock_guard lock(mutex_);
     auto& free = free_[stackBytes];
-    if (free.empty()) addSlab(stackBytes, page, free);
-    Lease lease = free.back();
+    if (free.empty()) addSlab(stackBytes, free);
+    char* stack = free.back();
     free.pop_back();
-    return lease;
+    return stack;
   }
 
-  void release(const Lease& lease) {
+  void release(char* stack, std::size_t stackBytes) {
     const std::size_t page = pageBytes();
     TIB_REQUIRE_MSG(
-        obs::scanStackHighWater(lease.sentinel, page) == 0,
+        obs::scanStackHighWater(stack - page, page) == 0,
         "fiber stack overflow: the sentinel page below a pooled stack was "
         "overwritten (raise the stack size or TIBSIM_FIBER_STACK_KB)");
     // Hand the pages back to the kernel; the next acquire pattern-fills
     // anyway, so dropping the contents costs nothing but keeps campaign
     // RSS bounded by the largest concurrently-live world.
-    madvise(lease.stack, lease.bytes, MADV_DONTNEED);
+    madvise(stack, stackBytes, MADV_DONTNEED);
     std::lock_guard lock(mutex_);
-    free_[lease.bytes].push_back(lease);
+    free_[stackBytes].push_back(stack);
   }
 
  private:
-  void addSlab(std::size_t stackBytes, std::size_t page,
-               std::vector<Lease>& free) {
+  void addSlab(std::size_t stackBytes, std::vector<char*>& free) {
+    const std::size_t page = pageBytes();
     const std::size_t unit = stackBytes + page;  // sentinel + stack
     const std::size_t count =
         std::clamp<std::size_t>(kSlabTargetBytes / unit, 16, 512);
@@ -224,192 +140,28 @@ class FiberStackArena {
                     "fiber stack slab guard mprotect failed");
     char* base = static_cast<char*>(map) + page;
     for (std::size_t i = 0; i < count; ++i) {
-      Lease lease;
-      lease.sentinel = base + i * unit;
-      lease.stack = lease.sentinel + page;
-      lease.bytes = stackBytes;
-      obs::patternFillStack(lease.sentinel, page);
-      free.push_back(lease);
+      char* sentinel = base + i * unit;
+      obs::patternFillStack(sentinel, page);
+      free.push_back(sentinel + page);
     }
-    // Slabs are never unmapped: leases reference into them for the process
+    // Slabs are never unmapped: stacks reference into them for the process
     // lifetime and MADV_DONTNEED already returns idle pages.
   }
 
   static constexpr std::size_t kSlabTargetBytes = std::size_t{4} << 20;
 
   std::mutex mutex_;
-  std::map<std::size_t, std::vector<Lease>> free_;  ///< keyed by stack size
+  std::map<std::size_t, std::vector<char*>> free_;  ///< keyed by stack size
 };
-
-class FiberContext final : public ExecutionContext {
- public:
-  FiberContext(std::size_t stackBytes, bool pooled) : pooled_(pooled) {
-    const std::size_t page = pageBytes();
-    stackBytes_ = std::max(stackBytes, kMinFiberStackBytes);
-    stackBytes_ = (stackBytes_ + page - 1) / page * page;
-    if (pooled_) {
-      lease_ = FiberStackArena::instance().acquire(stackBytes_);
-      stack_ = lease_.stack;
-    } else {
-      mapBytes_ = stackBytes_ + page;  // + guard page below the stack
-      void* map = mmap(nullptr, mapBytes_, PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-      TIB_REQUIRE_MSG(map != MAP_FAILED, "fiber stack mmap failed");
-      map_ = map;
-      TIB_REQUIRE_MSG(mprotect(map, page, PROT_NONE) == 0,
-                      "fiber stack guard mprotect failed");
-      stack_ = static_cast<char*>(map) + page;
-    }
-    // Pattern-fill before makecontext arms the stack so the high-water scan
-    // can tell touched bytes from untouched ones (recycled pooled stacks
-    // carry the previous tenant's writes until this refill).
-    obs::patternFillStack(stack_, stackBytes_);
-  }
-
-  // Process guarantees the entry has returned before destruction, so the
-  // stack is quiescent here: release the lease (which checks the overflow
-  // sentinel) or unmap the private mapping.
-  ~FiberContext() override {
-    if (pooled_) {
-      FiberStackArena::instance().release(lease_);
-    } else {
-      munmap(map_, mapBytes_);
-    }
-  }
-
-  void start(Entry entry) override {
-    TIB_ASSERT(!armed_);
-    entry_ = std::move(entry);
-    TIB_REQUIRE(getcontext(&fiberCtx_) == 0);
-    fiberCtx_.uc_stack.ss_sp = stack_;
-    fiberCtx_.uc_stack.ss_size = stackBytes_;
-    fiberCtx_.uc_link = nullptr;  // exit is an explicit transfer in run()
-    // makecontext passes ints only; smuggle `this` as two 32-bit halves.
-    const auto self = reinterpret_cast<std::uintptr_t>(this);
-    makecontext(&fiberCtx_, reinterpret_cast<void (*)()>(&FiberContext::run),
-                2, static_cast<unsigned>(self >> 32),
-                static_cast<unsigned>(self & 0xffffffffu));
-    armed_ = true;
-  }
-
-#if TIBSIM_ASAN
-
-  void switchIn() override {
-    TIB_ASSERT(armed_ && !done_);
-    void* fakeStack = nullptr;
-    asanStartSwitch(&fakeStack, stack_, stackBytes_);
-    TIB_REQUIRE(swapcontext(&hostCtx_, &fiberCtx_) == 0);
-    // Back on the host stack; tell ASan and remember where the host stack
-    // lives so yieldToHost() can announce the reverse switch.
-    asanFinishSwitch(fakeStack, &hostStackBottom_, &hostStackSize_);
-  }
-
-  void yieldToHost() override {
-    void* fakeStack = nullptr;
-    asanStartSwitch(&fakeStack, hostStackBottom_, hostStackSize_);
-    TIB_REQUIRE(swapcontext(&fiberCtx_, &hostCtx_) == 0);
-    asanFinishSwitch(fakeStack, &hostStackBottom_, &hostStackSize_);
-  }
-
-#else  // !TIBSIM_ASAN
-
-  void switchIn() override {
-    TIB_ASSERT(armed_ && !done_);
-    if (_setjmp(hostJmp_) == 0) {
-      if (!entered_) {
-        // First entry: only makecontext can start a frame on the new
-        // stack. Control returns via _longjmp(hostJmp_), never through
-        // this swapcontext call.
-        entered_ = true;
-        TIB_REQUIRE(swapcontext(&hostCtx_, &fiberCtx_) == 0);
-      } else {
-        _longjmp(fiberJmp_, 1);
-      }
-    }
-  }
-
-  void yieldToHost() override {
-    if (_setjmp(fiberJmp_) == 0) _longjmp(hostJmp_, 1);
-  }
-
-#endif  // TIBSIM_ASAN
-
-  ExecBackend backend() const override { return ExecBackend::Fiber; }
-
-  std::size_t stackBytes() const override { return stackBytes_; }
-
-  std::size_t stackHighWaterBytes() const override {
-    return obs::scanStackHighWater(stack_, stackBytes_);
-  }
-
- private:
-  static void run(unsigned selfHi, unsigned selfLo) {
-    auto* self = reinterpret_cast<FiberContext*>(
-        (static_cast<std::uintptr_t>(selfHi) << 32) |
-        static_cast<std::uintptr_t>(selfLo));
-    // First time on the fiber stack: complete the switch the host started.
-    asanFinishSwitch(nullptr, &self->hostStackBottom_, &self->hostStackSize_);
-    self->entry_();
-    self->done_ = true;
-#if TIBSIM_ASAN
-    // Final exit: a nullptr fake-stack save tells ASan this fiber is dying.
-    asanStartSwitch(nullptr, self->hostStackBottom_, self->hostStackSize_);
-    swapcontext(&self->fiberCtx_, &self->hostCtx_);
-#else
-    _longjmp(self->hostJmp_, 1);
-#endif
-    TIB_ASSERT(false && "resumed a finished fiber");
-  }
-
-  Entry entry_;
-  std::size_t stackBytes_ = 0;  ///< usable bytes (excludes the guard page)
-  bool pooled_ = false;         ///< stack leased from FiberStackArena
-  FiberStackArena::Lease lease_;
-  std::size_t mapBytes_ = 0;    ///< private mapping only (pooled_ == false)
-  void* map_ = nullptr;
-  char* stack_ = nullptr;
-  ucontext_t fiberCtx_{};
-  ucontext_t hostCtx_{};
-#if !TIBSIM_ASAN
-  jmp_buf hostJmp_{};
-  jmp_buf fiberJmp_{};
-  bool entered_ = false;
-#endif
-  const void* hostStackBottom_ = nullptr;
-  std::size_t hostStackSize_ = 0;
-  bool armed_ = false;
-  bool done_ = false;
-};
-
-#endif  // TIBSIM_HAVE_UCONTEXT && !TIBSIM_TSAN
-
-ExecBackend readBackendFromEnv() {
-  const char* env = std::getenv("TIBSIM_SIM_BACKEND");
-  if (env != nullptr) {
-    const std::string name(env);
-    if (name == "thread") return ExecBackend::Thread;
-    if (name == "fiber") return ExecBackend::Fiber;
-  }
-  return ExecBackend::Fiber;
-}
-
-std::atomic<ExecBackend>& defaultBackendSlot() {
-  static std::atomic<ExecBackend> slot{readBackendFromEnv()};
-  return slot;
-}
 
 }  // namespace
 
 std::size_t pageBytes() {
-#if defined(__unix__) || defined(__APPLE__)
   static const std::size_t page = [] {
     const long v = sysconf(_SC_PAGESIZE);
     return v > 0 ? static_cast<std::size_t>(v) : std::size_t{4096};
   }();
   return page;
-#else
-  return 4096;
-#endif
 }
 
 std::size_t recommendedStackBytes(std::size_t highWaterBytes) {
@@ -418,26 +170,6 @@ std::size_t recommendedStackBytes(std::size_t highWaterBytes) {
   const std::size_t doubled = 2 * highWaterBytes;
   const std::size_t rounded = (doubled + page - 1) / page * page;
   return std::max(rounded, kMinFiberStackBytes);
-}
-
-const char* toString(ExecBackend backend) {
-  return backend == ExecBackend::Fiber ? "fiber" : "thread";
-}
-
-ExecBackend parseExecBackend(const std::string& name) {
-  if (name == "fiber") return ExecBackend::Fiber;
-  if (name == "thread") return ExecBackend::Thread;
-  TIB_REQUIRE_MSG(false, "unknown sim backend '" + name +
-                             "' (expected 'fiber' or 'thread')");
-  return ExecBackend::Fiber;  // unreachable
-}
-
-ExecBackend defaultExecBackend() {
-  return defaultBackendSlot().load(std::memory_order_relaxed);
-}
-
-void setDefaultExecBackend(ExecBackend backend) {
-  defaultBackendSlot().store(backend, std::memory_order_relaxed);
 }
 
 std::size_t ExecutionContext::defaultStackBytes() {
@@ -451,19 +183,139 @@ std::size_t ExecutionContext::defaultStackBytes() {
   return bytes;
 }
 
-std::unique_ptr<ExecutionContext> ExecutionContext::create(
-    ExecBackend backend, std::size_t stackBytes, bool pooledStack) {
-#if TIBSIM_HAVE_UCONTEXT && !TIBSIM_TSAN
-  if (backend == ExecBackend::Fiber) {
-    return std::make_unique<FiberContext>(
-        stackBytes != 0 ? stackBytes : defaultStackBytes(), pooledStack);
+// ---------------------------------------------------------------------------
+// The fiber: an owned mmap'd stack with one PROT_NONE guard page below it
+// (stacks grow down), so an overflow faults immediately instead of silently
+// corrupting whatever the allocator placed next door — essential once
+// sweeps auto-size stacks near the measured high-water mark. ucontext
+// (getcontext/makecontext) builds the initial stack frame and performs the
+// first entry; steady-state switches use _setjmp/_longjmp, which save and
+// restore only the register file — glibc's swapcontext issues a
+// rt_sigprocmask syscall on every call, and that syscall is the bulk of its
+// cost (the libtask/libaco technique). Sanitizer builds take the
+// swapcontext path for every switch instead; the perf budget does not
+// apply to them.
+// ---------------------------------------------------------------------------
+
+ExecutionContext::ExecutionContext(std::size_t stackBytes, bool pooledStack)
+    : pooled_(pooledStack) {
+  const std::size_t page = pageBytes();
+  stackBytes_ = std::max(stackBytes != 0 ? stackBytes : defaultStackBytes(),
+                         kMinFiberStackBytes);
+  stackBytes_ = (stackBytes_ + page - 1) / page * page;
+  if (pooled_) {
+    stack_ = FiberStackArena::instance().acquire(stackBytes_);
+  } else {
+    void* map = mmap(nullptr, stackBytes_ + page, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    TIB_REQUIRE_MSG(map != MAP_FAILED, "fiber stack mmap failed");
+    TIB_REQUIRE_MSG(mprotect(map, page, PROT_NONE) == 0,
+                    "fiber stack guard mprotect failed");
+    stack_ = static_cast<char*>(map) + page;
   }
+  // Pattern-fill before makecontext arms the stack so the high-water scan
+  // can tell touched bytes from untouched ones (recycled pooled stacks
+  // carry the previous tenant's writes until this refill).
+  obs::patternFillStack(stack_, stackBytes_);
+  tsanFiber_ = tsanCreateFiber();
+}
+
+// Process guarantees the entry has returned before destruction, so the
+// stack is quiescent here: release the lease (which checks the overflow
+// sentinel) or unmap the private mapping and its guard page.
+ExecutionContext::~ExecutionContext() {
+  tsanDestroyFiber(tsanFiber_);
+  if (pooled_) {
+    FiberStackArena::instance().release(stack_, stackBytes_);
+  } else {
+    const std::size_t page = pageBytes();
+    munmap(stack_ - page, stackBytes_ + page);
+  }
+}
+
+void ExecutionContext::start(Entry entry) {
+  TIB_ASSERT(!armed_);
+  entry_ = std::move(entry);
+  TIB_REQUIRE(getcontext(&fiberCtx_) == 0);
+  fiberCtx_.uc_stack.ss_sp = stack_;
+  fiberCtx_.uc_stack.ss_size = stackBytes_;
+  fiberCtx_.uc_link = nullptr;  // exit is an explicit transfer in run()
+  // makecontext passes ints only; smuggle `this` as two 32-bit halves.
+  const auto self = reinterpret_cast<std::uintptr_t>(this);
+  makecontext(&fiberCtx_, reinterpret_cast<void (*)()>(&ExecutionContext::run),
+              2, static_cast<unsigned>(self >> 32),
+              static_cast<unsigned>(self & 0xffffffffu));
+  armed_ = true;
+}
+
+std::size_t ExecutionContext::stackHighWaterBytes() const {
+  return obs::scanStackHighWater(stack_, stackBytes_);
+}
+
+#if TIBSIM_ASAN || TIBSIM_TSAN
+
+void ExecutionContext::switchIn() {
+  TIB_ASSERT(armed_ && !done_);
+  void* fakeStack = nullptr;
+  asanStartSwitch(&fakeStack, stack_, stackBytes_);
+  // The resuming host thread may differ between switches (shard windows
+  // run on gang threads), so the host fiber is looked up every time.
+  tsanHost_ = tsanCurrentFiber();
+  tsanSwitchTo(tsanFiber_);
+  TIB_REQUIRE(swapcontext(&hostCtx_, &fiberCtx_) == 0);
+  // Back on the host stack; tell ASan and remember where the host stack
+  // lives so yieldToHost() can announce the reverse switch.
+  asanFinishSwitch(fakeStack, &hostStackBottom_, &hostStackSize_);
+}
+
+void ExecutionContext::yieldToHost() {
+  void* fakeStack = nullptr;
+  asanStartSwitch(&fakeStack, hostStackBottom_, hostStackSize_);
+  tsanSwitchTo(tsanHost_);
+  TIB_REQUIRE(swapcontext(&fiberCtx_, &hostCtx_) == 0);
+  asanFinishSwitch(fakeStack, &hostStackBottom_, &hostStackSize_);
+}
+
 #else
-  (void)stackBytes;  // fiber unavailable: serviced by the thread backend
+
+void ExecutionContext::switchIn() {
+  TIB_ASSERT(armed_ && !done_);
+  if (_setjmp(hostJmp_) == 0) {
+    if (!entered_) {
+      // First entry: only makecontext can start a frame on the new stack.
+      // Control returns via _longjmp(hostJmp_), never through this
+      // swapcontext call.
+      entered_ = true;
+      TIB_REQUIRE(swapcontext(&hostCtx_, &fiberCtx_) == 0);
+    } else {
+      _longjmp(fiberJmp_, 1);
+    }
+  }
+}
+
+void ExecutionContext::yieldToHost() {
+  if (_setjmp(fiberJmp_) == 0) _longjmp(hostJmp_, 1);
+}
+
+#endif  // TIBSIM_ASAN || TIBSIM_TSAN
+
+void ExecutionContext::run(unsigned selfHi, unsigned selfLo) {
+  auto* self = reinterpret_cast<ExecutionContext*>(
+      (static_cast<std::uintptr_t>(selfHi) << 32) |
+      static_cast<std::uintptr_t>(selfLo));
+  // First time on the fiber stack: complete the switch the host started.
+  asanFinishSwitch(nullptr, &self->hostStackBottom_, &self->hostStackSize_);
+  self->entry_();
+  self->done_ = true;
+#if TIBSIM_ASAN || TIBSIM_TSAN
+  // Final exit: a nullptr fake-stack save tells ASan this fiber is dying.
+  asanStartSwitch(nullptr, self->hostStackBottom_, self->hostStackSize_);
+  tsanSwitchTo(self->tsanHost_);
+  swapcontext(&self->fiberCtx_, &self->hostCtx_);
+#else
+  _longjmp(self->hostJmp_, 1);
 #endif
-  (void)backend;
-  (void)pooledStack;
-  return std::make_unique<ThreadContext>();
+  TIB_ASSERT(false && "resumed a finished fiber");
 }
 
 }  // namespace tibsim::sim

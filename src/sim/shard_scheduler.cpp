@@ -14,7 +14,7 @@ namespace {
 int clampShards(int shards) { return std::clamp(shards, 1, 1024); }
 
 int readDefaultSimShards() {
-  // Same pattern as TIBSIM_SIM_BACKEND / TIBSIM_TRACE_MODE: the environment
+  // Same pattern as TIBSIM_TRACE_MODE: the environment
   // seeds the process-wide default once; --sim-shards and ScopedSimShards
   // override it explicitly afterwards.
   const char* env = std::getenv("TIBSIM_SIM_SHARDS");

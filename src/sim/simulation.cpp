@@ -28,9 +28,8 @@ Process::Process(Simulation& sim, std::uint64_t id, std::string name,
 
 Process::~Process() { kill(); }
 
-void Process::start(ExecBackend backend, std::size_t stackBytes,
-                    bool pooledStack) {
-  context_ = ExecutionContext::create(backend, stackBytes, pooledStack);
+void Process::start(std::size_t stackBytes, bool pooledStack) {
+  context_ = std::make_unique<ExecutionContext>(stackBytes, pooledStack);
   context_->start([this] {
     if (!killRequested_) {
       try {
@@ -83,7 +82,7 @@ void Process::kill() {
   killRequested_ = true;
   // Run the context until the body has unwound (yieldToHost rethrows the
   // kill as ProcessKilled). A body that swallows ProcessKilled and keeps
-  // blocking would loop here — the same hang the thread backend always had.
+  // blocking would loop here.
   while (!finished_) switchIn();
 }
 
@@ -251,7 +250,7 @@ Process& Simulation::spawn(std::string name, Process::Body body) {
   auto process = std::unique_ptr<Process>(
       new Process(*this, nextProcessId_++, std::move(name), std::move(body)));
   Process& ref = *process;
-  ref.start(backend_, stackBytes_, pooledStacks_);
+  ref.start(stackBytes_, pooledStacks_);
   processes_.push_back(std::move(process));
   ++stats_.processesSpawned;
   ++liveNow_;

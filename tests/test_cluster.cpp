@@ -124,21 +124,11 @@ TEST(ClusterSim, AutoFiberStackBytesProbesAndSizes) {
     ctx.computeSeconds(1e-6);
     ctx.allreduceSum(static_cast<double>(ctx.rank()));
   };
-  // Thread backend: no stack telemetry, so the helper must say "keep the
-  // default" rather than inventing a size.
-  {
-    sim::ScopedExecBackend scoped(sim::ExecBackend::Thread);
-    JobResult probeResult;
-    EXPECT_EQ(autoFiberStackBytes(spec, 4, body, &probeResult), 0u);
-    EXPECT_GT(probeResult.stats.messageCount, 0u);  // the probe really ran
-  }
-  // Fiber backend: a page-granular 2x-high-water recommendation, and the
-  // sweep actually runs on stacks of that size.
-  sim::ScopedExecBackend scoped(sim::ExecBackend::Fiber);
+  // A page-granular 2x-high-water recommendation, and the sweep actually
+  // runs on stacks of that size.
   JobResult probeResult;
   const std::size_t sized = autoFiberStackBytes(spec, 4, body, &probeResult);
-  if (probeResult.stats.engine.fiberStackBytes == 0)
-    GTEST_SKIP() << "fiber backend unavailable (sanitizer fallback)";
+  EXPECT_GT(probeResult.stats.messageCount, 0u);  // the probe really ran
   ASSERT_GE(sized, sim::kMinFiberStackBytes);
   EXPECT_EQ(sized % sim::pageBytes(), 0u);
   EXPECT_EQ(sized, sim::recommendedStackBytes(

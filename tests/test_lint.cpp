@@ -297,14 +297,6 @@ TEST_F(LintRegistryDocsTest, BacktickedSectionSilencesTheFinding) {
   EXPECT_TRUE(lintRegistryDocs(root_.string()).empty());
 }
 
-TEST_F(LintRegistryDocsTest, CompatBinaryNamePrefixCountsAsDocumented) {
-  // `figx_long_binary_name` documents the registered name `figx`, matching
-  // how EXPERIMENTS.md titles sections after the standalone binaries.
-  writeFile(root_ / "EXPERIMENTS.md",
-            "# EXPERIMENTS\n\n## Figure X (`figx_long_binary_name`)\n");
-  EXPECT_TRUE(lintRegistryDocs(root_.string()).empty());
-}
-
 // ---------------------------------------------------------------------------
 // The repo's own tree must be clean (the CI acceptance bar)
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Tests for simMPI: point-to-point semantics, payload integrity, tag
 // matching, rendezvous, collectives, deadlock detection, accounting.
-// Every suite runs under both ExecutionContext backends — simMPI semantics
-// are backend-independent by contract.
+// Every suite runs on both hosts (host_threads.hpp): simMPI semantics may
+// not depend on which host thread drives the ranks.
 
 #include <gtest/gtest.h>
 
@@ -12,18 +12,20 @@
 #include <tuple>
 #include <utility>
 
+#include "host_threads.hpp"
 #include "tibsim/apps/taskfarm.hpp"
 #include "tibsim/arch/registry.hpp"
 #include "tibsim/common/assert.hpp"
 #include "tibsim/common/units.hpp"
 #include "tibsim/mpi/payload_pool.hpp"
 #include "tibsim/mpi/simmpi.hpp"
-#include "tibsim/sim/execution_context.hpp"
 
 namespace tibsim::mpi {
 namespace {
 
 using namespace units;
+using testhost::Host;
+using testhost::onHost;
 
 WorldConfig testConfig(int ranksPerNode = 1,
                        net::Protocol proto = net::Protocol::TcpIp) {
@@ -35,21 +37,24 @@ WorldConfig testConfig(int ranksPerNode = 1,
   return cfg;
 }
 
-// WorldConfig snapshots the process-wide default backend at construction;
-// pinning the default per test keeps every MpiWorld below on the requested
-// backend without touching the test bodies.
-class SimMpiTest : public ::testing::TestWithParam<sim::ExecBackend> {
+// Run `world` on `host`. Construction and teardown, which unwinds ranks
+// still blocked after a throw, stay on the test thread.
+WorldStats runOn(Host host, MpiWorld& world, const MpiWorld::RankBody& body) {
+  return onHost(host, [&] { return world.run(body); });
+}
+
+class SimMpiTest : public ::testing::TestWithParam<Host> {
  protected:
-  sim::ScopedExecBackend scoped_{GetParam()};
+  static WorldStats run(MpiWorld& world, const MpiWorld::RankBody& body) {
+    return runOn(GetParam(), world, body);
+  }
 };
 
-#define TIBSIM_INSTANTIATE_BACKENDS(fixture)                          \
-  INSTANTIATE_TEST_SUITE_P(Backends, fixture,                         \
-                           ::testing::Values(sim::ExecBackend::Fiber, \
-                                             sim::ExecBackend::Thread), \
-                           [](const auto& paramInfo) {                \
-                             return std::string(                      \
-                                 sim::toString(paramInfo.param));     \
+#define TIBSIM_INSTANTIATE_BACKENDS(fixture)                              \
+  INSTANTIATE_TEST_SUITE_P(Backends, fixture,                             \
+                           ::testing::Values(Host::Fiber, Host::Thread),  \
+                           [](const auto& paramInfo) {                    \
+                             return testhost::hostName(paramInfo.param);  \
                            })
 
 class SimMpiNonblockingTest : public SimMpiTest {};
@@ -63,7 +68,7 @@ TIBSIM_INSTANTIATE_BACKENDS(SimMpiCollectiveVerifyTest);
 TEST_P(SimMpiTest, RankAndSizeVisible) {
   MpiWorld world(testConfig(), 4);
   std::vector<int> seen(4, -1);
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     seen[static_cast<std::size_t>(ctx.rank())] = ctx.size();
   });
   for (int s : seen) EXPECT_EQ(s, 4);
@@ -73,7 +78,7 @@ TEST_P(SimMpiTest, NodePlacementFollowsRanksPerNode) {
   MpiWorld world(testConfig(2), 6);
   EXPECT_EQ(world.nodes(), 3);
   std::vector<int> nodeOf(6, -1);
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     nodeOf[static_cast<std::size_t>(ctx.rank())] = ctx.node();
   });
   EXPECT_EQ(nodeOf, (std::vector<int>{0, 0, 1, 1, 2, 2}));
@@ -82,7 +87,7 @@ TEST_P(SimMpiTest, NodePlacementFollowsRanksPerNode) {
 TEST_P(SimMpiTest, PayloadRoundTrips) {
   MpiWorld world(testConfig(), 2);
   std::vector<double> received;
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     if (ctx.rank() == 0) {
       const std::vector<double> data = {1.5, -2.25, 3.75};
       ctx.sendDoubles(1, 42, data);
@@ -96,7 +101,7 @@ TEST_P(SimMpiTest, PayloadRoundTrips) {
 TEST_P(SimMpiTest, SizeOnlyMessagesReportBytes) {
   MpiWorld world(testConfig(), 2);
   std::size_t got = 0;
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     if (ctx.rank() == 0) {
       ctx.send(1, 1, 123456);
     } else {
@@ -110,7 +115,7 @@ TEST_P(SimMpiTest, SizeOnlyMessagesReportBytes) {
 TEST_P(SimMpiTest, TagMatchingSelectsCorrectMessage) {
   MpiWorld world(testConfig(), 2);
   std::vector<double> first, second;
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     if (ctx.rank() == 0) {
       ctx.sendDoubles(1, /*tag=*/7, std::vector<double>{7.0});
       ctx.sendDoubles(1, /*tag=*/8, std::vector<double>{8.0});
@@ -127,7 +132,7 @@ TEST_P(SimMpiTest, TagMatchingSelectsCorrectMessage) {
 TEST_P(SimMpiTest, FifoPerSourceAndTag) {
   MpiWorld world(testConfig(), 2);
   std::vector<double> order;
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     if (ctx.rank() == 0) {
       for (int i = 0; i < 5; ++i)
         ctx.sendDoubles(1, 3, std::vector<double>{static_cast<double>(i)});
@@ -142,7 +147,7 @@ TEST_P(SimMpiTest, FifoPerSourceAndTag) {
 TEST_P(SimMpiTest, MessagesTakeSimulatedTime) {
   MpiWorld world(testConfig(), 2);
   double recvDone = 0.0;
-  const auto stats = world.run([&](MpiContext& ctx) {
+  const auto stats = run(world, [&](MpiContext& ctx) {
     if (ctx.rank() == 0) {
       ctx.send(1, 1, 64);
     } else {
@@ -161,7 +166,7 @@ TEST_P(SimMpiTest, RendezvousLargeMessageCompletes) {
   const std::size_t big = 256 * 1024;  // > 32 KiB threshold
   std::size_t got = 0;
   double senderDone = 0.0, receiverDone = 0.0;
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     if (ctx.rank() == 0) {
       ctx.send(1, 5, big);
       senderDone = ctx.now();
@@ -180,7 +185,7 @@ TEST_P(SimMpiTest, RendezvousLargeMessageCompletes) {
 TEST_P(SimMpiTest, RendezvousBothDirectionsViaSendrecv) {
   MpiWorld world(testConfig(1, net::Protocol::OpenMx), 2);
   const std::size_t big = 128 * 1024;
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     const int peer = 1 - ctx.rank();
     ctx.sendrecv(peer, 9, big);
   });
@@ -190,7 +195,7 @@ TEST_P(SimMpiTest, RendezvousBothDirectionsViaSendrecv) {
 TEST_P(SimMpiTest, SameNodeMessagesAreFast) {
   MpiWorld world(testConfig(2), 2);  // both ranks on node 0
   double elapsed = 0.0;
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     if (ctx.rank() == 0) {
       ctx.send(1, 1, 1024);
     } else {
@@ -203,7 +208,7 @@ TEST_P(SimMpiTest, SameNodeMessagesAreFast) {
 
 TEST_P(SimMpiTest, DeadlockIsDetected) {
   MpiWorld world(testConfig(), 2);
-  EXPECT_THROW(world.run([](MpiContext& ctx) {
+  EXPECT_THROW(run(world, [](MpiContext& ctx) {
     // Both ranks receive first: classic deadlock.
     ctx.recv(1 - ctx.rank(), 1);
   }),
@@ -213,7 +218,7 @@ TEST_P(SimMpiTest, DeadlockIsDetected) {
 TEST_P(SimMpiTest, DeadlockWithoutWatchdogPointsAtTheFlag) {
   MpiWorld world(testConfig(), 2);
   try {
-    world.run([](MpiContext& ctx) { ctx.recv(1 - ctx.rank(), 1); });
+    run(world, [](MpiContext& ctx) { ctx.recv(1 - ctx.rank(), 1); });
     FAIL() << "deadlock not detected";
   } catch (const ContractError& error) {
     EXPECT_NE(std::string(error.what()).find("--stall-report"),
@@ -224,11 +229,11 @@ TEST_P(SimMpiTest, DeadlockWithoutWatchdogPointsAtTheFlag) {
 
 TEST_P(SimMpiTest, StallReportListsEveryBlockedRank) {
   // The report is derived from simulated state only, so the exact lines
-  // can be pinned: identical on both backends and any shard count.
+  // can be pinned: identical on both hosts and any shard count.
   obs::ScopedStallReport scoped(true);
   MpiWorld world(testConfig(), 4);
   try {
-    world.run([](MpiContext& ctx) {
+    run(world, [](MpiContext& ctx) {
       // Every rank receives from its left neighbour first: a 4-cycle.
       ctx.recv((ctx.rank() + 1) % ctx.size(), 7);
     });
@@ -254,7 +259,7 @@ TEST_P(SimMpiTest, StallReportCoversRendezvousSenders) {
   obs::ScopedStallReport scoped(true);
   MpiWorld world(testConfig(1, net::Protocol::OpenMx), 2);
   try {
-    world.run([](MpiContext& ctx) {
+    run(world, [](MpiContext& ctx) {
       if (ctx.rank() == 0) ctx.send(1, 5, 64 * 1024);
     });
     FAIL() << "deadlock not detected";
@@ -277,7 +282,7 @@ TEST_P(SimMpiTest, StallReportIsByteIdenticalAcrossShards) {
     cfg.simShards = shards;
     MpiWorld world(cfg, 6);
     try {
-      world.run([](MpiContext& ctx) {
+      run(world, [](MpiContext& ctx) {
         if (ctx.rank() < 3) {
           ctx.recv((ctx.rank() + 1) % 3, 9);  // 3-cycle among ranks 0..2
         } else {
@@ -307,7 +312,7 @@ TEST_P(SimMpiCollectiveVerifyTest, CleanRunPassesAndCountsChecks) {
   WorldConfig cfg = testConfig();
   cfg.verifyCollectives = true;
   MpiWorld world(cfg, 4);
-  const WorldStats stats = world.run([](MpiContext& ctx) {
+  const WorldStats stats = run(world, [](MpiContext& ctx) {
     ctx.allreduceSum(1.0);
     ctx.barrier();
     ctx.bcastBytes(4096, 0);
@@ -317,7 +322,7 @@ TEST_P(SimMpiCollectiveVerifyTest, CleanRunPassesAndCountsChecks) {
 
 TEST_P(SimMpiCollectiveVerifyTest, OffByDefaultPerformsNoChecks) {
   MpiWorld world(testConfig(), 4);
-  const WorldStats stats = world.run([](MpiContext& ctx) {
+  const WorldStats stats = run(world, [](MpiContext& ctx) {
     ctx.allreduceSum(1.0);
     ctx.barrier();
   });
@@ -329,7 +334,7 @@ TEST_P(SimMpiCollectiveVerifyTest, DivergentReduceOpIsReported) {
   cfg.verifyCollectives = true;
   MpiWorld world(cfg, 4);
   try {
-    world.run([](MpiContext& ctx) {
+    run(world, [](MpiContext& ctx) {
       Communicator comm = ctx.commWorld();
       // One rank votes with a sum while the others run a max — same tag
       // space, same message schedule, divergent stamps.
@@ -358,7 +363,7 @@ TEST_P(SimMpiCollectiveVerifyTest, CollectiveVsPointToPointIsReported) {
   cfg.verifyCollectives = true;
   MpiWorld world(cfg, 2);
   try {
-    world.run([](MpiContext& ctx) {
+    run(world, [](MpiContext& ctx) {
       // Rank 0's dissemination-barrier signal is stamped; rank 1 consumes
       // it with a plain receive on the reserved plumbing tag instead of
       // entering the barrier: a one-sided engagement.
@@ -385,7 +390,7 @@ TEST_P(SimMpiCollectiveVerifyTest, MismatchReportIsByteIdenticalAcrossShards) {
     cfg.simShards = shards;
     MpiWorld world(cfg, 6);
     try {
-      world.run([](MpiContext& ctx) {
+      run(world, [](MpiContext& ctx) {
         Communicator comm = ctx.commWorld();
         if (ctx.rank() == 3) {
           comm.allreduce(2.0, ReduceOp::Sum);
@@ -411,7 +416,7 @@ TEST_P(SimMpiCollectiveVerifyTest, MismatchReportIsByteIdenticalAcrossShards) {
 
 TEST_P(SimMpiTest, RankExceptionsPropagate) {
   MpiWorld world(testConfig(), 2);
-  EXPECT_THROW(world.run([](MpiContext& ctx) {
+  EXPECT_THROW(run(world, [](MpiContext& ctx) {
     if (ctx.rank() == 1) throw std::runtime_error("rank failure");
     ctx.computeSeconds(0.001);
   }),
@@ -420,7 +425,7 @@ TEST_P(SimMpiTest, RankExceptionsPropagate) {
 
 TEST_P(SimMpiTest, ComputeAdvancesClockAndAccounts) {
   MpiWorld world(testConfig(), 1);
-  const auto stats = world.run([&](MpiContext& ctx) {
+  const auto stats = run(world, [&](MpiContext& ctx) {
     ctx.compute(perfmodel::WorkProfile{1e9, 0.0,
                                        perfmodel::AccessPattern::Resident,
                                        1.0, 1.0, 0.0});
@@ -433,17 +438,19 @@ TEST_P(SimMpiTest, ComputeAdvancesClockAndAccounts) {
 // ---- Collectives -----------------------------------------------------------
 
 class CollectiveSizes
-    : public ::testing::TestWithParam<std::tuple<int, sim::ExecBackend>> {
+    : public ::testing::TestWithParam<std::tuple<int, Host>> {
  protected:
   int ranks() const { return std::get<0>(GetParam()); }
-  sim::ScopedExecBackend scoped_{std::get<1>(GetParam())};
+  static WorldStats run(MpiWorld& world, const MpiWorld::RankBody& body) {
+    return runOn(std::get<1>(GetParam()), world, body);
+  }
 };
 
 TEST_P(CollectiveSizes, BarrierSynchronises) {
   const int n = ranks();
   MpiWorld world(testConfig(), n);
   std::vector<double> after(static_cast<std::size_t>(n), 0.0);
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     // Rank r works r milliseconds, then hits the barrier.
     ctx.computeSeconds(1e-3 * ctx.rank());
     ctx.barrier();
@@ -459,7 +466,7 @@ TEST_P(CollectiveSizes, BcastDeliversRootData) {
   const int root = n > 2 ? 2 : 0;
   MpiWorld world(testConfig(), n);
   std::vector<std::vector<double>> results(static_cast<std::size_t>(n));
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     std::vector<double> data;
     if (ctx.rank() == root) data = {3.0, 1.0, 4.0, 1.0, 5.0};
     results[static_cast<std::size_t>(ctx.rank())] =
@@ -473,7 +480,7 @@ TEST_P(CollectiveSizes, ReduceSumsContributions) {
   const int n = ranks();
   MpiWorld world(testConfig(), n);
   std::vector<double> rootResult;
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     const std::vector<double> mine = {static_cast<double>(ctx.rank()),
                                       1.0};
     const auto out = ctx.reduceSum(mine, 0);
@@ -488,7 +495,7 @@ TEST_P(CollectiveSizes, AllreduceGivesEveryoneTheSum) {
   const int n = ranks();
   MpiWorld world(testConfig(), n);
   std::vector<double> sums(static_cast<std::size_t>(n), 0.0);
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     sums[static_cast<std::size_t>(ctx.rank())] =
         ctx.allreduceSum(static_cast<double>(ctx.rank() + 1));
   });
@@ -499,7 +506,7 @@ TEST_P(CollectiveSizes, AllreduceMaxFindsGlobalMax) {
   const int n = ranks();
   MpiWorld world(testConfig(), n);
   std::vector<double> maxes(static_cast<std::size_t>(n), 0.0);
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     // Values peak in the middle to exercise non-root extremes.
     const double mine = -std::abs(ctx.rank() - n / 2.0);
     maxes[static_cast<std::size_t>(ctx.rank())] = ctx.allreduceMax(mine);
@@ -512,7 +519,7 @@ TEST_P(CollectiveSizes, GatherCollectsInRankOrder) {
   const int n = ranks();
   MpiWorld world(testConfig(), n);
   std::vector<double> gathered;
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     const auto all = ctx.gather(static_cast<double>(ctx.rank() * 10), 0);
     if (ctx.rank() == 0) gathered = all;
   });
@@ -525,7 +532,7 @@ TEST_P(CollectiveSizes, AllgatherEveryoneSeesAll) {
   const int n = ranks();
   MpiWorld world(testConfig(), n);
   std::vector<std::vector<double>> results(static_cast<std::size_t>(n));
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     results[static_cast<std::size_t>(ctx.rank())] =
         ctx.allgather(static_cast<double>(ctx.rank()));
   });
@@ -539,7 +546,7 @@ TEST_P(CollectiveSizes, AllgatherEveryoneSeesAll) {
 TEST_P(CollectiveSizes, AlltoallCompletes) {
   const int n = ranks();
   MpiWorld world(testConfig(), n);
-  const auto stats = world.run([&](MpiContext& ctx) {
+  const auto stats = run(world, [&](MpiContext& ctx) {
     ctx.alltoallBytes(4096);
   });
   // Every ordered pair exchanged one message.
@@ -549,11 +556,10 @@ TEST_P(CollectiveSizes, AlltoallCompletes) {
 INSTANTIATE_TEST_SUITE_P(
     RankCounts, CollectiveSizes,
     ::testing::Combine(::testing::Values(2, 3, 4, 5, 8, 13, 16),
-                       ::testing::Values(sim::ExecBackend::Fiber,
-                                         sim::ExecBackend::Thread)),
+                       ::testing::Values(Host::Fiber, Host::Thread)),
     [](const auto& paramInfo) {
       return std::to_string(std::get<0>(paramInfo.param)) + "_" +
-             sim::toString(std::get<1>(paramInfo.param));
+             testhost::hostName(std::get<1>(paramInfo.param));
     });
 
 TEST_P(SimMpiNonblockingTest, IrecvOverlapsComputeWithArrival) {
@@ -561,7 +567,7 @@ TEST_P(SimMpiNonblockingTest, IrecvOverlapsComputeWithArrival) {
   // waits: total time ~= max(compute, message), not the sum.
   MpiWorld world(testConfig(), 2);
   double finish = 0.0;
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     if (ctx.rank() == 0) {
       ctx.send(1, 3, 64);
     } else {
@@ -578,7 +584,7 @@ TEST_P(SimMpiNonblockingTest, IrecvOverlapsComputeWithArrival) {
 TEST_P(SimMpiNonblockingTest, IsendDoesNotBlockEvenAboveRendezvousThreshold) {
   MpiWorld world(testConfig(1, net::Protocol::OpenMx), 2);
   double sendDone = 0.0;
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     if (ctx.rank() == 0) {
       const auto req = ctx.isend(1, 4, 512 * 1024);  // would rendezvous
       sendDone = ctx.now();
@@ -595,7 +601,7 @@ TEST_P(SimMpiNonblockingTest, IsendDoesNotBlockEvenAboveRendezvousThreshold) {
 TEST_P(SimMpiNonblockingTest, PayloadDeliveredThroughWait) {
   MpiWorld world(testConfig(), 2);
   std::vector<double> got;
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     if (ctx.rank() == 0) {
       const std::vector<double> data = {2.5, 7.5};
       // Deliberate raw-byte round trip of the payload path; production code
@@ -615,7 +621,7 @@ TEST_P(SimMpiNonblockingTest, PayloadDeliveredThroughWait) {
 TEST_P(SimMpiNonblockingTest, WaitallCompletesManyRequests) {
   MpiWorld world(testConfig(), 4);
   int completed = 0;
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     if (ctx.rank() == 0) {
       std::vector<MpiContext::Request> reqs;
       for (int r = 1; r < 4; ++r) reqs.push_back(ctx.irecv(r, r));
@@ -630,7 +636,7 @@ TEST_P(SimMpiNonblockingTest, WaitallCompletesManyRequests) {
 
 TEST_P(SimMpiNonblockingTest, DoubleWaitThrows) {
   MpiWorld world(testConfig(), 2);
-  EXPECT_THROW(world.run([&](MpiContext& ctx) {
+  EXPECT_THROW(run(world, [&](MpiContext& ctx) {
     if (ctx.rank() == 0) {
       ctx.send(1, 1, 8);
     } else {
@@ -647,7 +653,7 @@ TEST_P(SimMpiCollectivesTest, NeighborExchangeHasNoChainSerialisation) {
   // message times regardless of rank count.
   auto haloTime = [](int ranks) {
     MpiWorld world(testConfig(), ranks);
-    const auto stats = world.run([](MpiContext& ctx) {
+    const auto stats = run(world, [](MpiContext& ctx) {
       ctx.neighborExchange(65536, 5);
     });
     return stats.wallClockSeconds;
@@ -660,7 +666,7 @@ TEST_P(SimMpiCollectivesTest, NeighborExchangeHasNoChainSerialisation) {
 TEST_P(SimMpiCollectivesTest, NeighborExchangeWorksForOddRankCounts) {
   for (int ranks : {2, 3, 5, 7}) {
     MpiWorld world(testConfig(), ranks);
-    const auto stats = world.run([](MpiContext& ctx) {
+    const auto stats = run(world, [](MpiContext& ctx) {
       ctx.neighborExchange(1024, 6);
     });
     // Each interior rank exchanges with 2 neighbours; ends with 1.
@@ -672,9 +678,9 @@ TEST_P(SimMpiCollectivesTest, NeighborExchangeWorksForOddRankCounts) {
 
 TEST_P(SimMpiCollectivesTest, PipelinedBcastFasterThanBinomialForBigPayloads) {
   const std::size_t bytes = 8 << 20;
-  auto run = [&](bool pipelined) {
+  auto wallClock = [&](bool pipelined) {
     MpiWorld world(testConfig(), 16);
-    const auto stats = world.run([&](MpiContext& ctx) {
+    const auto stats = run(world, [&](MpiContext& ctx) {
       if (pipelined) {
         ctx.pipelinedBcastBytes(bytes, 0);
       } else {
@@ -683,14 +689,14 @@ TEST_P(SimMpiCollectivesTest, PipelinedBcastFasterThanBinomialForBigPayloads) {
     });
     return stats.wallClockSeconds;
   };
-  EXPECT_LT(run(true), run(false));
+  EXPECT_LT(wallClock(true), wallClock(false));
 }
 
 TEST_P(SimMpiCollectivesTest, PipelinedBcastCausality) {
   // No rank may finish the broadcast before the root produced the data.
   MpiWorld world(testConfig(), 8);
   std::vector<double> finish(8, 0.0);
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     if (ctx.rank() == 3) ctx.computeSeconds(0.05);  // root is late
     ctx.pipelinedBcastBytes(1 << 20, 3);
     finish[static_cast<std::size_t>(ctx.rank())] = ctx.now();
@@ -952,7 +958,7 @@ TEST_P(SimMpiTest, PayloadRoundTripsAcrossInlineBoundary) {
     for (std::size_t i = 0; i < bytes; ++i)
       sent[i] = static_cast<std::byte>(i * 37 + 11);
     std::vector<std::byte> got;
-    const WorldStats stats = world.run([&](MpiContext& ctx) {
+    const WorldStats stats = run(world, [&](MpiContext& ctx) {
       if (ctx.rank() == 0) {
         ctx.send(1, 5, sent.size(), sent);
       } else {
@@ -976,7 +982,7 @@ TEST_P(SimMpiTest, SteadyStatePooledSendsStopAllocating) {
   // constant, and every pooled buffer comes back.
   MpiWorld world(testConfig(), 2);
   constexpr int kReps = 100;
-  const WorldStats stats = world.run([&](MpiContext& ctx) {
+  const WorldStats stats = run(world, [&](MpiContext& ctx) {
     std::vector<std::byte> payload(4096, std::byte{0x5a});
     const int peer = 1 - ctx.rank();
     const int sendTag = ctx.rank() == 0 ? 7 : 8;
@@ -1006,7 +1012,7 @@ TIBSIM_INSTANTIATE_BACKENDS(SimMpiCommunicatorTest);
 
 TEST_P(SimMpiCommunicatorTest, WorldCommunicatorIsIdentity) {
   MpiWorld world(testConfig(), 4);
-  world.run([](MpiContext& ctx) {
+  run(world, [](MpiContext& ctx) {
     const Communicator comm = ctx.commWorld();
     EXPECT_TRUE(comm.isWorld());
     EXPECT_EQ(comm.id(), 0u);
@@ -1021,7 +1027,7 @@ TEST_P(SimMpiCommunicatorTest, WorldCommunicatorIsIdentity) {
 
 TEST_P(SimMpiCommunicatorTest, WildcardRecvReportsSourceAndTag) {
   MpiWorld world(testConfig(), 2);
-  world.run([](MpiContext& ctx) {
+  run(world, [](MpiContext& ctx) {
     const Communicator comm = ctx.commWorld();
     if (ctx.rank() == 0) {
       comm.sendDoubles(1, 17, std::vector<double>{3.5});
@@ -1039,15 +1045,15 @@ TEST_P(SimMpiCommunicatorTest, WildcardRecvReportsSourceAndTag) {
 
 TEST_P(SimMpiCommunicatorTest, WildcardRecvIsDeterministicAcrossShards) {
   // Four senders race into one wildcard receiver; the matched (src, tag)
-  // sequence must be identical for every shard count (and both backends,
-  // via the suite parameter). Tiny leaf switches force real sharding.
+  // sequence must be identical for every shard count (and both hosts, via
+  // the suite parameter). Tiny leaf switches force real sharding.
   auto sequence = [](int shards) {
     WorldConfig cfg = testConfig();
     cfg.topology.nodesPerLeafSwitch = 2;
     cfg.simShards = shards;
     MpiWorld world(cfg, 5);
     std::vector<std::pair<int, int>> matched;
-    world.run([&](MpiContext& ctx) {
+    run(world, [&](MpiContext& ctx) {
       const Communicator comm = ctx.commWorld();
       if (ctx.rank() == 0) {
         for (int i = 0; i < 4; ++i) {
@@ -1075,7 +1081,7 @@ TEST_P(SimMpiCommunicatorTest, WildcardRecvIsDeterministicAcrossShards) {
 
 TEST_P(SimMpiCommunicatorTest, SplitOrdersMembersByKeyThenWorldRank) {
   MpiWorld world(testConfig(), 6);
-  world.run([](MpiContext& ctx) {
+  run(world, [](MpiContext& ctx) {
     const Communicator comm = ctx.commWorld();
     // Even/odd halves, keyed by descending world rank: comm-local order
     // inside each colour is reversed relative to world order.
@@ -1101,7 +1107,7 @@ TEST_P(SimMpiCommunicatorTest, SplitOrdersMembersByKeyThenWorldRank) {
 
 TEST_P(SimMpiCommunicatorTest, SplitUndefinedColorYieldsNull) {
   MpiWorld world(testConfig(), 4);
-  world.run([](MpiContext& ctx) {
+  run(world, [](MpiContext& ctx) {
     const Communicator comm = ctx.commWorld();
     const Communicator leaders =
         comm.split(ctx.rank() == 0 ? 0 : kUndefinedColor, ctx.rank());
@@ -1119,7 +1125,7 @@ TEST_P(SimMpiCommunicatorTest, SplitMintsDistinctDeterministicIds) {
   auto ids = [this] {
     MpiWorld world(testConfig(), 4);
     std::vector<std::uint64_t> out;
-    world.run([&](MpiContext& ctx) {
+    run(world, [&](MpiContext& ctx) {
       const Communicator comm = ctx.commWorld();
       const Communicator a = comm.split(ctx.rank() % 2, ctx.rank());
       const Communicator b = comm.split(0, ctx.rank());
@@ -1137,7 +1143,7 @@ TEST_P(SimMpiCommunicatorTest, SplitMintsDistinctDeterministicIds) {
 
 TEST_P(SimMpiCommunicatorTest, DupIsolatesTrafficFromParent) {
   MpiWorld world(testConfig(), 2);
-  world.run([](MpiContext& ctx) {
+  run(world, [](MpiContext& ctx) {
     const Communicator comm = ctx.commWorld();
     const Communicator clone = comm.dup();
     EXPECT_NE(clone.id(), comm.id());
@@ -1160,7 +1166,7 @@ TEST_P(SimMpiCommunicatorTest, DupIsolatesTrafficFromParent) {
 
 TEST_P(SimMpiCommunicatorTest, ReduceOpsMatchExpectedValues) {
   MpiWorld world(testConfig(), 4);
-  world.run([](MpiContext& ctx) {
+  run(world, [](MpiContext& ctx) {
     const Communicator comm = ctx.commWorld();
     const double mine = static_cast<double>(ctx.rank() + 1);  // 1..4
     EXPECT_DOUBLE_EQ(comm.allreduce(mine, ReduceOp::Sum), 10.0);
@@ -1182,7 +1188,7 @@ TEST_P(SimMpiCommunicatorTest, ReduceOpsMatchExpectedValues) {
 
 TEST_P(SimMpiCommunicatorTest, ReduceAcceptsUserCombineFn) {
   MpiWorld world(testConfig(), 4);
-  world.run([](MpiContext& ctx) {
+  run(world, [](MpiContext& ctx) {
     const Communicator comm = ctx.commWorld();
     const double mine[1] = {static_cast<double>(ctx.rank() + 1)};
     // Commutative-associative user combiner: max of squares.
@@ -1198,7 +1204,7 @@ TEST_P(SimMpiCommunicatorTest, ReduceAcceptsUserCombineFn) {
 
 TEST_P(SimMpiCommunicatorTest, NonblockingCollectivesCompleteAtWait) {
   MpiWorld world(testConfig(), 4);
-  world.run([](MpiContext& ctx) {
+  run(world, [](MpiContext& ctx) {
     const Communicator comm = ctx.commWorld();
     const Communicator::Request barrier = comm.ibarrier();
     comm.wait(barrier);
@@ -1220,7 +1226,7 @@ TEST_P(SimMpiCommunicatorTest, NonblockingCollectivesCompleteAtWait) {
 
 TEST_P(SimMpiCommunicatorTest, CollectivesRunOnSplitCommunicators) {
   MpiWorld world(testConfig(), 6);
-  world.run([](MpiContext& ctx) {
+  run(world, [](MpiContext& ctx) {
     const Communicator comm = ctx.commWorld();
     const Communicator half = comm.split(ctx.rank() % 2, ctx.rank());
     half.barrier();
@@ -1238,7 +1244,7 @@ TEST_P(SimMpiCommunicatorTest, CollectivesRunOnSplitCommunicators) {
 TEST_P(SimMpiCommunicatorTest, RecvDoublesReportsByteCountAndSource) {
   MpiWorld world(testConfig(), 2);
   try {
-    world.run([](MpiContext& ctx) {
+    run(world, [](MpiContext& ctx) {
       if (ctx.rank() == 0) {
         const std::vector<std::byte> raw(12, std::byte{0});
         ctx.send(1, 3, raw.size(), raw);
@@ -1264,7 +1270,7 @@ TEST_P(SimMpiCommunicatorTest, TaskFarmDistributesEveryTaskDeterministically) {
     params.tasks = 40;
     std::vector<std::uint64_t> perWorker;
     params.tasksPerWorkerOut = &perWorker;
-    world.run(apps::TaskFarm::rankBody(params));
+    run(world, apps::TaskFarm::rankBody(params));
     return perWorker;
   };
   const std::vector<std::uint64_t> base = distribution(1);
@@ -1282,7 +1288,7 @@ TEST_P(SimMpiCommunicatorTest, TaskFarmDistributesEveryTaskDeterministically) {
 TEST_P(SimMpiTest, DeterministicAcrossRuns) {
   auto once = [] {
     MpiWorld world(testConfig(2, net::Protocol::OpenMx), 8);
-    const auto stats = world.run([](MpiContext& ctx) {
+    const auto stats = run(world, [](MpiContext& ctx) {
       ctx.computeSeconds(1e-4 * (ctx.rank() % 3));
       ctx.allreduceSum(1.0);
       ctx.alltoallBytes(10000);

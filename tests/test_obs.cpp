@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "host_threads.hpp"
 #include "tibsim/arch/registry.hpp"
 #include "tibsim/cluster/cluster.hpp"
 #include "tibsim/common/assert.hpp"
@@ -29,6 +30,8 @@ using namespace tibsim::units;
 using obs::SpanKind;
 using obs::TraceMode;
 using obs::TraceSpan;
+using testhost::Host;
+using testhost::onHost;
 
 // ---------------------------------------------------------------------------
 // Trace mode plumbing
@@ -297,7 +300,7 @@ TEST(Exporters, BreakdownCsvHasOneRowPerRank) {
 }
 
 // ---------------------------------------------------------------------------
-// World-level accounting and backend determinism
+// World-level accounting and host determinism
 // ---------------------------------------------------------------------------
 
 mpi::WorldConfig tegraConfig() {
@@ -335,21 +338,22 @@ TEST(WorldTrace, StatsCarryTraceAccounting) {
   EXPECT_EQ(quietStats.traceMemoryBytes, 0u);
 }
 
-std::vector<TraceSpan> sampledRun(sim::ExecBackend backend) {
+std::vector<TraceSpan> sampledRun(Host host) {
   mpi::WorldConfig cfg = tegraConfig();
-  cfg.simBackend = backend;
   cfg.traceMode = TraceMode::Sampled;
   cfg.traceReservoirPerRank = 16;
   cfg.traceSeed = 7;
   mpi::MpiWorld world(cfg, 4);
   world.enableTracing();
-  world.run(commHeavyBody);
+  onHost(host, [&] { return world.run(commHeavyBody); });
   return world.tracer().retainedSpans();
 }
 
 TEST(WorldTrace, SampledReservoirIdenticalAcrossBackends) {
-  const auto fiber = sampledRun(sim::ExecBackend::Fiber);
-  const auto thread = sampledRun(sim::ExecBackend::Thread);
+  // The reservoir draws from a seeded stream, so the retained spans must
+  // not depend on which host thread drove the ranks (host_threads.hpp).
+  const auto fiber = sampledRun(Host::Fiber);
+  const auto thread = sampledRun(Host::Thread);
   ASSERT_FALSE(fiber.empty());
   ASSERT_EQ(fiber.size(), thread.size());
   for (std::size_t i = 0; i < fiber.size(); ++i) {
@@ -366,11 +370,8 @@ TEST(WorldTrace, SampledReservoirIdenticalAcrossBackends) {
 // Link telemetry, critical path and sharded exporter identity
 // ---------------------------------------------------------------------------
 
-mpi::WorldConfig shardableConfig(int shards,
-                                 sim::ExecBackend backend =
-                                     sim::ExecBackend::Fiber) {
+mpi::WorldConfig shardableConfig(int shards) {
   mpi::WorldConfig cfg = tegraConfig();
-  cfg.simBackend = backend;
   cfg.topology.nodesPerLeafSwitch = 2;  // tiny leaves force real sharding
   cfg.simShards = shards;
   return cfg;
@@ -438,15 +439,15 @@ TEST(CriticalPath, DecomposesWallClockExactly) {
 }
 
 TEST(CriticalPath, IdenticalAcrossShardsAndBackends) {
-  const auto run = [](sim::ExecBackend backend, int shards) {
-    mpi::MpiWorld world(shardableConfig(shards, backend), 8);
-    return world.run(commHeavyBody).criticalPath;
+  const auto run = [](Host host, int shards) {
+    mpi::MpiWorld world(shardableConfig(shards), 8);
+    return onHost(host, [&] { return world.run(commHeavyBody); })
+        .criticalPath;
   };
-  const obs::CriticalPath base = run(sim::ExecBackend::Fiber, 1);
-  for (const auto backend :
-       {sim::ExecBackend::Fiber, sim::ExecBackend::Thread}) {
+  const obs::CriticalPath base = run(Host::Fiber, 1);
+  for (const Host host : {Host::Fiber, Host::Thread}) {
     for (int shards : {1, 2, 4}) {
-      const obs::CriticalPath got = run(backend, shards);
+      const obs::CriticalPath got = run(host, shards);
       EXPECT_EQ(got.endRank, base.endRank);
       EXPECT_EQ(got.edges, base.edges);
       EXPECT_DOUBLE_EQ(got.computeSeconds, base.computeSeconds);
@@ -458,9 +459,8 @@ TEST(CriticalPath, IdenticalAcrossShardsAndBackends) {
   }
 }
 
-std::pair<std::string, std::string> shardedArtefacts(
-    sim::ExecBackend backend, int shards) {
-  mpi::WorldConfig cfg = shardableConfig(shards, backend);
+std::pair<std::string, std::string> shardedArtefacts(int shards) {
+  mpi::WorldConfig cfg = shardableConfig(shards);
   cfg.traceMode = TraceMode::Sampled;
   cfg.traceReservoirPerRank = 16;
   cfg.traceSeed = 7;
@@ -475,20 +475,14 @@ std::pair<std::string, std::string> shardedArtefacts(
 }
 
 TEST(Exporters, ShardedRunsExportByteIdenticalArtefacts) {
-  for (const auto backend :
-       {sim::ExecBackend::Fiber, sim::ExecBackend::Thread}) {
-    const auto base = shardedArtefacts(backend, 1);
-    ASSERT_EQ(base.first.rfind("#Paraver", 0), 0u);
-    ASSERT_NE(base.second.find("rank,compute_s"), std::string::npos);
-    for (int shards : {2, 8}) {
-      const auto got = shardedArtefacts(backend, shards);
-      EXPECT_EQ(got.first, base.first)
-          << "prv differs: backend=" << sim::toString(backend)
-          << " shards=" << shards;
-      EXPECT_EQ(got.second, base.second)
-          << "breakdown differs: backend=" << sim::toString(backend)
-          << " shards=" << shards;
-    }
+  const auto base = shardedArtefacts(1);
+  ASSERT_EQ(base.first.rfind("#Paraver", 0), 0u);
+  ASSERT_NE(base.second.find("rank,compute_s"), std::string::npos);
+  for (int shards : {2, 8}) {
+    const auto got = shardedArtefacts(shards);
+    EXPECT_EQ(got.first, base.first) << "prv differs: shards=" << shards;
+    EXPECT_EQ(got.second, base.second)
+        << "breakdown differs: shards=" << shards;
   }
 }
 
@@ -556,26 +550,12 @@ TEST(Imb, StatsHookSeesEveryWorld) {
 
 TEST(StackTelemetry, HighWaterWithinConfiguredStack) {
   mpi::WorldConfig cfg = tegraConfig();
-  cfg.simBackend = sim::ExecBackend::Fiber;
   cfg.fiberStackBytes = 64 * 1024;
   mpi::MpiWorld world(cfg, 4);
   const auto stats = world.run(commHeavyBody);
   EXPECT_EQ(stats.engine.fiberStackBytes, 64u * 1024u);
   EXPECT_GT(stats.engine.stackHighWaterBytes, 0u);
   EXPECT_LE(stats.engine.stackHighWaterBytes, 64u * 1024u);
-}
-
-TEST(StackTelemetry, ThreadBackendReportsNone) {
-  mpi::WorldConfig cfg = tegraConfig();
-  cfg.simBackend = sim::ExecBackend::Thread;
-  cfg.fiberStackBytes = 64 * 1024;  // ignored by the thread backend
-  mpi::MpiWorld world(cfg, 2);
-  const auto stats = world.run([](mpi::MpiContext& ctx) {
-    ctx.computeSeconds(1e-3);
-    ctx.barrier();
-  });
-  EXPECT_EQ(stats.engine.fiberStackBytes, 0u);
-  EXPECT_EQ(stats.engine.stackHighWaterBytes, 0u);
 }
 
 // Burn stack frames with a volatile local so the frames cannot be elided;
@@ -588,7 +568,7 @@ int burnStack(int depth) {
 }
 
 std::size_t highWaterAtDepth(int depth) {
-  sim::Simulation sim(sim::ExecBackend::Fiber, 256 * 1024);
+  sim::Simulation sim(256 * 1024);
   sim.spawn("burner", [depth](sim::Process&) { burnStack(depth); });
   sim.run();
   return sim.engineStats().stackHighWaterBytes;
@@ -633,8 +613,7 @@ TEST(StackTelemetry, SubSixtyFourKiBStackChosenFromReportedHighWater) {
   const cluster::JobResult rerun = sim.runJob(16, body, options);
   EXPECT_DOUBLE_EQ(rerun.wallClockSeconds, probe.wallClockSeconds);
   EXPECT_LE(rerun.stats.engine.stackHighWaterBytes, stackBytes);
-  if (rerun.stats.engine.fiberStackBytes > 0)
-    EXPECT_EQ(rerun.stats.engine.fiberStackBytes, stackBytes);
+  EXPECT_EQ(rerun.stats.engine.fiberStackBytes, stackBytes);
 }
 
 }  // namespace

@@ -1,12 +1,6 @@
-// The content-addressed result cache and the multi-process campaign
-// scheduler: key ingredients flip independently, corrupt entries are
-// misses (never trusted), warm reruns replay byte-identically, and
-// --procs worker processes produce the same artefact bytes as in-process
-// execution.
-//
-// This binary has its own main(): the --procs scheduler re-invokes
-// /proc/self/exe, which under ctest is THIS test binary, so a leading
-// "run" argv forwards to socbenchMain before gtest ever initialises.
+// The content-addressed result cache: key ingredients flip independently,
+// corrupt entries are misses (never trusted), and warm reruns replay
+// byte-identically.
 
 #include <gtest/gtest.h>
 
@@ -35,7 +29,6 @@ core::CacheKeyInputs baseInputs() {
   inputs.experiment = "tab01";
   inputs.versionTag = "1";
   inputs.seed = 42;
-  inputs.simBackend = "fiber";
   inputs.traceMode = "full";
   inputs.simShards = 1;
   inputs.stallReport = false;
@@ -61,7 +54,6 @@ TEST(CacheKey, EveryIngredientFlipsTheKeyIndependently) {
   EXPECT_NE(flipped([](auto& i) { i.experiment = "tab02"; }), key);
   EXPECT_NE(flipped([](auto& i) { i.versionTag = "2"; }), key);
   EXPECT_NE(flipped([](auto& i) { i.seed = 43; }), key);
-  EXPECT_NE(flipped([](auto& i) { i.simBackend = "thread"; }), key);
   EXPECT_NE(flipped([](auto& i) { i.traceMode = "aggregate"; }), key);
   EXPECT_NE(flipped([](auto& i) { i.simShards = 8; }), key);
   EXPECT_NE(flipped([](auto& i) { i.stallReport = true; }), key);
@@ -300,7 +292,7 @@ std::map<std::string, std::string> readDir(const fs::path& dir) {
 
 core::CampaignResult cachedCampaign(const fs::path& cacheDir,
                                     const fs::path& jsonDir,
-                                    const fs::path& csvDir, int procs = 1,
+                                    const fs::path& csvDir,
                                     std::uint64_t seed = 42) {
   core::CampaignOptions options;
   options.patterns = {"tab01", "tab04"};
@@ -308,7 +300,6 @@ core::CampaignResult cachedCampaign(const fs::path& cacheDir,
   options.cacheDir = cacheDir.string();
   options.jsonDir = jsonDir.string();
   options.csvDir = csvDir.string();
-  options.procs = procs;
   options.seed = seed;
   std::ostringstream sink;
   return core::runCampaign(options, sink);
@@ -339,41 +330,12 @@ TEST(CampaignCache, WarmRerunReplaysEveryCellByteIdentically) {
 
 TEST(CampaignCache, SeedChangeInvalidatesEveryCell) {
   const fs::path base = freshDir("tibsim_cache_seedflip");
-  cachedCampaign(base / "cache", base / "j1", base / "c1", 1, 42);
+  cachedCampaign(base / "cache", base / "j1", base / "c1", 42);
   const auto reseeded =
-      cachedCampaign(base / "cache", base / "j2", base / "c2", 1, 43);
+      cachedCampaign(base / "cache", base / "j2", base / "c2", 43);
   EXPECT_EQ(reseeded.cacheHits, 0u);
   EXPECT_EQ(reseeded.cacheMisses, 2u);
   fs::remove_all(base);
-}
-
-TEST(CampaignCache, WorkerProcessesProduceIdenticalArtefacts) {
-  // --procs 2 re-invokes /proc/self/exe — this test binary — whose main()
-  // forwards "run" to socbenchMain, exactly like the socbench CLI.
-  const fs::path base = freshDir("tibsim_cache_procs");
-  const auto inproc =
-      cachedCampaign(base / "cacheA", base / "j1", base / "c1", 1);
-  const auto workers =
-      cachedCampaign(base / "cacheB", base / "j2", base / "c2", 2);
-  EXPECT_EQ(workers.cacheHits, 0u);
-  EXPECT_EQ(workers.cacheMisses, 2u);
-  ASSERT_EQ(inproc.runs.size(), workers.runs.size());
-  for (std::size_t i = 0; i < inproc.runs.size(); ++i) {
-    EXPECT_TRUE(workers.runs[i].fromCache);  // folded from the cache
-    EXPECT_EQ(inproc.runs[i].json, workers.runs[i].json);
-  }
-  EXPECT_EQ(readDir(base / "j1"), readDir(base / "j2"));
-  EXPECT_EQ(readDir(base / "c1"), readDir(base / "c2"));
-  fs::remove_all(base);
-}
-
-TEST(CampaignCache, ProcsRequiresCacheDir) {
-  core::CampaignOptions options;
-  options.patterns = {"tab01"};
-  options.summary = false;
-  options.procs = 2;
-  std::ostringstream sink;
-  EXPECT_THROW(core::runCampaign(options, sink), ContractError);
 }
 
 TEST(CampaignCache, TraceExportDisablesTheCache) {
@@ -392,28 +354,4 @@ TEST(CampaignCache, TraceExportDisablesTheCache) {
   fs::remove_all(base);
 }
 
-TEST(CampaignCache, WorkerCellsCliComputesIntoTheCache) {
-  const fs::path base = freshDir("tibsim_cache_workercli");
-  const std::string cacheDir = (base / "cache").string();
-  const char* argv[] = {"socbench",       "run", "--worker-cells", "tab01",
-                        "--cache",        cacheDir.c_str(),
-                        "--no-summary"};
-  EXPECT_EQ(core::socbenchMain(7, argv), 0);
-  // Exactly one entry, no index (the parent owns index.json).
-  std::size_t entries = 0;
-  for (const fs::directory_entry& entry : fs::directory_iterator(cacheDir)) {
-    EXPECT_NE(entry.path().filename().string(), "index.json");
-    ++entries;
-  }
-  EXPECT_EQ(entries, 1u);
-  fs::remove_all(base);
-}
-
 }  // namespace
-
-int main(int argc, char** argv) {
-  if (argc > 1 && std::string(argv[1]) == "run")
-    return tibsim::core::socbenchMain(argc, argv);
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}

@@ -1,14 +1,17 @@
 // Tests for the discrete-event engine: ordering, process semantics,
-// determinism, teardown, exception capture, engine stats. The whole suite
-// is parameterised over both ExecutionContext backends — every behaviour
-// here is backend-independent by contract.
+// determinism, teardown, exception capture, engine stats, fiber stacks.
+// The SimulationTest suite runs every case on both hosts (host_threads.hpp):
+// no behaviour here may depend on which host thread drives the fibers.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "host_threads.hpp"
 #include "tibsim/common/assert.hpp"
 #include "tibsim/sim/shard_scheduler.hpp"
 #include "tibsim/sim/simulation.hpp"
@@ -16,18 +19,25 @@
 namespace tibsim::sim {
 namespace {
 
-class SimulationTest : public ::testing::TestWithParam<ExecBackend> {
+using testhost::Host;
+using testhost::onHost;
+
+class SimulationTest : public ::testing::TestWithParam<Host> {
  protected:
-  // Simulation() and WorldConfig pick up the process-wide default; pinning
-  // it per test keeps the bodies identical to non-parameterised code.
-  ScopedExecBackend scoped_{GetParam()};
+  // Drive `sim` on the host under test; construction, queries and teardown
+  // stay on the test thread.
+  static double run(Simulation& sim) {
+    return onHost(GetParam(), [&] { return sim.run(); });
+  }
+  static double runUntil(Simulation& sim, double deadline) {
+    return onHost(GetParam(), [&] { return sim.runUntil(deadline); });
+  }
 };
 
 INSTANTIATE_TEST_SUITE_P(Backends, SimulationTest,
-                         ::testing::Values(ExecBackend::Fiber,
-                                           ExecBackend::Thread),
+                         ::testing::Values(Host::Fiber, Host::Thread),
                          [](const auto& paramInfo) {
-                           return std::string(toString(paramInfo.param));
+                           return testhost::hostName(paramInfo.param);
                          });
 
 TEST_P(SimulationTest, EventsFireInTimeOrder) {
@@ -36,7 +46,7 @@ TEST_P(SimulationTest, EventsFireInTimeOrder) {
   sim.scheduleAt(3.0, [&] { order.push_back(3); });
   sim.scheduleAt(1.0, [&] { order.push_back(1); });
   sim.scheduleAt(2.0, [&] { order.push_back(2); });
-  sim.run();
+  run(sim);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(sim.now(), 3.0);
 }
@@ -46,14 +56,14 @@ TEST_P(SimulationTest, EqualTimestampsFifo) {
   std::vector<int> order;
   for (int i = 0; i < 10; ++i)
     sim.scheduleAt(1.0, [&order, i] { order.push_back(i); });
-  sim.run();
+  run(sim);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
 TEST_P(SimulationTest, SchedulingInThePastThrows) {
   Simulation sim;
   sim.scheduleAt(5.0, [] {});
-  sim.run();
+  run(sim);
   EXPECT_THROW(sim.scheduleAt(1.0, [] {}), ContractError);
 }
 
@@ -64,7 +74,7 @@ TEST_P(SimulationTest, EventsCanScheduleMoreEvents) {
     ++fired;
     sim.scheduleIn(1.0, [&] { ++fired; });
   });
-  sim.run();
+  run(sim);
   EXPECT_EQ(fired, 2);
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
 }
@@ -74,17 +84,20 @@ TEST_P(SimulationTest, RunUntilStopsAtDeadline) {
   int fired = 0;
   sim.scheduleAt(1.0, [&] { ++fired; });
   sim.scheduleAt(10.0, [&] { ++fired; });
-  sim.runUntil(5.0);
+  runUntil(sim, 5.0);
   EXPECT_EQ(fired, 1);
-  sim.run();
+  run(sim);
   EXPECT_EQ(fired, 2);
 }
 
 TEST_P(SimulationTest, BackendIsTheRequestedOne) {
+  // Process bodies execute on the requested host: the test thread itself
+  // for `fiber`, another host thread for `thread`.
   Simulation sim;
-  EXPECT_EQ(sim.backend(), GetParam());
-  Simulation explicitSim(GetParam());
-  EXPECT_EQ(explicitSim.backend(), GetParam());
+  std::thread::id ranOn;
+  sim.spawn("p", [&](Process&) { ranOn = std::this_thread::get_id(); });
+  run(sim);
+  EXPECT_EQ(ranOn == std::this_thread::get_id(), GetParam() == Host::Fiber);
 }
 
 TEST_P(SimulationTest, DelayAdvancesSimTime) {
@@ -94,7 +107,7 @@ TEST_P(SimulationTest, DelayAdvancesSimTime) {
     p.delay(2.5);
     observed = p.now();
   });
-  sim.run();
+  run(sim);
   EXPECT_DOUBLE_EQ(observed, 2.5);
   EXPECT_EQ(sim.liveProcessCount(), 0u);
 }
@@ -112,7 +125,7 @@ TEST_P(SimulationTest, MultipleProcessesInterleaveByTime) {
     p.delay(2.0);
     log.push_back("b2");
   });
-  sim.run();
+  run(sim);
   EXPECT_EQ(log, (std::vector<std::string>{"a1", "b2", "a3"}));
 }
 
@@ -130,7 +143,7 @@ TEST_P(SimulationTest, SuspendResumeHandshake) {
     p.delay(5.0);
     p.simulation().resume(*waiterPtr);
   });
-  sim.run();
+  run(sim);
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[1], "woken at 5");
 }
@@ -149,14 +162,14 @@ TEST_P(SimulationTest, StaleWakeupsAreDropped) {
     sim.resume(target);
     sim.resume(target);  // stale duplicate
   });
-  sim.run();
+  run(sim);
   EXPECT_DOUBLE_EQ(finishTime, 11.0);
 }
 
 TEST_P(SimulationTest, NegativeDelayThrows) {
   Simulation sim;
   sim.spawn("p", [&](Process& p) { p.delay(-1.0); });
-  sim.run();
+  run(sim);
   // The exception is captured on the process and visible afterwards.
   std::size_t withException = 0;
   // run() drained; the process finished with a stored exception.
@@ -169,7 +182,7 @@ TEST_P(SimulationTest, ExceptionsAreCaptured) {
   auto& p = sim.spawn("thrower", [](Process&) {
     throw std::runtime_error("boom");
   });
-  sim.run();
+  run(sim);
   ASSERT_NE(p.exception(), nullptr);
   EXPECT_THROW(std::rethrow_exception(p.exception()), std::runtime_error);
 }
@@ -177,7 +190,7 @@ TEST_P(SimulationTest, ExceptionsAreCaptured) {
 TEST_P(SimulationTest, TeardownWithBlockedProcessesDoesNotHang) {
   auto sim = std::make_unique<Simulation>();
   sim->spawn("stuck", [](Process& p) { p.suspend(); });
-  sim->run();  // drains with the process still suspended
+  run(*sim);  // drains with the process still suspended
   EXPECT_EQ(sim->liveProcessCount(), 1u);
   sim.reset();  // must unwind and join cleanly
   SUCCEED();
@@ -203,7 +216,7 @@ TEST_P(SimulationTest, KillRunsDestructorsWhileBlockedInDelay) {
     }
     ADD_FAILURE() << "body must not resume after teardown";
   });
-  sim->runUntil(1.0);  // starts the body, which parks inside delay(100)
+  runUntil(*sim, 1.0);  // starts the body, which parks inside delay(100)
   ASSERT_EQ(destroyed, 0);
   ASSERT_EQ(sim->liveProcessCount(), 1u);
   sim.reset();  // ProcessKilled unwinds both frames
@@ -225,7 +238,7 @@ TEST_P(SimulationTest, KillRunsDestructorsWhileSuspended) {
     p.suspend();
     ADD_FAILURE() << "body must not resume after teardown";
   });
-  sim->run();
+  run(*sim);
   ASSERT_EQ(destroyed, 0);
   sim.reset();
   EXPECT_EQ(destroyed, 1);
@@ -242,7 +255,7 @@ TEST_P(SimulationTest, ExceptionRethrowsOnHostAfterTeardown) {
       throw std::runtime_error("boom at t=0.5");
     });
     sim.spawn("stuck", [](Process& p) { p.suspend(); });
-    sim.run();
+    run(sim);
     ASSERT_NE(thrower.exception(), nullptr);
     captured = thrower.exception();
     EXPECT_EQ(sim.liveProcessCount(), 1u);
@@ -275,7 +288,7 @@ TEST_P(SimulationTest, DeterministicAcrossRuns) {
         times.push_back(p.now());
       });
     }
-    sim.run();
+    run(sim);
     return times;
   };
   EXPECT_EQ(runOnce(), runOnce());
@@ -290,7 +303,7 @@ TEST_P(SimulationTest, ManyProcessesComplete) {
       ++done;
     });
   }
-  sim.run();
+  run(sim);
   EXPECT_EQ(done, 200);
   EXPECT_GE(sim.processedEvents(), 400u);
 }
@@ -303,7 +316,7 @@ TEST_P(SimulationTest, EngineStatsCountTheMachinery) {
       p.delay(1.0);
     });
   }
-  sim.run();
+  run(sim);
   const EngineStats stats = sim.engineStats();
   // 3 start events + 3 x 2 delay wake-ups.
   EXPECT_EQ(stats.eventsDispatched, 9u);
@@ -317,10 +330,9 @@ TEST_P(SimulationTest, EngineStatsCountTheMachinery) {
 }
 
 // The engine counters are part of the campaign artefacts, so they must be
-// identical across backends, not merely "both plausible".
+// identical on both hosts, not merely "both plausible".
 TEST(ExecutionContexts, BackendsProduceIdenticalStatsAndTimes) {
-  auto runOnce = [](ExecBackend backend) {
-    ScopedExecBackend scoped(backend);
+  auto runOnce = [](Host host) {
     Simulation sim;
     std::vector<double> times;
     for (int i = 0; i < 8; ++i) {
@@ -331,11 +343,11 @@ TEST(ExecutionContexts, BackendsProduceIdenticalStatsAndTimes) {
         times.push_back(p.now());
       });
     }
-    sim.run();
+    onHost(host, [&] { return sim.run(); });
     return std::make_pair(times, sim.engineStats());
   };
-  const auto [fiberTimes, fiberStats] = runOnce(ExecBackend::Fiber);
-  const auto [threadTimes, threadStats] = runOnce(ExecBackend::Thread);
+  const auto [fiberTimes, fiberStats] = runOnce(Host::Fiber);
+  const auto [threadTimes, threadStats] = runOnce(Host::Thread);
   EXPECT_EQ(fiberTimes, threadTimes);
   EXPECT_EQ(fiberStats.eventsDispatched, threadStats.eventsDispatched);
   EXPECT_EQ(fiberStats.contextSwitches, threadStats.contextSwitches);
@@ -343,14 +355,6 @@ TEST(ExecutionContexts, BackendsProduceIdenticalStatsAndTimes) {
   EXPECT_EQ(fiberStats.peakLiveProcesses, threadStats.peakLiveProcesses);
   EXPECT_EQ(fiberStats.queueHighWater, threadStats.queueHighWater);
   EXPECT_DOUBLE_EQ(fiberStats.simSeconds, threadStats.simSeconds);
-}
-
-TEST(ExecutionContexts, ParseAndToStringRoundTrip) {
-  EXPECT_EQ(parseExecBackend("fiber"), ExecBackend::Fiber);
-  EXPECT_EQ(parseExecBackend("thread"), ExecBackend::Thread);
-  EXPECT_STREQ(toString(ExecBackend::Fiber), "fiber");
-  EXPECT_STREQ(toString(ExecBackend::Thread), "thread");
-  EXPECT_THROW(parseExecBackend("green-threads"), ContractError);
 }
 
 TEST(StackAutoSizing, RecommendedStackBytesIsTwiceHwmPageRounded) {
@@ -374,8 +378,8 @@ TEST(StackAutoSizing, RecommendedStackBytesIsTwiceHwmPageRounded) {
 
 TEST(StackAutoSizing, ProbeTelemetryFeedsARunnableRecommendation) {
   // The probe-then-sweep pattern end-to-end at engine level: measure a
-  // workload's stack high-water mark on the fiber backend, then rerun the
-  // same workload on stacks sized from the telemetry.
+  // workload's stack high-water mark, then rerun the same workload on
+  // stacks sized from the telemetry.
   const auto workload = [](Simulation& sim) {
     for (int i = 0; i < 8; ++i) {
       sim.spawn("p" + std::to_string(i), [](Process& p) {
@@ -387,16 +391,14 @@ TEST(StackAutoSizing, ProbeTelemetryFeedsARunnableRecommendation) {
     }
     sim.run();
   };
-  Simulation probe(ExecBackend::Fiber);
+  Simulation probe;
   workload(probe);
   const std::size_t hwm = probe.engineStats().stackHighWaterBytes;
-  if (probe.engineStats().fiberStackBytes == 0)
-    GTEST_SKIP() << "fiber backend unavailable (sanitizer fallback)";
   ASSERT_GT(hwm, 0u);
   const std::size_t sized = recommendedStackBytes(hwm);
   ASSERT_GE(sized, kMinFiberStackBytes);
   ASSERT_LT(sized, ExecutionContext::defaultStackBytes());
-  Simulation sweep(ExecBackend::Fiber, sized);
+  Simulation sweep(sized);
   workload(sweep);
   EXPECT_EQ(sweep.engineStats().fiberStackBytes, sized);
   EXPECT_LE(sweep.engineStats().stackHighWaterBytes, sized);
@@ -406,11 +408,6 @@ TEST(StackAutoSizing, ProbeTelemetryFeedsARunnableRecommendation) {
 // the PROT_NONE guard page (killing the process) instead of silently
 // scribbling over a neighbouring fiber's stack.
 TEST(FiberGuardPageDeathTest, OverflowFaultsOnGuardPage) {
-  {
-    const auto probe = ExecutionContext::create(ExecBackend::Fiber);
-    if (probe->backend() != ExecBackend::Fiber)
-      GTEST_SKIP() << "fiber backend unavailable (sanitizer fallback)";
-  }
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
@@ -427,7 +424,7 @@ TEST(FiberGuardPageDeathTest, OverflowFaultsOnGuardPage) {
             return frame[0] + frame[sizeof(frame) - 1];
           }
         };
-        Simulation sim(ExecBackend::Fiber, kMinFiberStackBytes);
+        Simulation sim(kMinFiberStackBytes);
         // 64 x 1 KiB frames overrun the 16 KiB minimum stack well before
         // the recursion bottoms out.
         sim.spawn("overflow", [](Process&) {
@@ -466,20 +463,6 @@ TEST(ShardScheduler, ScopedSimShardsOverrideRestoresPrevious) {
     EXPECT_EQ(defaultSimShards(), 4);
   }
   EXPECT_EQ(defaultSimShards(), before);
-}
-
-TEST(ExecutionContexts, ScopedOverrideRestoresPrevious) {
-  const ExecBackend before = defaultExecBackend();
-  {
-    ScopedExecBackend scoped(ExecBackend::Thread);
-    EXPECT_EQ(defaultExecBackend(), ExecBackend::Thread);
-    {
-      ScopedExecBackend nested(ExecBackend::Fiber);
-      EXPECT_EQ(defaultExecBackend(), ExecBackend::Fiber);
-    }
-    EXPECT_EQ(defaultExecBackend(), ExecBackend::Thread);
-  }
-  EXPECT_EQ(defaultExecBackend(), before);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 
+#include "host_threads.hpp"
 #include "tibsim/common/assert.hpp"
 #include "tibsim/common/json.hpp"
 #include "tibsim/common/result_set.hpp"
@@ -23,6 +24,7 @@ namespace {
 using namespace tibsim;
 using core::ExperimentContext;
 using core::ExperimentRegistry;
+using testhost::Host;
 
 // ---------------------------------------------------------------------------
 // json::Value
@@ -333,37 +335,29 @@ TEST(Campaign, ThrowsWhenNothingMatches) {
   EXPECT_THROW(core::runCampaign(options, sink), ContractError);
 }
 
-core::CampaignResult backendCampaign(const std::string& backend,
-                                     const std::string& pattern) {
-  core::CampaignOptions options;
-  options.patterns = {pattern};
-  options.summary = false;
-  options.simBackend = backend;
-  std::ostringstream sink;
-  return core::runCampaign(options, sink);
-}
-
-TEST(Campaign, JsonIsByteIdenticalAcrossSimBackends) {
-  // imb_suite drives full simMPI worlds, so the simulated clocks and
-  // engine counters both cross the backend boundary. The artefacts must not
-  // depend on which ExecutionContext ran the ranks.
-  const auto fiber = backendCampaign("fiber", "imb_suite");
-  const auto thread = backendCampaign("thread", "imb_suite");
-  ASSERT_EQ(fiber.runs.size(), 1u);
-  ASSERT_EQ(thread.runs.size(), 1u);
-  EXPECT_FALSE(fiber.runs[0].json.empty());
-  EXPECT_EQ(fiber.runs[0].json, thread.runs[0].json);
-}
-
-core::CampaignResult shardedCampaign(int shards, const std::string& backend,
-                                     const std::string& pattern) {
+// One experiment at --jobs 1, so every world it builds runs on `host`
+// (host_threads.hpp) or, with shards > 1, on that host's shard gang.
+core::CampaignResult shardedCampaign(int shards, const std::string& pattern,
+                                     Host host = Host::Fiber) {
   core::CampaignOptions options;
   options.patterns = {pattern};
   options.summary = false;
   options.simShards = shards;
-  options.simBackend = backend;
   std::ostringstream sink;
-  return core::runCampaign(options, sink);
+  return testhost::onHost(host,
+                          [&] { return core::runCampaign(options, sink); });
+}
+
+TEST(Campaign, JsonIsByteIdenticalAcrossSimBackends) {
+  // imb_suite drives full simMPI worlds, so the simulated clocks and
+  // engine counters both reach the artefact. It must not depend on which
+  // host thread switched into the rank fibers.
+  const auto fiber = shardedCampaign(1, "imb_suite", Host::Fiber);
+  const auto thread = shardedCampaign(1, "imb_suite", Host::Thread);
+  ASSERT_EQ(fiber.runs.size(), 1u);
+  ASSERT_EQ(thread.runs.size(), 1u);
+  EXPECT_FALSE(fiber.runs[0].json.empty());
+  EXPECT_EQ(fiber.runs[0].json, thread.runs[0].json);
 }
 
 TEST(Campaign, JsonIsByteIdenticalAcrossShardCounts) {
@@ -372,9 +366,9 @@ TEST(Campaign, JsonIsByteIdenticalAcrossShardCounts) {
   // leaf count). The conservative windows plus the barrier merge must
   // reconstruct the single-queue dispatch order exactly: the artefact
   // bytes may not depend on the shard count.
-  const auto one = shardedCampaign(1, "", "fig06");
-  const auto two = shardedCampaign(2, "", "fig06");
-  const auto eight = shardedCampaign(8, "", "fig06");
+  const auto one = shardedCampaign(1, "fig06");
+  const auto two = shardedCampaign(2, "fig06");
+  const auto eight = shardedCampaign(8, "fig06");
   ASSERT_EQ(one.runs.size(), 1u);
   ASSERT_EQ(two.runs.size(), 1u);
   ASSERT_EQ(eight.runs.size(), 1u);
@@ -384,10 +378,11 @@ TEST(Campaign, JsonIsByteIdenticalAcrossShardCounts) {
 }
 
 TEST(Campaign, ShardedJsonIsByteIdenticalAcrossSimBackends) {
-  // Sharding composes with the execution backend: sharded thread-backend
-  // ranks must serialise the same bytes as sharded fibers.
-  const auto fiber = shardedCampaign(8, "fiber", "ablation_interconnect");
-  const auto thread = shardedCampaign(8, "thread", "ablation_interconnect");
+  // Sharding composes with the host: gang windows spawned from a worker
+  // thread must serialise the same bytes as from the test thread.
+  const auto fiber = shardedCampaign(8, "ablation_interconnect", Host::Fiber);
+  const auto thread =
+      shardedCampaign(8, "ablation_interconnect", Host::Thread);
   ASSERT_EQ(fiber.runs.size(), 1u);
   ASSERT_EQ(thread.runs.size(), 1u);
   EXPECT_FALSE(fiber.runs[0].json.empty());
@@ -398,11 +393,11 @@ TEST(Campaign, TaskFarmJsonIsByteIdenticalAcrossShardsAndBackends) {
   // The wildcard-receive acceptance bar: the task farm's self-scheduling
   // master matches kAnySource results at up to 2,048 ranks, and the full
   // artefact (including the per-worker distribution the tables derive
-  // from) must not depend on the shard count or the execution backend.
-  const auto one = shardedCampaign(1, "fiber", "taskfarm");
-  const auto two = shardedCampaign(2, "fiber", "taskfarm");
-  const auto eight = shardedCampaign(8, "fiber", "taskfarm");
-  const auto thread = shardedCampaign(8, "thread", "taskfarm");
+  // from) must not depend on the shard count or the host thread.
+  const auto one = shardedCampaign(1, "taskfarm");
+  const auto two = shardedCampaign(2, "taskfarm");
+  const auto eight = shardedCampaign(8, "taskfarm");
+  const auto thread = shardedCampaign(8, "taskfarm", Host::Thread);
   ASSERT_EQ(one.runs.size(), 1u);
   EXPECT_FALSE(one.runs[0].json.empty());
   EXPECT_EQ(one.runs[0].json, two.runs[0].json);
@@ -414,10 +409,10 @@ TEST(Campaign, TaskFarmJsonIsByteIdenticalAcrossShardsAndBackends) {
 TEST(Campaign, HydroAsyncJsonIsByteIdenticalAcrossShardsAndBackends) {
   // comm.split()/dup() and the non-blocking collectives cross the shard
   // boundary here: communicator ids are minted from traffic, so every
-  // shard count and backend must serialise identical bytes.
-  const auto one = shardedCampaign(1, "fiber", "hydro_async");
-  const auto eight = shardedCampaign(8, "fiber", "hydro_async");
-  const auto thread = shardedCampaign(8, "thread", "hydro_async");
+  // shard count and host thread must serialise identical bytes.
+  const auto one = shardedCampaign(1, "hydro_async");
+  const auto eight = shardedCampaign(8, "hydro_async");
+  const auto thread = shardedCampaign(8, "hydro_async", Host::Thread);
   ASSERT_EQ(one.runs.size(), 1u);
   EXPECT_FALSE(one.runs[0].json.empty());
   EXPECT_EQ(one.runs[0].json, eight.runs[0].json);
@@ -425,7 +420,7 @@ TEST(Campaign, HydroAsyncJsonIsByteIdenticalAcrossShardsAndBackends) {
 }
 
 TEST(Campaign, EngineStatsLandInResultDocument) {
-  const auto campaign = backendCampaign("fiber", "imb_suite");
+  const auto campaign = shardedCampaign(1, "imb_suite");
   const json::Value doc = json::Value::parse(campaign.runs[0].json);
   const json::Value* engine = doc.find("engine");
   ASSERT_NE(engine, nullptr);
@@ -446,10 +441,6 @@ TEST(Campaign, ExperimentsWithoutSimulationsOmitEngineBlock) {
   const auto campaign = quietCampaign(1);
   const json::Value doc = json::Value::parse(campaign.runs[0].json);
   EXPECT_EQ(doc.find("engine"), nullptr);
-}
-
-TEST(Campaign, RejectsUnknownSimBackend) {
-  EXPECT_THROW(backendCampaign("green-threads", "fig03"), ContractError);
 }
 
 core::CampaignResult traceModeCampaign(const std::string& mode, int jobs) {
@@ -522,13 +513,22 @@ TEST(Cli, RejectsNonNumericIntegerFlags) {
   EXPECT_EQ(cliExit({"run", "--seed", "banana"}), 2);
   EXPECT_EQ(cliExit({"run", "--seed", "-1"}), 2);
   EXPECT_EQ(cliExit({"run", "--sim-shards", "many"}), 2);
-  EXPECT_EQ(cliExit({"run", "--procs", "banana"}), 2);
-  EXPECT_EQ(cliExit({"run", "--procs", "0"}), 2);
   EXPECT_EQ(cliExit({"run", "--jobs=banana"}), 2);  // --flag=value spelling
 }
 
+TEST(Campaign, RejectsUnknownSimBackend) {
+  // Every rank runs as a fiber; there is no backend to select, so the
+  // flag itself is a usage error, whatever its value.
+  EXPECT_EQ(cliExit({"run", "fig03", "--sim-backend", "green-threads"}), 2);
+  EXPECT_EQ(cliExit({"run", "fig03", "--sim-backend", "thread"}), 2);
+  EXPECT_EQ(cliExit({"run", "fig03", "--sim-backend", "fiber"}), 2);
+}
+
 TEST(Cli, RejectsProcsWithoutCache) {
+  // Campaigns run in one process: --procs and its worker-side
+  // --worker-cells are unknown flags.
   EXPECT_EQ(cliExit({"run", "tab01", "--procs", "2"}), 2);
+  EXPECT_EQ(cliExit({"run", "tab01", "--worker-cells", "tab01"}), 2);
 }
 
 TEST(Cli, AcceptsValidNumericFlags) {

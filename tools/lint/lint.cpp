@@ -366,9 +366,9 @@ void checkThreadLocal(const FileContext& ctx, const Rule& rule,
     if (!std::regex_search(ctx.code[i], kTls)) continue;
     emit(ctx, i, rule,
          "thread_local inside fiber-run simulation code: all fibers of a "
-         "world share one host thread (and the thread backend uses one "
-         "thread per rank), so the storage is silently shared or silently "
-         "per-rank depending on backend",
+         "world share one host thread, and shards run on whichever gang "
+         "thread picks up their window, so the storage is silently shared "
+         "across ranks and silently changes between windows",
          "keep per-rank state in the rank body or in MpiContext", out);
   }
 }
@@ -885,7 +885,7 @@ constexpr std::array<Rule, 12> kSourceRules = {{
      "no wall-clock reads (steady_clock/system_clock/time()) outside "
      "annotated host-side measurement",
      "campaign artefacts must be byte-identical across reruns, --jobs and "
-     "backends; host clocks differ every run"},
+     "--sim-shards; host clocks differ every run"},
     {"random-source",
      "no rand()/std::random_device/drand48 anywhere",
      "all stochastic components must seed from the campaign seed via "
@@ -904,8 +904,9 @@ constexpr std::array<Rule, 12> kSourceRules = {{
      "world; simulated waiting goes through Process::delay/suspend"},
     {"thread-local",
      "no thread_local in sim paths",
-     "fiber and thread backends map ranks to host threads differently, "
-     "so thread_local state silently changes meaning between backends"},
+     "many fiber ranks share one host thread and shard windows hop "
+     "between gang threads, so thread_local state is neither per-rank nor "
+     "stable across windows"},
     {"pragma-once",
      "headers start with #pragma once",
      "double inclusion breaks the single-library build; include guards "
@@ -1030,18 +1031,9 @@ std::vector<Finding> lintRegistryDocs(const std::string& root,
   const std::string doc = readFile(docPath);
 
   // A registered name counts as documented when EXPERIMENTS.md mentions it
-  // backticked — either exactly (`campaign`) or as the prefix of a compat
-  // binary name (`fig01_top500_transitions` documents fig01).
+  // backticked (`campaign`).
   const auto documented = [&doc](const std::string& name) {
-    std::string::size_type pos = 0;
-    const std::string needle = "`" + name;
-    while ((pos = doc.find(needle, pos)) != std::string::npos) {
-      const std::size_t after = pos + needle.size();
-      if (after < doc.size() && (doc[after] == '`' || doc[after] == '_'))
-        return true;
-      pos += 1;
-    }
-    return false;
+    return doc.find("`" + name + "`") != std::string::npos;
   };
 
   std::vector<fs::path> sources;

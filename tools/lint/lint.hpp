@@ -1,10 +1,10 @@
 #pragma once
 // tibsim-lint — repo-specific determinism & sim-safety static analysis.
 //
-// The campaign's headline guarantees (byte-identical reruns across --jobs,
-// backend-identical JSON between fiber and thread execution contexts,
-// platform tables faithful to the paper's Table 1) are end-to-end properties
-// that CI reruns catch late and point nowhere near the offending line. This
+// The campaign's headline guarantees (byte-identical reruns across --jobs
+// and --sim-shards, platform tables faithful to the paper's Table 1) are
+// end-to-end properties that CI reruns catch late and point nowhere near
+// the offending line. This
 // linter enforces the source-level invariants that make those guarantees
 // hold, token/line-based with no libclang dependency, so it builds as part
 // of the normal CMake tree and runs in milliseconds over the whole repo.
