@@ -62,12 +62,6 @@ class HplBenchmark {
   /// return the job result with GFLOPS / efficiency / MFLOPS-per-watt.
   static cluster::JobResult run(cluster::ClusterSimulation& sim, int nodes,
                                 double memoryFraction = 0.8);
-
-  /// As above, with per-job options (tracing, auto-sized fiber stacks,
-  /// observer) forwarded to ClusterSimulation::runJob.
-  static cluster::JobResult run(cluster::ClusterSimulation& sim, int nodes,
-                                double memoryFraction,
-                                const cluster::JobOptions& options);
 };
 
 }  // namespace tibsim::apps

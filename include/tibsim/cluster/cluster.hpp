@@ -3,7 +3,6 @@
 // and a switched Ethernet tree, with whole-cluster energy integration.
 // ClusterSpec::tibidabo() reproduces the paper's 192-node Tegra 2 machine.
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -74,8 +73,7 @@ struct JobOptions {
   /// Record spans during the job; the recording mode comes from the
   /// process-wide default (obs::defaultTraceMode / --trace-mode).
   bool enableTracing = false;
-  std::uint64_t traceSeed = 0;      ///< sampled-mode reservoir seed
-  std::size_t fiberStackBytes = 0;  ///< per-rank stack override (0 = default)
+  std::uint64_t traceSeed = 0;  ///< sampled-mode reservoir seed
   /// Called once, after the run, while the world (and its tracer) is still
   /// alive.
   std::function<void(const mpi::MpiWorld&, const JobResult&)> observer;
@@ -88,7 +86,7 @@ class ClusterSimulation {
   /// Run `body` on `nodesUsed` nodes (ranks = nodesUsed * ranksPerNode).
   JobResult runJob(int nodesUsed, const mpi::MpiWorld::RankBody& body);
 
-  /// As above, with tracing/stack-telemetry options.
+  /// As above, with tracing options.
   JobResult runJob(int nodesUsed, const mpi::MpiWorld::RankBody& body,
                    const JobOptions& options);
 
@@ -98,18 +96,5 @@ class ClusterSimulation {
  private:
   ClusterSpec spec_;
 };
-
-/// Probe-then-sweep stack auto-sizing: run `body` once on a `probeNodes`
-/// slice of `spec`, read the fiber stack high-water telemetry, and return
-/// sim::recommendedStackBytes(hwm) — the value to put in
-/// JobOptions::fiberStackBytes for the full-scale sweep. Returns 0 (keep
-/// the engine default) when the probe recorded no stack use. The result
-/// depends on the host ABI, so use it only for runtime sizing — never serialise it into
-/// campaign artefacts. When `probeResult` is non-null the probe job's
-/// JobResult is copied out so callers can fold its (deterministic) world
-/// accounting into their experiment totals.
-std::size_t autoFiberStackBytes(const ClusterSpec& spec, int probeNodes,
-                                const mpi::MpiWorld::RankBody& body,
-                                JobResult* probeResult = nullptr);
 
 }  // namespace tibsim::cluster

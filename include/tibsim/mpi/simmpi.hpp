@@ -62,9 +62,6 @@ struct WorldConfig {
   obs::TraceMode traceMode = obs::defaultTraceMode();
   std::size_t traceReservoirPerRank = 512;  ///< sampled mode: spans kept/rank
   std::uint64_t traceSeed = 0;              ///< sampled mode reservoir seed
-  /// Per-rank fiber stack size; 0 = engine default (TIBSIM_FIBER_STACK_KB
-  /// or 256 KiB).
-  std::size_t fiberStackBytes = 0;
   /// Logical-process shards for the event engine (see sim/shard_scheduler).
   /// Snapshot of the process-wide default (--sim-shards / TIBSIM_SIM_SHARDS)
   /// so a campaign-level override flows through. The world clamps to the

@@ -26,9 +26,9 @@ struct EngineStats {
   /// Largest per-process fiber stack configured.
   std::size_t fiberStackBytes = 0;
   /// Deepest fiber stack use observed across all finished processes
-  /// (pattern-scan high-water mark). Depends on compiler frame layout, so —
-  /// like hostSeconds — it feeds the run summary, never the serialised
-  /// artefacts.
+  /// (page-granular: lowest resident stack page to the stack top). Depends
+  /// on compiler frame layout, so — like hostSeconds — it feeds the run
+  /// summary, never the serialised artefacts.
   std::size_t stackHighWaterBytes = 0;
   // Sharded-engine counters (1 / 0 / 0 on the single-queue engine). Window
   // counts depend on how work happened to spread over shards, so — like

@@ -4,7 +4,7 @@
 // A Process needs exactly three transfers of control: host -> process
 // (switchIn), process -> host (yieldToHost), and the initial entry into the
 // process body (start + first switchIn). ExecutionContext performs them
-// with a stackful user-space fiber on an owned, configurable-size stack: a
+// with a stackful user-space fiber on an owned, lazily committed stack: a
 // switch is a register-file swap in user space, with no kernel wake-up and
 // no OS thread per process. That is what makes 65,536-rank worlds
 // feasible.
@@ -24,9 +24,9 @@
 
 namespace tibsim::sim {
 
-/// Smallest usable fiber stack. Low enough that stack-sizing experiments
-/// guided by the high-water telemetry can go well below the 256 KiB engine
-/// default; high enough that the entry thunk itself always fits.
+/// Smallest fiber stack TIBSIM_FIBER_STACK_KB accepts: enough for the
+/// entry thunk and a few application frames. Pages a fiber never touches
+/// are never committed, so a smaller stack saves address space, not RSS.
 inline constexpr std::size_t kMinFiberStackBytes = 16 * 1024;
 
 /// The host's VM page size (sysconf(_SC_PAGESIZE); 4096 when unavailable).
@@ -34,18 +34,12 @@ inline constexpr std::size_t kMinFiberStackBytes = 16 * 1024;
 std::size_t pageBytes();
 
 /// Worlds with at least this many ranks lease fiber stacks from the shared
-/// slab arena (2 kernel VMAs per multi-megabyte slab, pattern sentinel page
-/// under each stack, stacks recycled across worlds) instead of mmap'ing a
+/// slab arena (2 kernel VMAs per multi-megabyte slab, sentinel page under
+/// each stack, stacks recycled across worlds) instead of mmap'ing a
 /// private guarded stack per fiber (2 VMAs each). A 65,536-rank world needs
 /// ~131k private mappings — past the kernel's default vm.max_map_count of
 /// 65530, so the per-fiber guard mprotect would fail mid-spawn.
 inline constexpr int kPooledStacksMinRanks = 16384;
-
-/// Stack size to use for a sweep whose probe run measured
-/// `highWaterBytes` of peak stack use: 2x headroom, rounded up to a whole
-/// page, floored at kMinFiberStackBytes. Returns 0 when highWaterBytes is 0
-/// (no telemetry), meaning "keep the default".
-std::size_t recommendedStackBytes(std::size_t highWaterBytes);
 
 /// One cooperative execution context (the "how" of a Process). Not
 /// thread-safe: the host side drives start/switchIn from one thread.
@@ -53,13 +47,12 @@ class ExecutionContext {
  public:
   using Entry = std::function<void()>;
 
-  /// stackBytes == 0 means defaultStackBytes(). When pooledStack is true
-  /// the stack is leased from the process-wide slab arena (see
-  /// kPooledStacksMinRanks) instead of a private guarded mapping; overflow
-  /// detection then moves from an immediate guard-page fault to a
-  /// sentinel-page check when the stack is released.
-  explicit ExecutionContext(std::size_t stackBytes = 0,
-                            bool pooledStack = false);
+  /// The stack is defaultStackBytes() long. When pooledStack is true it is
+  /// leased from the process-wide slab arena (see kPooledStacksMinRanks)
+  /// instead of a private guarded mapping; overflow detection then moves
+  /// from an immediate guard-page fault to a sentinel-page check when the
+  /// stack is released.
+  explicit ExecutionContext(bool pooledStack = false);
   ~ExecutionContext();
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
@@ -78,13 +71,16 @@ class ExecutionContext {
   /// Size of the owned stack.
   std::size_t stackBytes() const { return stackBytes_; }
 
-  /// Deepest observed use of the owned stack, measured by scanning for the
-  /// first overwritten fill byte (obs::scanStackHighWater). A value equal
-  /// to stackBytes() means the whole stack was scribbled — treat the stack
-  /// as undersized.
+  /// Deepest observed use of the owned stack, page-granular: the distance
+  /// from the lowest resident page (mincore) to the top of the stack. The
+  /// kernel commits a stack page on its first touch, so untouched pages
+  /// cost nothing and read as unused. A value equal to stackBytes() means
+  /// the whole stack was touched — treat the stack as undersized.
   std::size_t stackHighWaterBytes() const;
 
-  /// Fiber stack size: TIBSIM_FIBER_STACK_KB (KiB) when set, else 256 KiB.
+  /// The engine-wide fiber stack size, page-rounded:
+  /// TIBSIM_FIBER_STACK_KB (a plain decimal KiB count >= 16) when set,
+  /// else 256 KiB. Read once; a malformed value is a ContractError.
   static std::size_t defaultStackBytes();
 
  private:

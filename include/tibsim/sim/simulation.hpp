@@ -78,7 +78,7 @@ class Process {
   friend class Simulation;
   Process(Simulation& sim, std::uint64_t id, std::string name, Body body);
 
-  void start(std::size_t stackBytes, bool pooledStack);
+  void start(bool pooledStack);
   void switchIn();      // scheduler -> process; blocks scheduler until yield
   void yieldToHost();   // process -> scheduler
   void kill();          // request ProcessKilled unwind and run it to the end
@@ -101,18 +101,15 @@ class Process {
 /// processes. Not thread-safe: drive it from a single thread.
 class Simulation {
  public:
-  /// `stackBytes` sizes each process's fiber stack; 0 means the engine
-  /// default (TIBSIM_FIBER_STACK_KB or 256 KiB).
-  explicit Simulation(std::size_t stackBytes = 0) : stackBytes_(stackBytes) {}
+  /// Every process runs on a fiber stack of
+  /// ExecutionContext::defaultStackBytes().
+  Simulation() = default;
   ~Simulation();
 
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
   double now() const { return now_; }
-
-  /// Configured per-process stack size (0 = engine default).
-  std::size_t stackBytes() const { return stackBytes_; }
 
   /// When enabled, fiber processes lease their stacks from the process-wide
   /// slab arena instead of mmap'ing private guarded stacks (2 kernel VMAs
@@ -305,7 +302,6 @@ class Simulation {
   void pushQueue(double t, Process* proc, std::uint64_t aux);
 
   double now_ = 0.0;
-  std::size_t stackBytes_ = 0;
   bool pooledStacks_ = false;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t nextProcessId_ = 0;

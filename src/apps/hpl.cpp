@@ -164,16 +164,10 @@ mpi::MpiWorld::RankBody HplBenchmark::rankBody(Params params) {
 
 cluster::JobResult HplBenchmark::run(cluster::ClusterSimulation& sim,
                                      int nodes, double memoryFraction) {
-  return run(sim, nodes, memoryFraction, cluster::JobOptions{});
-}
-
-cluster::JobResult HplBenchmark::run(cluster::ClusterSimulation& sim,
-                                     int nodes, double memoryFraction,
-                                     const cluster::JobOptions& options) {
   Params params;
   params.n = problemSizeForNodes(sim.spec(), nodes, memoryFraction);
   params.nb = 512;
-  cluster::JobResult result = sim.runJob(nodes, rankBody(params), options);
+  cluster::JobResult result = sim.runJob(nodes, rankBody(params));
   // Credit the official HPL flop count rather than the modelled ops.
   result.gflops = units::toGflops(flopCount(params.n) /
                                   result.wallClockSeconds);

@@ -6,8 +6,6 @@
 #include "tibsim/common/assert.hpp"
 #include "tibsim/common/units.hpp"
 #include "tibsim/power/power_model.hpp"
-#include "tibsim/sim/execution_context.hpp"
-#include "tibsim/sim/shard_scheduler.hpp"
 
 namespace tibsim::cluster {
 
@@ -89,7 +87,6 @@ JobResult ClusterSimulation::runJob(int nodesUsed,
   cfg.ranksPerNode = spec_.ranksPerNode;
   cfg.topology = spec_.topology;
   cfg.traceSeed = options.traceSeed;
-  cfg.fiberStackBytes = options.fiberStackBytes;
 
   const int ranks = nodesUsed * spec_.ranksPerNode;
   mpi::MpiWorld world(cfg, ranks);
@@ -132,23 +129,6 @@ JobResult ClusterSimulation::runJob(int nodesUsed,
   }
   if (options.observer) options.observer(world, result);
   return result;
-}
-
-std::size_t autoFiberStackBytes(const ClusterSpec& spec, int probeNodes,
-                                const mpi::MpiWorld::RankBody& body,
-                                JobResult* probeResult) {
-  TIB_REQUIRE(probeNodes >= 1);
-  // The probe always runs single-shard: a fiber's stack high-water is a
-  // property of the rank body's call depth, not of the event schedule, so
-  // the telemetry (and the probe's deterministic accounting) is identical
-  // under any shard count — while a small probe world would pay the window
-  // barriers without ever amortising them.
-  sim::ScopedSimShards probeShards(1);
-  ClusterSimulation probe(spec);
-  const JobResult result =
-      probe.runJob(std::min(probeNodes, spec.nodes), body);
-  if (probeResult != nullptr) *probeResult = result;
-  return sim::recommendedStackBytes(result.stats.engine.stackHighWaterBytes);
 }
 
 }  // namespace tibsim::cluster

@@ -352,12 +352,6 @@ ResultSet runScaleBigCluster(ExperimentContext& ctx) {
   apps::HydroBenchmark::Params hydro;
   hydro.steps = 5;
 
-  // Probe-then-sweep stack auto-sizing: run each application once on an
-  // 8-node slice, read the fiber stack high-water telemetry, and give
-  // every sweep cell guard-paged stacks sized for the deeper of the two
-  // (2x high-water, page-rounded — see sim::recommendedStackBytes). The
-  // probe worlds are folded into the experiment's world accounting like
-  // any other run.
   constexpr int kProbeNodes = 8;
   const cluster::ClusterSpec probeSpec =
       cluster::ClusterSpec::tibidaboScaled(kProbeNodes);
@@ -365,17 +359,15 @@ ResultSet runScaleBigCluster(ExperimentContext& ctx) {
   probeHpl.n = apps::HplBenchmark::problemSizeForNodes(probeSpec, kProbeNodes,
                                                        kHplMemoryFraction);
   probeHpl.nb = 512;  // what HplBenchmark::run uses at full scale
-  cluster::JobResult hplProbe, hydroProbe;
-  cluster::JobOptions sized;
-  sized.fiberStackBytes = std::max(
-      cluster::autoFiberStackBytes(
-          probeSpec, kProbeNodes, apps::HplBenchmark::rankBody(probeHpl),
-          &hplProbe),
-      cluster::autoFiberStackBytes(probeSpec, kProbeNodes,
-                                   apps::HydroBenchmark::rankBody(hydro),
-                                   &hydroProbe));
-  ctx.recordWorldStats(hplProbe.stats);
-  ctx.recordWorldStats(hydroProbe.stats);
+  // Former stack probes, kept because perfbench's goldens pin their worlds.
+  ctx.recordWorldStats(
+      cluster::ClusterSimulation(probeSpec)
+          .runJob(kProbeNodes, apps::HplBenchmark::rankBody(probeHpl))
+          .stats);
+  ctx.recordWorldStats(
+      cluster::ClusterSimulation(probeSpec)
+          .runJob(kProbeNodes, apps::HydroBenchmark::rankBody(hydro))
+          .stats);
 
   struct Cell {
     const char* app = "";
@@ -395,10 +387,10 @@ ResultSet runScaleBigCluster(ExperimentContext& ctx) {
       cell.n = apps::HplBenchmark::problemSizeForNodes(sim.spec(), cell.nodes,
                                                        kHplMemoryFraction);
       cell.result =
-          apps::HplBenchmark::run(sim, cell.nodes, kHplMemoryFraction, sized);
+          apps::HplBenchmark::run(sim, cell.nodes, kHplMemoryFraction);
     } else {
       cell.result =
-          sim.runJob(cell.nodes, apps::HydroBenchmark::rankBody(hydro), sized);
+          sim.runJob(cell.nodes, apps::HydroBenchmark::rankBody(hydro));
     }
     ctx.recordWorldStats(cell.result.stats);
   });
@@ -465,7 +457,6 @@ ResultSet runScaleBigCluster(ExperimentContext& ctx) {
     cluster::JobOptions options;
     options.enableTracing = true;
     options.traceSeed = ctx.rng(2048).nextU64();
-    options.fiberStackBytes = sized.fiberStackBytes;
     TextTable breakdown(
         {"rank", "compute s", "send s", "recv s", "wait s", "other s"});
     options.observer = [&breakdown, &ctx](const mpi::MpiWorld& world,
@@ -517,13 +508,11 @@ ResultSet runScaleBigCluster(ExperimentContext& ctx) {
   // the 1,500-node machine §6.3 reasons about, then confirm the DRAM-error
   // model reproduces the paper's headline probability for that same size.
   cluster::ClusterSimulation bigSim(cluster::ClusterSpec::tibidaboScaled(1500));
-  const cluster::JobResult relJob = bigSim.runJob(
-      1500,
-      [](mpi::MpiContext& mctx) {
+  const cluster::JobResult relJob =
+      bigSim.runJob(1500, [](mpi::MpiContext& mctx) {
         mctx.barrier();
         mctx.allreduceSum(static_cast<double>(mctx.rank()));
-      },
-      sized);
+      });
   ctx.recordWorldStats(relJob.stats);
   const reliability::DramErrorModel model;
   const double pDaily = 100 * model.systemDailyErrorProbability(1500);

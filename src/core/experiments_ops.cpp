@@ -272,22 +272,17 @@ ResultSet runAblationArmv8BigCluster(ExperimentContext& ctx) {
       Tree{"tegra2", [](int n) { return cluster::ClusterSpec::tibidaboScaled(n); }},
       Tree{"armv8", armv8Scaled}};
 
-  // Probe-then-sweep stack auto-sizing, one probe cell per tree family
-  // (see cluster::autoFiberStackBytes): the 2048/4096-node sweeps below
-  // then run their 4,096-8,192 fibers on guard-paged stacks sized 2x the
-  // probed high-water mark instead of the conservative default.
-  std::array<cluster::JobOptions, 2> sized;
-  for (std::size_t t = 0; t < trees.size(); ++t) {
-    const cluster::ClusterSpec probeSpec = trees[t].spec(kProbeNodes);
+  for (const Tree& tree : trees) {
+    const cluster::ClusterSpec probeSpec = tree.spec(kProbeNodes);
     apps::HplBenchmark::Params probe;
     probe.n = apps::HplBenchmark::problemSizeForNodes(probeSpec, kProbeNodes,
                                                       kMemoryFraction);
     probe.nb = 512;  // what HplBenchmark::run uses at full scale
-    cluster::JobResult probeResult;
-    sized[t].fiberStackBytes = cluster::autoFiberStackBytes(
-        probeSpec, kProbeNodes, apps::HplBenchmark::rankBody(probe),
-        &probeResult);
-    ctx.recordWorldStats(probeResult.stats);
+    // Former stack probe, kept because perfbench's goldens pin its world.
+    ctx.recordWorldStats(cluster::ClusterSimulation(probeSpec)
+                             .runJob(kProbeNodes,
+                                     apps::HplBenchmark::rankBody(probe))
+                             .stats);
   }
 
   struct Cell {
@@ -312,8 +307,7 @@ ResultSet runAblationArmv8BigCluster(ExperimentContext& ctx) {
     cluster::ClusterSimulation sim(trees[cell.tree].spec(cell.nodes));
     cell.n = apps::HplBenchmark::problemSizeForNodes(sim.spec(), cell.nodes,
                                                      kMemoryFraction);
-    cell.result = apps::HplBenchmark::run(sim, cell.nodes, kMemoryFraction,
-                                          sized[cell.tree]);
+    cell.result = apps::HplBenchmark::run(sim, cell.nodes, kMemoryFraction);
     ctx.recordWorldStats(cell.result.stats);
   });
 
@@ -385,7 +379,7 @@ ResultSet runAblationArmv8BigCluster(ExperimentContext& ctx) {
     std::array<Traced, 2> traced;
     ctx.parallelFor(trees.size(), [&](std::size_t t) {
       cluster::ClusterSimulation sim(trees[t].spec(4096));
-      cluster::JobOptions options = sized[t];
+      cluster::JobOptions options;
       options.enableTracing = true;
       options.traceSeed = ctx.rng(4096 + t).nextU64();
       options.observer = [&, t](const mpi::MpiWorld& world,
@@ -446,12 +440,12 @@ ResultSet runAblationArmv8BigCluster(ExperimentContext& ctx) {
   // 65,536-rank weak-scaled cell — aggregate trace mode only. A 32,768-node
   // ARMv8 tree at 2 ranks/node is the largest world the campaign builds
   // (8x the Figure-2 sweep top); aggregate mode keeps trace memory O(ranks)
-  // and the guard-paged probe-sized stacks keep resident memory bounded by
-  // the pages each fiber actually touches.
+  // and lazily committed stacks keep resident memory bounded by the pages
+  // each fiber actually touches.
   if (traceMode == obs::TraceMode::Aggregate) {
     constexpr int kHugeNodes = 32768;
     cluster::ClusterSimulation sim(armv8Scaled(kHugeNodes));
-    cluster::JobOptions options = sized[1];
+    cluster::JobOptions options;
     options.enableTracing = true;
     options.traceSeed = ctx.rng(static_cast<std::uint64_t>(kHugeNodes)).nextU64();
     double nonCompute = 0.0;

@@ -45,12 +45,11 @@ ResultSet runTaskFarm(ExperimentContext& ctx) {
 
   apps::TaskFarm::Params probeParams;
   probeParams.tasks = 64;
-  cluster::JobResult probe;
-  cluster::JobOptions sized;
-  sized.fiberStackBytes = cluster::autoFiberStackBytes(
-      cluster::ClusterSpec::tibidaboScaled(8), 8,
-      apps::TaskFarm::rankBody(probeParams), &probe);
-  ctx.recordWorldStats(probe.stats);
+  // Former stack probe, kept because perfbench's goldens pin its world.
+  ctx.recordWorldStats(
+      cluster::ClusterSimulation(cluster::ClusterSpec::tibidaboScaled(8))
+          .runJob(8, apps::TaskFarm::rankBody(probeParams))
+          .stats);
 
   struct Cell {
     int nodes = 0;
@@ -74,8 +73,7 @@ ResultSet runTaskFarm(ExperimentContext& ctx) {
     params.tasksPerWorkerOut = &cell.perWorker;
     cluster::ClusterSimulation sim(
         cluster::ClusterSpec::tibidaboScaled(cell.nodes));
-    cell.result = sim.runJob(cell.nodes, apps::TaskFarm::rankBody(params),
-                             sized);
+    cell.result = sim.runJob(cell.nodes, apps::TaskFarm::rankBody(params));
     ctx.recordWorldStats(cell.result.stats);
   });
 
@@ -133,12 +131,11 @@ ResultSet runHydroAsync(ExperimentContext& ctx) {
   apps::HydroBenchmark::Params params;
   params.steps = 5;
 
-  cluster::JobResult probe;
-  cluster::JobOptions sized;
-  sized.fiberStackBytes = cluster::autoFiberStackBytes(
-      cluster::ClusterSpec::tibidaboScaled(8), 8,
-      apps::HydroBenchmark::asyncRankBody(params), &probe);
-  ctx.recordWorldStats(probe.stats);
+  // Former stack probe, kept because perfbench's goldens pin its world.
+  ctx.recordWorldStats(
+      cluster::ClusterSimulation(cluster::ClusterSpec::tibidaboScaled(8))
+          .runJob(8, apps::HydroBenchmark::asyncRankBody(params))
+          .stats);
 
   struct Cell {
     bool async = false;
@@ -154,10 +151,8 @@ ResultSet runHydroAsync(ExperimentContext& ctx) {
     cluster::ClusterSimulation sim(
         cluster::ClusterSpec::tibidaboScaled(cell.nodes));
     cell.result = sim.runJob(
-        cell.nodes,
-        cell.async ? apps::HydroBenchmark::asyncRankBody(params)
-                   : apps::HydroBenchmark::rankBody(params),
-        sized);
+        cell.nodes, cell.async ? apps::HydroBenchmark::asyncRankBody(params)
+                               : apps::HydroBenchmark::rankBody(params));
     ctx.recordWorldStats(cell.result.stats);
   });
 

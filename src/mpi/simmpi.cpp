@@ -705,7 +705,7 @@ WorldStats MpiWorld::run(const RankBody& body) {
   const int shards = effectiveSimShards();
   if (shards > 1) return runSharded(body, shards);
   sharded_ = false;
-  sim_ = std::make_unique<sim::Simulation>(config_.fiberStackBytes);
+  sim_ = std::make_unique<sim::Simulation>();
   // Huge worlds lease fiber stacks from the slab arena so the VMA count
   // stays far below vm.max_map_count (private guarded stacks cost 2 each).
   sim_->setPooledStacks(ranks_ >= sim::kPooledStacksMinRanks);

@@ -276,7 +276,7 @@ WorldStats MpiWorld::runSharded(const RankBody& body, int shards) {
   for (Engine& e : engines_) {
     TIB_ASSERT(e.firstRank >= 0);  // the leaf map is surjective for
                                    // shards <= leafCount
-    e.sim = std::make_unique<sim::Simulation>(config_.fiberStackBytes);
+    e.sim = std::make_unique<sim::Simulation>();
     // World-level (not per-shard) rank count decides stack pooling so the
     // policy is identical under every --sim-shards value.
     e.sim->setPooledStacks(ranks_ >= sim::kPooledStacksMinRanks);

@@ -4,14 +4,17 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
-#include <map>
+#include <cstring>
+#include <limits>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "tibsim/common/assert.hpp"
-#include "tibsim/obs/stack_telemetry.hpp"
 
 // AddressSanitizer and ThreadSanitizer both intercept longjmp: ASan rejects
 // a jump onto a different stack and TSan loses track of which stack it is
@@ -76,6 +79,37 @@ void tsanDestroyFiber(void*) {}
 [[maybe_unused]] void tsanSwitchTo(void*) {}
 #endif
 
+// Offset of the lowest resident page in [base, base + bytes), or `bytes`
+// when none is. Both ends are page-aligned. An anonymous page becomes
+// resident on its first touch, so on a downward-growing stack this is
+// where the deepest frame reached.
+std::size_t firstResidentOffset(char* base, std::size_t bytes) {
+  const std::size_t page = pageBytes();
+  constexpr std::size_t kChunkPages = 64;
+  unsigned char resident[kChunkPages] = {};
+  for (std::size_t offset = 0; offset < bytes; offset += kChunkPages * page) {
+    const std::size_t pages = std::min(kChunkPages, (bytes - offset) / page);
+    TIB_REQUIRE_MSG(mincore(base + offset, pages * page, resident) == 0,
+                    "fiber stack mincore failed");
+    for (std::size_t i = 0; i < pages; ++i)
+      if ((resident[i] & 1) != 0) return offset + i * page;
+  }
+  return bytes;
+}
+
+// An anonymous read-write mapping whose lowest page becomes the guard.
+// Residency is only page-accurate on base pages: a transparent huge page,
+// or any multi-page anonymous folio, commits a whole run on one touch.
+char* mapGuardedStackMemory(std::size_t bytes) {
+  void* map = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  TIB_REQUIRE_MSG(map != MAP_FAILED, "fiber stack mmap failed");
+  madvise(map, bytes, MADV_NOHUGEPAGE);
+  TIB_REQUIRE_MSG(mprotect(map, pageBytes(), PROT_NONE) == 0,
+                  "fiber stack guard mprotect failed");
+  return static_cast<char*>(map);
+}
+
 // ---------------------------------------------------------------------------
 // FiberStackArena — slab-allocated fiber stacks for huge worlds. Each kernel
 // VMA is a protection boundary, so the per-fiber layout (PROT_NONE guard +
@@ -84,13 +118,14 @@ void tsanDestroyFiber(void*) {}
 // instead mmaps multi-megabyte slabs of [sentinel page][stack] units behind
 // a single PROT_NONE guard page: uniform RW protection keeps the whole unit
 // run in one VMA, so a slab costs 2 VMAs regardless of how many stacks it
-// carries. The sentinel page below each stack stays pattern-filled; release
-// verifies it, converting a silent overflow into a deterministic contract
-// failure (detection moves from fault-at-write to checked-at-release — the
-// bottom stack of each slab still faults on the slab guard). Released
-// stacks are recycled across worlds and their pages returned to the kernel
-// with MADV_DONTNEED, so campaign RSS tracks the largest live world, not
-// the sum of worlds run.
+// carries. Nothing ever writes a sentinel page, so release checks that it
+// is still not resident and aborts with a report otherwise, converting a
+// silent overflow into a deterministic failure (detection moves from
+// fault-at-write to checked-at-release — the bottom stack of each slab
+// still faults on the slab guard). Released stacks are recycled across
+// worlds and their pages returned to the kernel with MADV_DONTNEED, so
+// campaign RSS tracks the largest live world, not the sum of worlds run,
+// and every tenant starts on a non-resident stack.
 // ---------------------------------------------------------------------------
 
 class FiberStackArena {
@@ -101,49 +136,45 @@ class FiberStackArena {
     return arena;
   }
 
-  /// Lowest usable address of a stackBytes-sized stack; its sentinel page
-  /// sits directly below.
-  char* acquire(std::size_t stackBytes) {
+  /// Lowest usable address of a stack; its sentinel page sits directly
+  /// below.
+  char* acquire() {
     std::lock_guard lock(mutex_);
-    auto& free = free_[stackBytes];
-    if (free.empty()) addSlab(stackBytes, free);
-    char* stack = free.back();
-    free.pop_back();
+    if (free_.empty()) addSlab();
+    char* stack = free_.back();
+    free_.pop_back();
     return stack;
   }
 
-  void release(char* stack, std::size_t stackBytes) {
+  void release(char* stack) {
     const std::size_t page = pageBytes();
-    TIB_REQUIRE_MSG(
-        obs::scanStackHighWater(stack - page, page) == 0,
-        "fiber stack overflow: the sentinel page below a pooled stack was "
-        "overwritten (raise the stack size or TIBSIM_FIBER_STACK_KB)");
-    // Hand the pages back to the kernel; the next acquire pattern-fills
-    // anyway, so dropping the contents costs nothing but keeps campaign
-    // RSS bounded by the largest concurrently-live world.
-    madvise(stack, stackBytes, MADV_DONTNEED);
+    if (firstResidentOffset(stack - page, page) != page) {
+      // Release runs in a destructor, where a ContractError would terminate
+      // without its message: report, then abort.
+      std::fputs(
+          "fiber stack overflow: the sentinel page below a pooled stack was "
+          "touched (raise TIBSIM_FIBER_STACK_KB)\n",
+          stderr);
+      std::abort();
+    }
+    // Hand the pages back to the kernel: the next tenant starts with no
+    // resident page, which keeps campaign RSS bounded by the largest
+    // concurrently-live world and its high-water mark its own.
+    madvise(stack, ExecutionContext::defaultStackBytes(), MADV_DONTNEED);
     std::lock_guard lock(mutex_);
-    free_[stackBytes].push_back(stack);
+    free_.push_back(stack);
   }
 
  private:
-  void addSlab(std::size_t stackBytes, std::vector<char*>& free) {
+  void addSlab() {
     const std::size_t page = pageBytes();
-    const std::size_t unit = stackBytes + page;  // sentinel + stack
+    const std::size_t unit =
+        ExecutionContext::defaultStackBytes() + page;  // sentinel + stack
     const std::size_t count =
         std::clamp<std::size_t>(kSlabTargetBytes / unit, 16, 512);
-    const std::size_t mapBytes = page + count * unit;  // + slab guard
-    void* map = mmap(nullptr, mapBytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    TIB_REQUIRE_MSG(map != MAP_FAILED, "fiber stack slab mmap failed");
-    TIB_REQUIRE_MSG(mprotect(map, page, PROT_NONE) == 0,
-                    "fiber stack slab guard mprotect failed");
-    char* base = static_cast<char*>(map) + page;
-    for (std::size_t i = 0; i < count; ++i) {
-      char* sentinel = base + i * unit;
-      obs::patternFillStack(sentinel, page);
-      free.push_back(sentinel + page);
-    }
+    char* base = mapGuardedStackMemory(page + count * unit) + page;
+    for (std::size_t i = 0; i < count; ++i)
+      free_.push_back(base + i * unit + page);
     // Slabs are never unmapped: stacks reference into them for the process
     // lifetime and MADV_DONTNEED already returns idle pages.
   }
@@ -151,7 +182,7 @@ class FiberStackArena {
   static constexpr std::size_t kSlabTargetBytes = std::size_t{4} << 20;
 
   std::mutex mutex_;
-  std::map<std::size_t, std::vector<char*>> free_;  ///< keyed by stack size
+  std::vector<char*> free_;
 };
 
 }  // namespace
@@ -164,21 +195,23 @@ std::size_t pageBytes() {
   return page;
 }
 
-std::size_t recommendedStackBytes(std::size_t highWaterBytes) {
-  if (highWaterBytes == 0) return 0;  // no telemetry: keep the default
-  const std::size_t page = pageBytes();
-  const std::size_t doubled = 2 * highWaterBytes;
-  const std::size_t rounded = (doubled + page - 1) / page * page;
-  return std::max(rounded, kMinFiberStackBytes);
-}
-
 std::size_t ExecutionContext::defaultStackBytes() {
   static const std::size_t bytes = [] {
-    if (const char* env = std::getenv("TIBSIM_FIBER_STACK_KB")) {
-      const long kb = std::strtol(env, nullptr, 10);
-      if (kb > 0) return static_cast<std::size_t>(kb) * 1024;
-    }
-    return static_cast<std::size_t>(256) * 1024;
+    const char* env = std::getenv("TIBSIM_FIBER_STACK_KB");
+    if (env == nullptr) return std::size_t{256} * 1024;
+    const std::size_t page = pageBytes();
+    const std::size_t maxKb =
+        (std::numeric_limits<std::size_t>::max() - page) / 1024;
+    const char* end = env + std::strlen(env);
+    std::size_t kb = 0;
+    const auto [stop, error] = std::from_chars(env, end, kb);
+    TIB_REQUIRE_MSG(
+        error == std::errc() && stop == end &&
+            kb >= kMinFiberStackBytes / 1024 && kb <= maxKb,
+        "TIBSIM_FIBER_STACK_KB must be a plain decimal KiB count >= " +
+            std::to_string(kMinFiberStackBytes / 1024) +
+            " whose byte count fits std::size_t, got \"" + env + "\"");
+    return (kb * 1024 + page - 1) / page * page;
   }();
   return bytes;
 }
@@ -186,8 +219,9 @@ std::size_t ExecutionContext::defaultStackBytes() {
 // ---------------------------------------------------------------------------
 // The fiber: an owned mmap'd stack with one PROT_NONE guard page below it
 // (stacks grow down), so an overflow faults immediately instead of silently
-// corrupting whatever the allocator placed next door — essential once
-// sweeps auto-size stacks near the measured high-water mark. ucontext
+// corrupting whatever the allocator placed next door. Stack pages are
+// committed lazily by the kernel, so a fiber costs only the pages it
+// touches, and those resident pages are the stack telemetry. ucontext
 // (getcontext/makecontext) builds the initial stack frame and performs the
 // first entry; steady-state switches use _setjmp/_longjmp, which save and
 // restore only the register file — glibc's swapcontext issues a
@@ -197,26 +231,13 @@ std::size_t ExecutionContext::defaultStackBytes() {
 // apply to them.
 // ---------------------------------------------------------------------------
 
-ExecutionContext::ExecutionContext(std::size_t stackBytes, bool pooledStack)
-    : pooled_(pooledStack) {
-  const std::size_t page = pageBytes();
-  stackBytes_ = std::max(stackBytes != 0 ? stackBytes : defaultStackBytes(),
-                         kMinFiberStackBytes);
-  stackBytes_ = (stackBytes_ + page - 1) / page * page;
+ExecutionContext::ExecutionContext(bool pooledStack)
+    : stackBytes_(defaultStackBytes()), pooled_(pooledStack) {
   if (pooled_) {
-    stack_ = FiberStackArena::instance().acquire(stackBytes_);
+    stack_ = FiberStackArena::instance().acquire();
   } else {
-    void* map = mmap(nullptr, stackBytes_ + page, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    TIB_REQUIRE_MSG(map != MAP_FAILED, "fiber stack mmap failed");
-    TIB_REQUIRE_MSG(mprotect(map, page, PROT_NONE) == 0,
-                    "fiber stack guard mprotect failed");
-    stack_ = static_cast<char*>(map) + page;
+    stack_ = mapGuardedStackMemory(stackBytes_ + pageBytes()) + pageBytes();
   }
-  // Pattern-fill before makecontext arms the stack so the high-water scan
-  // can tell touched bytes from untouched ones (recycled pooled stacks
-  // carry the previous tenant's writes until this refill).
-  obs::patternFillStack(stack_, stackBytes_);
   tsanFiber_ = tsanCreateFiber();
 }
 
@@ -226,7 +247,7 @@ ExecutionContext::ExecutionContext(std::size_t stackBytes, bool pooledStack)
 ExecutionContext::~ExecutionContext() {
   tsanDestroyFiber(tsanFiber_);
   if (pooled_) {
-    FiberStackArena::instance().release(stack_, stackBytes_);
+    FiberStackArena::instance().release(stack_);
   } else {
     const std::size_t page = pageBytes();
     munmap(stack_ - page, stackBytes_ + page);
@@ -249,7 +270,7 @@ void ExecutionContext::start(Entry entry) {
 }
 
 std::size_t ExecutionContext::stackHighWaterBytes() const {
-  return obs::scanStackHighWater(stack_, stackBytes_);
+  return stackBytes_ - firstResidentOffset(stack_, stackBytes_);
 }
 
 #if TIBSIM_ASAN || TIBSIM_TSAN

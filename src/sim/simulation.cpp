@@ -28,8 +28,8 @@ Process::Process(Simulation& sim, std::uint64_t id, std::string name,
 
 Process::~Process() { kill(); }
 
-void Process::start(std::size_t stackBytes, bool pooledStack) {
-  context_ = std::make_unique<ExecutionContext>(stackBytes, pooledStack);
+void Process::start(bool pooledStack) {
+  context_ = std::make_unique<ExecutionContext>(pooledStack);
   context_->start([this] {
     if (!killRequested_) {
       try {
@@ -250,7 +250,7 @@ Process& Simulation::spawn(std::string name, Process::Body body) {
   auto process = std::unique_ptr<Process>(
       new Process(*this, nextProcessId_++, std::move(name), std::move(body)));
   Process& ref = *process;
-  ref.start(stackBytes_, pooledStacks_);
+  ref.start(pooledStacks_);
   processes_.push_back(std::move(process));
   ++stats_.processesSpawned;
   ++liveNow_;
@@ -327,8 +327,8 @@ void Simulation::dispatch(const Event& ev) {
 void Simulation::noteProcessFinished(Process& p) {
   TIB_ASSERT(liveNow_ > 0);
   --liveNow_;
-  // Harvest stack telemetry while the context is still alive: the fiber
-  // stack is quiescent once the body has unwound, so the scan is exact.
+  // Harvest stack telemetry while the context is still alive: the body has
+  // unwound, so the stack's resident pages are final.
   stats_.fiberStackBytes =
       std::max(stats_.fiberStackBytes, p.context_->stackBytes());
   stats_.stackHighWaterBytes =

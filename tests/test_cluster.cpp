@@ -8,7 +8,6 @@
 #include "tibsim/cluster/cluster.hpp"
 #include "tibsim/common/assert.hpp"
 #include "tibsim/common/units.hpp"
-#include "tibsim/sim/execution_context.hpp"
 
 namespace tibsim::cluster {
 namespace {
@@ -116,31 +115,6 @@ TEST(ClusterSim, HydroStrongScalingImprovesWallclock) {
   EXPECT_LT(r8.wallClockSeconds, r2.wallClockSeconds);
   // ...but sublinearly (halo + allreduce overhead).
   EXPECT_GT(r8.wallClockSeconds, r2.wallClockSeconds / 4.0 * 0.8);
-}
-
-TEST(ClusterSim, AutoFiberStackBytesProbesAndSizes) {
-  const ClusterSpec spec = ClusterSpec::tibidabo();
-  const auto body = [](mpi::MpiContext& ctx) {
-    ctx.computeSeconds(1e-6);
-    ctx.allreduceSum(static_cast<double>(ctx.rank()));
-  };
-  // A page-granular 2x-high-water recommendation, and the sweep actually
-  // runs on stacks of that size.
-  JobResult probeResult;
-  const std::size_t sized = autoFiberStackBytes(spec, 4, body, &probeResult);
-  EXPECT_GT(probeResult.stats.messageCount, 0u);  // the probe really ran
-  ASSERT_GE(sized, sim::kMinFiberStackBytes);
-  EXPECT_EQ(sized % sim::pageBytes(), 0u);
-  EXPECT_EQ(sized, sim::recommendedStackBytes(
-                       probeResult.stats.engine.stackHighWaterBytes));
-  ClusterSimulation sweep(spec);
-  JobOptions options;
-  options.fiberStackBytes = sized;
-  const JobResult swept = sweep.runJob(4, body, options);
-  EXPECT_EQ(swept.stats.engine.fiberStackBytes, sized);
-  // Identical simulated results on auto-sized stacks.
-  const JobResult reference = ClusterSimulation(spec).runJob(4, body);
-  EXPECT_DOUBLE_EQ(swept.wallClockSeconds, reference.wallClockSeconds);
 }
 
 TEST(ClusterSim, ArndaleClusterUsesUsbNic) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -357,53 +360,6 @@ TEST(ExecutionContexts, BackendsProduceIdenticalStatsAndTimes) {
   EXPECT_DOUBLE_EQ(fiberStats.simSeconds, threadStats.simSeconds);
 }
 
-TEST(StackAutoSizing, RecommendedStackBytesIsTwiceHwmPageRounded) {
-  const std::size_t page = pageBytes();
-  ASSERT_GT(page, 0u);
-  // No telemetry -> keep the default.
-  EXPECT_EQ(recommendedStackBytes(0), 0u);
-  // Tiny high-water marks floor at the minimum usable stack.
-  EXPECT_EQ(recommendedStackBytes(1), kMinFiberStackBytes);
-  EXPECT_EQ(recommendedStackBytes(kMinFiberStackBytes / 2 - 1),
-            kMinFiberStackBytes);
-  // Above the floor: 2x the high-water mark, rounded up to a whole page.
-  const std::size_t hwm = 5 * page + 123;
-  const std::size_t rec = recommendedStackBytes(hwm);
-  EXPECT_GE(rec, 2 * hwm);
-  EXPECT_LT(rec, 2 * hwm + page);
-  EXPECT_EQ(rec % page, 0u);
-  // An exact page multiple does not get an extra page.
-  EXPECT_EQ(recommendedStackBytes(4 * page), 8 * page);
-}
-
-TEST(StackAutoSizing, ProbeTelemetryFeedsARunnableRecommendation) {
-  // The probe-then-sweep pattern end-to-end at engine level: measure a
-  // workload's stack high-water mark, then rerun the same workload on
-  // stacks sized from the telemetry.
-  const auto workload = [](Simulation& sim) {
-    for (int i = 0; i < 8; ++i) {
-      sim.spawn("p" + std::to_string(i), [](Process& p) {
-        volatile char frame[2048];
-        frame[0] = 1;
-        frame[sizeof(frame) - 1] = 1;
-        p.delay(1.0);
-      });
-    }
-    sim.run();
-  };
-  Simulation probe;
-  workload(probe);
-  const std::size_t hwm = probe.engineStats().stackHighWaterBytes;
-  ASSERT_GT(hwm, 0u);
-  const std::size_t sized = recommendedStackBytes(hwm);
-  ASSERT_GE(sized, kMinFiberStackBytes);
-  ASSERT_LT(sized, ExecutionContext::defaultStackBytes());
-  Simulation sweep(sized);
-  workload(sweep);
-  EXPECT_EQ(sweep.engineStats().fiberStackBytes, sized);
-  EXPECT_LE(sweep.engineStats().stackHighWaterBytes, sized);
-}
-
 // Guard-page containment: a fiber that overruns its stack must fault on
 // the PROT_NONE guard page (killing the process) instead of silently
 // scribbling over a neighbouring fiber's stack.
@@ -424,16 +380,69 @@ TEST(FiberGuardPageDeathTest, OverflowFaultsOnGuardPage) {
             return frame[0] + frame[sizeof(frame) - 1];
           }
         };
-        Simulation sim(kMinFiberStackBytes);
-        // 64 x 1 KiB frames overrun the 16 KiB minimum stack well before
-        // the recursion bottoms out.
+        Simulation sim;
+        // Twice as many 1 KiB frames as the stack holds overrun it well
+        // before the recursion bottoms out.
         sim.spawn("overflow", [](Process&) {
-          volatile int sink = Overflow::recurse(64);
+          const auto frames = 2 * ExecutionContext::defaultStackBytes() / 1024;
+          volatile int sink = Overflow::recurse(static_cast<int>(frames));
           (void)sink;
         });
         sim.run();
       },
       "");
+}
+
+// Pooled stacks have no guard page between neighbours. Nothing ever
+// touches the sentinel page below a pooled stack, so a resident sentinel at
+// release is an overflow and must kill the process.
+TEST(FiberSentinelDeathTest, PooledOverflowIsCaughtOnRelease) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Simulation sim;
+        sim.setPooledStacks(true);
+        sim.spawn("overflow", [](Process&) {
+          // The stack top is page-aligned and the fiber's first frames fit
+          // in its top page, so rounding this frame up finds the top.
+          const std::size_t page = pageBytes();
+          const auto frame =
+              reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+          char* top = reinterpret_cast<char*>((frame + page - 1) / page * page);
+          volatile char* belowStack =
+              top - ExecutionContext::defaultStackBytes() - 1;
+          *belowStack = 1;
+        });
+        sim.run();
+      },
+      "fiber stack overflow");
+}
+
+// A malformed TIBSIM_FIBER_STACK_KB is a contract error, never a silent
+// fallback. defaultStackBytes() caches its first successful read, so the
+// values are tried in a freshly exec'd child; a rejected read caches
+// nothing, so one child can try them all.
+TEST(FiberStackSizeDeathTest, MalformedEnvironmentValueIsAContractError) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        for (const char* bad : {"0x100", "-5", "8", "", " 64", "+64",
+                                "99999999999999999999999", "64k"}) {
+          setenv("TIBSIM_FIBER_STACK_KB", bad, 1);
+          try {
+            ExecutionContext::defaultStackBytes();
+            std::fprintf(stderr, "accepted \"%s\"\n", bad);
+            std::exit(1);
+          } catch (const ContractError& e) {
+            std::fprintf(stderr, "%s\n", e.what());
+          }
+        }
+        setenv("TIBSIM_FIBER_STACK_KB", "64", 1);
+        std::exit(ExecutionContext::defaultStackBytes() == 64 * 1024 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0),
+      "TIBSIM_FIBER_STACK_KB must be a plain decimal KiB count >= 16 .*"
+      "got \"64k\"");
 }
 
 TEST(ShardScheduler, ChannelPushToTornDownShardIsAContractViolation) {
