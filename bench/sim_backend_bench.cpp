@@ -4,6 +4,10 @@
 //  * raw engine: one process delay()ing in a tight loop — each iteration is
 //    one scheduler->process switch, one process->scheduler yield and one
 //    event dispatch, i.e. the engine's floor;
+//  * deep engine: 64 to 8,192 processes delay()ing at staggered periods, so
+//    the queue holds one wake-up per process and each dispatch lands on a
+//    process, context and stack that went cold while it slept — the cost
+//    of a deep queue that the one-process probe cannot see;
 //  * simMPI ping-pong: the Section 4.1 two-rank ping-pong through the full
 //    protocol stack — what a rank-level context switch costs in situ. Run
 //    size-only (pure engine + protocol overhead), with the paper's 64-byte
@@ -12,6 +16,10 @@
 //    ping-pong, an 8-rank iallreduce, the observability tax of each
 //    recording layer, and cold vs warm campaign throughput through the
 //    result cache.
+//
+// Every probe runs several times, interleaved with the others so that a
+// burst of host load lands on all of them, and is reported as the min,
+// median and max of its runs.
 //
 // Host timings are inherently machine-dependent, so this is a standalone
 // binary (like kernels_native) and never part of the deterministic
@@ -24,12 +32,14 @@
 // waived for the whole file rather than per call site.
 // tibsim-lint: allowfile(wall-clock)
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -54,6 +64,23 @@ struct Probe {
   }
 };
 
+/// Min, median and max of one probe's runs.
+struct Spread {
+  double min = 0.0;
+  double median = 0.0;
+  double max = 0.0;
+};
+
+Spread spreadOf(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  if (n == 0) return {};
+  const double median = n % 2 == 1
+                            ? values[n / 2]
+                            : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+  return {values.front(), median, values.back()};
+}
+
 Probe rawEngineProbe(int iterations) {
   tibsim::sim::Simulation sim;
   sim.spawn("spinner", [iterations](tibsim::sim::Process& p) {
@@ -65,6 +92,36 @@ Probe rawEngineProbe(int iterations) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return {seconds, sim.engineStats().contextSwitches};
+}
+
+/// `processes` processes delaying at staggered periods (perfbench's
+/// sim.probe.deep_ns, at any depth), so the queue holds one wake-up per
+/// process. Timed inside the bodies, from the last process's start to the
+/// first one's finish, so spawn and teardown stay out; `switches` counts
+/// the events dispatched in that window, one switch each.
+Probe deepEngineProbe(int processes, int iterations) {
+  tibsim::sim::Simulation sim;
+  int started = 0;
+  bool closed = false;
+  std::chrono::steady_clock::time_point t0, t1;
+  std::uint64_t e0 = 0, e1 = 0;
+  for (int i = 0; i < processes; ++i) {
+    const double period = 1e-6 * (1.0 + static_cast<double>(i % 97) / 97.0);
+    sim.spawn("deep", [&, period](tibsim::sim::Process& p) {
+      if (++started == processes) {
+        t0 = std::chrono::steady_clock::now();
+        e0 = p.simulation().processedEvents();
+      }
+      for (int k = 0; k < iterations; ++k) p.delay(period);
+      if (!closed) {
+        closed = true;
+        t1 = std::chrono::steady_clock::now();
+        e1 = p.simulation().processedEvents();
+      }
+    });
+  }
+  sim.run();
+  return {std::chrono::duration<double>(t1 - t0).count(), e1 - e0};
 }
 
 /// Two ranks on one node exchanging `bytes`-sized messages. payloadBytes
@@ -211,19 +268,45 @@ CampaignProbe campaignThroughputProbe() {
   return probe;
 }
 
-void report(const char* name, const Probe& probe) {
-  std::printf("%-22s %12llu switches   %8.1f ns/switch", name,
-              static_cast<unsigned long long>(probe.switches),
-              probe.nsPerSwitch());
-  if (probe.reps > 0) std::printf("   %8.1f ns/round-trip", probe.nsPerRep());
-  std::printf("\n");
+tibsim::json::Value spreadJson(const Spread& spread) {
+  tibsim::json::Value v = tibsim::json::Value::object();
+  v["min"] = spread.min;
+  v["median"] = spread.median;
+  v["max"] = spread.max;
+  return v;
 }
 
-tibsim::json::Value probeJson(const Probe& probe) {
+/// One probe's interleaved runs. The switch count is deterministic, so the
+/// first run's stands for all of them.
+struct Runs {
+  std::vector<Probe> probes;
+
+  std::uint64_t switches() const {
+    return probes.empty() ? 0 : probes.front().switches;
+  }
+  Spread nsPerSwitch() const {
+    std::vector<double> v;
+    for (const Probe& p : probes) v.push_back(p.nsPerSwitch());
+    return spreadOf(v);
+  }
+  Spread nsPerRep() const {
+    std::vector<double> v;
+    for (const Probe& p : probes) v.push_back(p.nsPerRep());
+    return spreadOf(v);
+  }
+};
+
+void printSpread(const char* name, const char* unit, const Spread& spread) {
+  std::printf("%-24s %10.1f %-14s (min %.1f, max %.1f)\n", name,
+              spread.median, unit, spread.min, spread.max);
+}
+
+tibsim::json::Value runsJson(const Runs& runs) {
   tibsim::json::Value v = tibsim::json::Value::object();
-  v["switches"] = static_cast<double>(probe.switches);
-  v["fiberNsPerSwitch"] = probe.nsPerSwitch();
-  if (probe.reps > 0) v["fiberNsPerRoundTrip"] = probe.nsPerRep();
+  v["switches"] = static_cast<double>(runs.switches());
+  v["fiberNsPerSwitch"] = spreadJson(runs.nsPerSwitch());
+  if (runs.probes.front().reps > 0)
+    v["fiberNsPerRoundTrip"] = spreadJson(runs.nsPerRep());
   return v;
 }
 
@@ -240,31 +323,71 @@ int main(int argc, char** argv) {
     }
   }
 
+  constexpr int kRuns = 5;  // interleaved runs of every probe
   constexpr int kRawIterations = 200000;
   constexpr int kPingPongReps = 50000;
+  constexpr int kIallreduceReps = 10000;
+  // Deep-queue depths, and the events each run dispatches per process
+  // count: 100 delays per process, or enough to reach ~400k events.
+  constexpr std::array<int, 4> kDeepProcesses = {64, 512, 4096, 8192};
+  const auto deepIterations = [](int processes) {
+    return std::max(100, 409600 / processes);
+  };
 
   // Warm up once so first-touch page faults don't skew the first probe.
   rawEngineProbe(1000);
 
-  std::printf("sim engine microbenchmark (cost per simulated context "
-              "switch)\n\n");
-  const Probe raw = rawEngineProbe(kRawIterations);
-  report("raw engine", raw);
-  const Probe pp = pingPongProbe(kPingPongReps, 0);
-  report("ping-pong size-only", pp);
-  const Probe pp64 = pingPongProbe(kPingPongReps, 64);
-  report("ping-pong 64 B inline", pp64);
-  const Probe pp4k = pingPongProbe(kPingPongReps, 4096);
-  report("ping-pong 4 KiB pooled", pp4k);
-  const Probe wildcard = wildcardPingPongProbe(kPingPongReps);
-  report("ping-pong wildcard", wildcard);
-  constexpr int kIallreduceReps = 10000;
-  const Probe iallreduce = iallreduceProbe(kIallreduceReps);
-  report("iallreduce 8 ranks", iallreduce);
+  struct Named {
+    std::string name;
+    std::string key;  ///< JSON key (under "deepEngine" for deep probes)
+    std::function<Probe()> run;
+    Runs runs;
+  };
+  std::vector<Named> probes = {
+      {"raw engine", "rawEngine",
+       [&] { return rawEngineProbe(kRawIterations); }, {}},
+      {"ping-pong size-only", "pingPongSizeOnly",
+       [&] { return pingPongProbe(kPingPongReps, 0); }, {}},
+      {"ping-pong 64 B inline", "pingPong64BInline",
+       [&] { return pingPongProbe(kPingPongReps, 64); }, {}},
+      {"ping-pong 4 KiB pooled", "pingPong4KiBPooled",
+       [&] { return pingPongProbe(kPingPongReps, 4096); }, {}},
+      {"ping-pong wildcard", "pingPongWildcard",
+       [&] { return wildcardPingPongProbe(kPingPongReps); }, {}},
+      {"iallreduce 8 ranks", "iallreduce8Ranks",
+       [&] { return iallreduceProbe(kIallreduceReps); }, {}},
+  };
+  const std::size_t firstDeep = probes.size();
+  for (const int processes : kDeepProcesses) {
+    probes.push_back({"deep engine " + std::to_string(processes),
+                      std::to_string(processes),
+                      [processes, &deepIterations] {
+                        return deepEngineProbe(processes,
+                                               deepIterations(processes));
+                      },
+                      {}});
+  }
+  for (int run = 0; run < kRuns; ++run)
+    for (Named& probe : probes) probe.runs.probes.push_back(probe.run());
+
+  std::printf("sim engine microbenchmark (median of %d interleaved runs)\n\n",
+              kRuns);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const Named& probe = probes[i];
+    if (i < firstDeep) {
+      printSpread(probe.name.c_str(), "ns/switch", probe.runs.nsPerSwitch());
+      if (probe.runs.probes.front().reps > 0)
+        printSpread("", "ns/round-trip", probe.runs.nsPerRep());
+    } else {
+      printSpread(probe.name.c_str(), "ns/event", probe.runs.nsPerSwitch());
+    }
+  }
 
   // Observability tax: the same size-only ping-pong with the recording
-  // layers dialled up one at a time. Baseline is everything off; campaign defaults are link telemetry on, tracing off. Best-of-3
-  // because the deltas are within single-run scheduler jitter.
+  // layers dialled up one at a time. Baseline is everything off; campaign
+  // defaults are link telemetry on, tracing off. The deltas are within
+  // single-run scheduler jitter, so each configuration runs kObsRuns times
+  // and the tax compares medians.
   using tibsim::obs::TraceMode;
   constexpr int kObsRuns = 7;
   constexpr int kObsReps = 100000;
@@ -272,87 +395,92 @@ int main(int argc, char** argv) {
   constexpr TraceMode kSampled = TraceMode::Sampled;
   constexpr TraceMode kFull = TraceMode::Full;
   struct ObsConfig {
+    const char* name;
+    const char* key;
     const TraceMode* mode = nullptr;
     bool links = false;
   };
-  // Round-robin over the configurations and keep each one's fastest run:
-  // interleaving means a host-load burst hits every configuration equally
-  // instead of biasing whichever block it lands on.
-  const std::array<ObsConfig, 5> obsConfigs = {{{nullptr, false},
-                                                {nullptr, true},
-                                                {&kAggregate, true},
-                                                {&kSampled, true},
-                                                {&kFull, true}}};
-  std::array<Probe, 5> obsBest{};
+  // Round-robin over the configurations: interleaving means a host-load
+  // burst hits every configuration equally instead of biasing whichever
+  // block it lands on.
+  const std::array<ObsConfig, 5> obsConfigs = {
+      {{"all off", "allOff", nullptr, false},
+       {"link telemetry", "linkTelemetry", nullptr, true},
+       {"+trace aggregate", "traceAggregate", &kAggregate, true},
+       {"+trace sampled", "traceSampled", &kSampled, true},
+       {"+trace full", "traceFull", &kFull, true}}};
+  std::array<Runs, 5> obsRuns{};
   for (int run = 0; run < kObsRuns; ++run) {
     for (std::size_t i = 0; i < obsConfigs.size(); ++i) {
-      const Probe probe = observedPingPongProbe(
-          kObsReps, obsConfigs[i].mode, obsConfigs[i].links);
-      if (run == 0 || probe.seconds < obsBest[i].seconds) obsBest[i] = probe;
+      obsRuns[i].probes.push_back(observedPingPongProbe(
+          kObsReps, obsConfigs[i].mode, obsConfigs[i].links));
     }
   }
-  const Probe& obsOff = obsBest[0];
-  const Probe& obsLinks = obsBest[1];
-  const Probe& obsAgg = obsBest[2];
-  const Probe& obsSampled = obsBest[3];
-  const Probe& obsFull = obsBest[4];
-  std::printf("\nobservability tax (size-only ping-pong, %d reps, "
-              "best of %d interleaved, vs all recording off)\n",
-              kObsReps, kObsRuns);
-  const auto taxLine = [&](const char* name, const Probe& probe) {
-    std::printf("%-22s %8.1f ns/round-trip   %+6.1f%%\n", name,
-                probe.nsPerRep(),
-                obsOff.nsPerRep() > 0.0
-                    ? 100.0 * (probe.nsPerRep() / obsOff.nsPerRep() - 1.0)
-                    : 0.0);
+  const double obsOffNs = obsRuns[0].nsPerRep().median;
+  const auto overheadPercent = [&](const Runs& runs) {
+    return obsOffNs > 0.0 ? 100.0 * (runs.nsPerRep().median / obsOffNs - 1.0)
+                          : 0.0;
   };
-  taxLine("all off", obsOff);
-  taxLine("link telemetry", obsLinks);
-  taxLine("+trace aggregate", obsAgg);
-  taxLine("+trace sampled", obsSampled);
-  taxLine("+trace full", obsFull);
+  std::printf("\nobservability tax (size-only ping-pong, %d reps, median of "
+              "%d interleaved runs, vs all recording off)\n",
+              kObsReps, kObsRuns);
+  for (std::size_t i = 0; i < obsConfigs.size(); ++i) {
+    const Spread spread = obsRuns[i].nsPerRep();
+    std::printf("%-24s %10.1f ns/round-trip  %+6.1f%%  (min %.1f, max %.1f)\n",
+                obsConfigs[i].name, spread.median,
+                overheadPercent(obsRuns[i]), spread.min, spread.max);
+  }
 
-  const CampaignProbe campaign = campaignThroughputProbe();
-  std::printf("\ncampaign throughput (%zu experiments, result cache)\n"
-              "%-22s %8.3f s\n%-22s %8.3f s   %0.1fx vs cold\n",
-              campaign.experiments, "cold", campaign.coldSeconds, "warm",
-              campaign.warmSeconds,
-              campaign.warmSeconds > 0.0
-                  ? campaign.coldSeconds / campaign.warmSeconds
-                  : 0.0);
+  std::vector<double> cold, warm;
+  std::size_t campaignExperiments = 0;
+  for (int run = 0; run < kRuns; ++run) {
+    const CampaignProbe campaign = campaignThroughputProbe();
+    campaignExperiments = campaign.experiments;
+    cold.push_back(campaign.coldSeconds);
+    warm.push_back(campaign.warmSeconds);
+  }
+  const Spread coldSpread = spreadOf(cold);
+  const Spread warmSpread = spreadOf(warm);
+  const double warmSpeedup =
+      warmSpread.median > 0.0 ? coldSpread.median / warmSpread.median : 0.0;
+  std::printf("\ncampaign throughput (%zu experiments, result cache, median "
+              "of %d runs)\n%-24s %10.4f s   (min %.4f, max %.4f)\n"
+              "%-24s %10.4f s   (min %.4f, max %.4f)   %.1fx vs cold\n",
+              campaignExperiments, kRuns, "cold", coldSpread.median,
+              coldSpread.min, coldSpread.max, "warm", warmSpread.median,
+              warmSpread.min, warmSpread.max, warmSpeedup);
 
   if (!jsonPath.empty()) {
     tibsim::json::Value doc = tibsim::json::Value::object();
-    doc["schema"] = "tibsim-bench-sim-v1";
-    doc["rawEngine"] = probeJson(raw);
-    doc["pingPongSizeOnly"] = probeJson(pp);
-    doc["pingPong64BInline"] = probeJson(pp64);
-    doc["pingPong4KiBPooled"] = probeJson(pp4k);
-    doc["pingPongWildcard"] = probeJson(wildcard);
-    doc["iallreduce8Ranks"] = probeJson(iallreduce);
-    tibsim::json::Value obs = tibsim::json::Value::object();
-    const auto obsEntry = [&](const Probe& probe) {
+    doc["schema"] = "tibsim-bench-sim-v2";
+    doc["runs"] = static_cast<double>(kRuns);
+    tibsim::json::Value deep = tibsim::json::Value::object();
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      const Named& probe = probes[i];
+      if (i < firstDeep) {
+        doc[probe.key] = runsJson(probe.runs);
+        continue;
+      }
       tibsim::json::Value v = tibsim::json::Value::object();
-      v["fiberNsPerRoundTrip"] = probe.nsPerRep();
-      v["overheadPercent"] =
-          obsOff.nsPerRep() > 0.0
-              ? 100.0 * (probe.nsPerRep() / obsOff.nsPerRep() - 1.0)
-              : 0.0;
-      return v;
-    };
-    obs["allOff"] = obsEntry(obsOff);
-    obs["linkTelemetry"] = obsEntry(obsLinks);
-    obs["traceAggregate"] = obsEntry(obsAgg);
-    obs["traceSampled"] = obsEntry(obsSampled);
-    obs["traceFull"] = obsEntry(obsFull);
+      v["events"] = static_cast<double>(probe.runs.switches());
+      v["nsPerEvent"] = spreadJson(probe.runs.nsPerSwitch());
+      deep[probe.key] = v;
+    }
+    doc["deepEngine"] = deep;
+    tibsim::json::Value obs = tibsim::json::Value::object();
+    obs["runs"] = static_cast<double>(kObsRuns);
+    for (std::size_t i = 0; i < obsConfigs.size(); ++i) {
+      tibsim::json::Value v = tibsim::json::Value::object();
+      v["fiberNsPerRoundTrip"] = spreadJson(obsRuns[i].nsPerRep());
+      v["overheadPercent"] = overheadPercent(obsRuns[i]);
+      obs[obsConfigs[i].key] = v;
+    }
     doc["observabilityTax"] = obs;
     tibsim::json::Value ct = tibsim::json::Value::object();
-    ct["experiments"] = static_cast<double>(campaign.experiments);
-    ct["coldSeconds"] = campaign.coldSeconds;
-    ct["warmSeconds"] = campaign.warmSeconds;
-    ct["warmSpeedup"] = campaign.warmSeconds > 0.0
-                            ? campaign.coldSeconds / campaign.warmSeconds
-                            : 0.0;
+    ct["experiments"] = static_cast<double>(campaignExperiments);
+    ct["coldSeconds"] = spreadJson(coldSpread);
+    ct["warmSeconds"] = spreadJson(warmSpread);
+    ct["warmSpeedup"] = warmSpeedup;
     doc["campaignThroughput"] = ct;
     std::ofstream out(jsonPath);
     if (!out) {

@@ -20,6 +20,7 @@
 #include <ucontext.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 namespace tibsim::sim {
@@ -28,6 +29,16 @@ namespace tibsim::sim {
 /// entry thunk and a few application frames. Pages a fiber never touches
 /// are never committed, so a smaller stack saves address space, not RSS.
 inline constexpr std::size_t kMinFiberStackBytes = 16 * 1024;
+
+/// The cache line size the engine lays its hot state out for (x86-64 and
+/// the common AArch64 cores).
+inline constexpr std::size_t kCacheLineBytes = 64;
+
+/// The bytes of a jump buffer that _setjmp writes and _longjmp reads: the
+/// register block and the signal-mask flag. The saved mask behind them is
+/// used only by sigsetjmp.
+inline constexpr std::size_t kJmpBufUsedBytes =
+    offsetof(__jmp_buf_tag, __saved_mask);
 
 /// The host's VM page size (sysconf(_SC_PAGESIZE); 4096 when unavailable).
 /// Fiber stacks and their guard pages are page-granular.
@@ -67,6 +78,23 @@ class ExecutionContext {
 
   /// Context -> host. Callable only from inside the running entry.
   void yieldToHost();
+
+  /// Request the cache lines the next switchIn() touches first: the entry
+  /// flag it tests, the saved fiber registers it resumes from and the host
+  /// save area it writes (the kJmpBufUsedBytes of each jump buffer). A
+  /// hint only: it reads nothing, so it is safe on a context in any state.
+  /// Always inlined: GCC drops calls to a function that only prefetches.
+  [[gnu::always_inline]] void prefetchSwitchState() const {
+    __builtin_prefetch(&entered_);
+    const auto fiber = reinterpret_cast<std::uintptr_t>(&fiberJmp_);
+    for (std::uintptr_t line = fiber & ~(kCacheLineBytes - 1);
+         line < fiber + kJmpBufUsedBytes; line += kCacheLineBytes)
+      __builtin_prefetch(reinterpret_cast<const void*>(line));
+    const auto host = reinterpret_cast<std::uintptr_t>(&hostJmp_);
+    for (std::uintptr_t line = host & ~(kCacheLineBytes - 1);
+         line < host + kJmpBufUsedBytes; line += kCacheLineBytes)
+      __builtin_prefetch(reinterpret_cast<const void*>(line), 1);
+  }
 
   /// Size of the owned stack.
   std::size_t stackBytes() const { return stackBytes_; }

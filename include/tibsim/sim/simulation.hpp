@@ -38,12 +38,14 @@ namespace tibsim::sim {
 class Simulation;
 
 /// Thrown inside a process body when the simulation is torn down while the
-/// process is still blocked; unwinds the fiber stack. Never catch it.
+/// process is still blocked; unwinds the fiber stack. Never catch it: a body
+/// that swallows it and blocks again is reported and the host aborts.
 class ProcessKilled {};
 
 /// A cooperative simulation process. Created via Simulation::spawn; the
 /// body receives a reference to its Process and may call delay()/suspend().
-class Process {
+/// Line-aligned so that its hot fields share one cache line (see below).
+class alignas(kCacheLineBytes) Process {
  public:
   using Body = std::function<void(Process&)>;
 
@@ -84,17 +86,28 @@ class Process {
   void kill();          // request ProcessKilled unwind and run it to the end
   std::uint64_t beginSuspend();  // mark suspended, mint a suspension id
 
+  // Hot line: everything Simulation::dispatch and switchIn() read or write
+  // to wake this process, in the object's first cache line. The event loop
+  // requests that line two dispatches ahead and reads context_ and
+  // resumeSp_ from it one dispatch ahead (see "Latency-hiding dispatch" in
+  // DESIGN.md).
+  std::unique_ptr<ExecutionContext> context_;
+  /// The fiber-stack address where the delay()/suspend() call the body
+  /// last blocked in was made (the caller's stack pointer): the next
+  /// switchIn() resumes in the frames around it. nullptr until the body
+  /// first blocks.
+  const char* resumeSp_ = nullptr;
+  std::uint64_t suspendSeq_ = 0;  ///< tag of the current suspension
   Simulation& sim_;
+  bool finished_ = false;
+  bool suspended_ = false;
+  bool killRequested_ = false;
+
+  // Cold: identity, body and the escaped exception.
   std::uint64_t id_;
   std::string name_;
   Body body_;
-
-  std::unique_ptr<ExecutionContext> context_;
-  bool finished_ = false;
   std::exception_ptr exception_;
-  bool killRequested_ = false;
-  bool suspended_ = false;
-  std::uint64_t suspendSeq_ = 0;
 };
 
 /// The event loop: a time-ordered queue of callbacks plus the set of spawned
@@ -252,6 +265,9 @@ class Simulation {
   /// dominant event type, one per delay()/resume() — is encoded directly as
   /// (proc, suspendSeq tag) and never touches a closure; callback events
   /// set proc to nullptr and point `aux` at a slot in the closure slab.
+  /// The entry carries no prefetch hints: the loop finds what to prefetch
+  /// through `proc`'s hot line (Process), and a wider entry costs more in
+  /// the sift than the hints save (DESIGN.md, "Latency-hiding dispatch").
   ///
   /// Ordering is (t, ord1, ord2). Legacy single-queue pushes use
   /// ord1 = global sequence, ord2 = 0 — exactly the historical (t, seq)
@@ -266,6 +282,8 @@ class Simulation {
     Process* proc;       ///< non-null: wake this process
     std::uint64_t aux;   ///< proc ? suspension tag : closure slab slot
   };
+  static_assert(sizeof(Event) == 40,
+                "the queue entry stays 40 bytes: the heap sift copies it");
 
   /// Explicit binary min-heap over a reserved vector, ordered by
   /// (t, ord1, ord2). Unlike std::priority_queue it hands out the popped
@@ -277,6 +295,9 @@ class Simulation {
     std::size_t size() const { return heap_.size(); }
     void reserve(std::size_t n) { heap_.reserve(n); }
     const Event& top() const { return heap_.front(); }
+    /// The entry at heap index i (< size()); 1 and 2 are the top's
+    /// children, one of which becomes the top after the next pop.
+    const Event& at(std::size_t i) const { return heap_[i]; }
     void push(Event ev);
     Event pop();
     /// Rewrite provisional ord1 values via `gByD` and restore heap order
@@ -292,6 +313,24 @@ class Simulation {
     std::vector<Event> heap_;
     std::size_t provisional_ = 0;  ///< heap entries with a provisional ord1
   };
+
+  /// Latency-hiding dispatch: pop the queue top and, before the caller
+  /// dispatches it, request the cache lines dispatching the new top will
+  /// touch — its Process hot line, the ExecutionContext state switchIn()
+  /// touches and a window of fiber-stack lines around resumeSp_, or its
+  /// closure slab slot — plus the hot lines of the processes at heap
+  /// indices 1..kProcessLookahead. The requests are hints only: nothing
+  /// dispatch observes changes.
+  Event popAndPrefetch();
+  /// Heap entries after the top whose Process hot line popAndPrefetch
+  /// requests: the top's two children, one of which is the next top.
+  static constexpr std::size_t kProcessLookahead = 2;
+  /// Fiber-stack lines popAndPrefetch requests below and above resumeSp_.
+  /// The stack grows down: below lie the yieldToHost frames the resumed
+  /// fiber returns through first, above the body frames that
+  /// delay()/suspend() return into.
+  static constexpr int kStackLinesBelow = 4;
+  static constexpr int kStackLinesAbove = 12;
 
   void dispatch(const Event& ev);
   std::uint32_t stashClosure(UniqueFunction fn);

@@ -1,6 +1,10 @@
 #include "tibsim/sim/simulation.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 
 #include "tibsim/common/assert.hpp"
 
@@ -54,6 +58,17 @@ void Process::switchIn() {
 }
 
 void Process::yieldToHost() {
+  if (killRequested_) {
+    // kill() already threw ProcessKilled into this body, which caught it
+    // and blocked again: rerunning it would loop forever. Teardown runs in
+    // destructors, where a ContractError would terminate without its
+    // message: report, then abort.
+    std::fprintf(stderr,
+                 "process '%s' caught ProcessKilled and blocked again during "
+                 "teardown\n",
+                 name_.c_str());
+    std::abort();
+  }
   context_->yieldToHost();
   if (killRequested_) throw ProcessKilled{};
 }
@@ -65,12 +80,16 @@ std::uint64_t Process::beginSuspend() {
 
 void Process::delay(double dt) {
   TIB_REQUIRE_MSG(dt >= 0.0, "cannot delay by negative time");
+  // The caller's stack pointer at this call (the CFA): unlike the frame
+  // address it needs no frame pointer, so recording it is one store.
+  resumeSp_ = static_cast<const char*>(__builtin_dwarf_cfa());
   beginSuspend();
   sim_.resumeAt(sim_.now() + dt, *this);
   yieldToHost();
 }
 
 void Process::suspend() {
+  resumeSp_ = static_cast<const char*>(__builtin_dwarf_cfa());
   beginSuspend();
   yieldToHost();
 }
@@ -81,8 +100,8 @@ void Process::kill() {
   if (context_ == nullptr || finished_) return;
   killRequested_ = true;
   // Run the context until the body has unwound (yieldToHost rethrows the
-  // kill as ProcessKilled). A body that swallows ProcessKilled and keeps
-  // blocking would loop here.
+  // kill as ProcessKilled). A body that swallows ProcessKilled and blocks
+  // again aborts in yieldToHost, so this loop ends.
   while (!finished_) switchIn();
 }
 
@@ -214,8 +233,7 @@ double Simulation::nextEventTime() const {
 std::uint64_t Simulation::runWindow(double windowEnd) {
   std::uint64_t dispatched = 0;
   while (!queue_.empty() && queue_.top().t < windowEnd) {
-    Event ev = queue_.pop();
-    dispatch(ev);
+    dispatch(popAndPrefetch());
     ++dispatched;
   }
   return dispatched;
@@ -279,23 +297,59 @@ void Simulation::resume(Process& p) { resumeAt(now_, p); }
 
 double Simulation::run() {
   const auto start = std::chrono::steady_clock::now();  // tibsim-lint: allow(wall-clock)
-  while (!queue_.empty()) {
-    Event ev = queue_.pop();
-    dispatch(ev);
-  }
+  while (!queue_.empty()) dispatch(popAndPrefetch());
   stats_.hostSeconds += secondsSince(start);
   return now_;
 }
 
 double Simulation::runUntil(double deadline) {
   const auto start = std::chrono::steady_clock::now();  // tibsim-lint: allow(wall-clock)
-  while (!queue_.empty() && queue_.top().t <= deadline) {
-    Event ev = queue_.pop();
-    dispatch(ev);
-  }
+  while (!queue_.empty() && queue_.top().t <= deadline)
+    dispatch(popAndPrefetch());
   if (now_ < deadline && queue_.empty()) now_ = deadline;
   stats_.hostSeconds += secondsSince(start);
   return now_;
+}
+
+// A deep queue's wake-ups land on processes, contexts and fiber stacks
+// that have gone cold since they blocked; dispatching one then stalls on
+// each of those lines in turn. The loop therefore works two stages ahead:
+// the hot Process lines of the top's children are requested one dispatch
+// before either can be the top, so when one is, its context_ and resumeSp_
+// read from a line already in flight, and the lines they point at get the
+// whole current dispatch to arrive.
+//
+// The prefetches stay in this function's body on purpose: GCC judges a
+// function that only prefetches to be free of side effects and drops calls
+// to it.
+Simulation::Event Simulation::popAndPrefetch() {
+  Event ev = queue_.pop();
+  if (queue_.empty()) return ev;
+  const Event& next = queue_.top();
+  if (next.proc != nullptr) {
+    const Process& p = *next.proc;
+    __builtin_prefetch(&p, 1);
+    p.context_->prefetchSwitchState();
+    if (p.resumeSp_ != nullptr) {
+      // Integer arithmetic: the window may run past the stack's ends, and a
+      // prefetch of an unmapped line is simply dropped.
+      const auto sp = reinterpret_cast<std::uintptr_t>(p.resumeSp_);
+      for (int line = -kStackLinesBelow; line < kStackLinesAbove; ++line)
+        __builtin_prefetch(
+            reinterpret_cast<const void*>(
+                sp + static_cast<std::uintptr_t>(line) * kCacheLineBytes),
+            1);
+    }
+  } else {
+    const auto* slot = reinterpret_cast<const char*>(
+        &closures_[static_cast<std::size_t>(next.aux)]);
+    __builtin_prefetch(slot, 1);
+    __builtin_prefetch(slot + sizeof(UniqueFunction) - 1, 1);
+  }
+  const std::size_t last = std::min(kProcessLookahead, queue_.size() - 1);
+  for (std::size_t i = 1; i <= last; ++i)
+    if (const Process* q = queue_.at(i).proc) __builtin_prefetch(q, 1);
+  return ev;
 }
 
 void Simulation::dispatch(const Event& ev) {

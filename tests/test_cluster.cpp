@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "tibsim/apps/hpl.hpp"
 #include "tibsim/apps/hydro.hpp"
 #include "tibsim/cluster/cluster.hpp"
@@ -102,6 +105,30 @@ TEST(ClusterSim, SmallHplRunsAndReportsEfficiency) {
   EXPECT_LT(result.efficiency(), 0.7);
   EXPECT_GT(result.mflopsPerWatt, 20.0);
   EXPECT_LT(result.mflopsPerWatt, 400.0);
+}
+
+// One deep world's engine counters, pinned exactly: 1,024 HPL ranks on one
+// event queue, four panels wide. The values are goldens from an engine
+// without the latency-hiding prefetch (DESIGN.md decision 14): how the loop
+// reaches its events may not move them. A change here is a behaviour
+// change, not noise; a deliberate one updates the values and says why.
+TEST(ClusterSim, DeepHplWorldEngineCountersArePinned) {
+  ClusterSimulation sim(ClusterSpec::tibidaboScaled(512));
+  apps::HplBenchmark::Params params;
+  params.nb = 512;
+  params.n = 4 * params.nb;
+  const JobResult result =
+      sim.runJob(512, apps::HplBenchmark::rankBody(params));
+  ASSERT_EQ(result.ranks, 1024);
+  const sim::EngineStats& engine = result.stats.engine;
+  EXPECT_EQ(engine.eventsDispatched, 59377u);
+  EXPECT_EQ(engine.contextSwitches, 42999u);
+  EXPECT_EQ(engine.queueHighWater, 1024u);
+  EXPECT_EQ(engine.peakLiveProcesses, 1024u);
+  EXPECT_EQ(result.stats.messageCount, 16378u);
+  // 0.5983528580229593 s, compared bit for bit.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(engine.simSeconds),
+            0x3fe325b4e495a7deull);
 }
 
 TEST(ClusterSim, HydroStrongScalingImprovesWallclock) {

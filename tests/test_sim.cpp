@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -332,6 +335,131 @@ TEST_P(SimulationTest, EngineStatsCountTheMachinery) {
   EXPECT_EQ(sim.processedEvents(), stats.eventsDispatched);
 }
 
+// The event loop orders every artefact byte, so its order is pinned on a
+// deep queue as well as on toy ones. 4,096 processes block on seeded delays
+// that are exact binary fractions (eighths), so many wake-up times are
+// equal and some delays are zero. Besides plain sleepers, processes are
+// suspended and resumed by callbacks, woken twice (leaving a stale wake-up
+// queued), and finish while a stale wake-up for them is still queued.
+// Every push is logged as (time, push index, target, suspension) and every
+// resumption as (target, time). The engine's contract: the first wake-up
+// of a suspension, in (time, push index) order, is live and the others are
+// dropped, and live events run in (time, push index) order — so the
+// resumptions must equal the live pushes stable-sorted by time.
+TEST_P(SimulationTest, DeepQueueDispatchOrderFollowsPushOrder) {
+  constexpr int kProcesses = 4096;
+  constexpr int kRounds = 6;
+  struct Push {
+    double t;
+    std::size_t index;
+    int target;      ///< process index, or kProcesses + callback number
+    int suspension;  ///< blocks of the target so far; -1 for a callback
+  };
+  Simulation sim;
+  std::vector<Push> pushes;
+  std::vector<std::pair<int, double>> resumptions;
+  std::vector<Process*> procs;
+  std::vector<int> suspensions(kProcesses, 0);
+  int callbacks = 0;
+
+  const auto wake = [&](int target, double t) {
+    pushes.push_back({t, pushes.size(), target, suspensions[target]});
+    sim.resumeAt(t, *procs[static_cast<std::size_t>(target)]);
+  };
+  const auto callbackAt = [&](double t, std::function<void()> fn) {
+    const int id = kProcesses + callbacks++;
+    pushes.push_back({t, pushes.size(), id, -1});
+    sim.scheduleAt(t, [&resumptions, &sim, id, fn = std::move(fn)] {
+      resumptions.emplace_back(id, sim.now());
+      fn();
+    });
+  };
+
+  for (int i = 0; i < kProcesses; ++i) {
+    pushes.push_back({0.0, pushes.size(), i, 0});  // the start event
+    procs.push_back(&sim.spawn("p" + std::to_string(i), [&, i](Process& p) {
+      resumptions.emplace_back(i, p.now());
+      // Seeded per process, so the scenario does not depend on the order
+      // the engine runs the bodies in.
+      std::uint64_t rng =
+          0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(i + 1);
+      const auto eighths = [&rng] {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return static_cast<double>(rng % 8) / 8.0;
+      };
+      for (int round = 0; round < kRounds; ++round) {
+        const double d = eighths();
+        const double r1 = eighths();
+        const double r2 = eighths();
+        ++suspensions[i];
+        switch (i % 4) {
+          case 0:  // plain sleeper
+            pushes.push_back({p.now() + d, pushes.size(), i, suspensions[i]});
+            p.delay(d);
+            break;
+          case 1:  // suspended, resumed by a callback
+            callbackAt(p.now() + d, [&, i, r1] { wake(i, sim.now() + r1); });
+            p.suspend();
+            break;
+          default:  // suspended, then woken twice by one callback
+            callbackAt(p.now() + d, [&, i, r1, r2] {
+              wake(i, sim.now() + r1);
+              wake(i, sim.now() + r2);
+            });
+            p.suspend();
+            break;
+        }
+        resumptions.emplace_back(i, p.now());
+        // Finish early, with the second wake-up still queued.
+        if (i % 4 == 3 && round == kRounds / 2) return;
+      }
+    }));
+  }
+  run(sim);
+  EXPECT_EQ(sim.liveProcessCount(), 0u);
+  // Every push is dispatched once, live or stale.
+  EXPECT_EQ(sim.processedEvents(), pushes.size());
+
+  // The live push of each suspension is its smallest (time, push index).
+  std::map<std::pair<int, int>, std::size_t> firstWake;
+  std::vector<Push> live;
+  for (const Push& push : pushes) {
+    if (push.suspension < 0) {
+      live.push_back(push);
+      continue;
+    }
+    const auto [it, fresh] =
+        firstWake.try_emplace({push.target, push.suspension}, push.index);
+    if (!fresh && push.t < pushes[it->second].t) it->second = push.index;
+  }
+  for (const auto& [key, index] : firstWake) live.push_back(pushes[index]);
+  std::sort(live.begin(), live.end(),
+            [](const Push& a, const Push& b) { return a.index < b.index; });
+  std::stable_sort(live.begin(), live.end(),
+                   [](const Push& a, const Push& b) { return a.t < b.t; });
+  std::vector<std::pair<int, double>> expected;
+  for (const Push& push : live) expected.emplace_back(push.target, push.t);
+  // Report the first divergence, not two vectors of ~50k entries.
+  std::size_t agree = 0;
+  while (agree < resumptions.size() && agree < expected.size() &&
+         resumptions[agree] == expected[agree])
+    ++agree;
+  EXPECT_EQ(resumptions.size(), expected.size());
+  EXPECT_EQ(agree, expected.size())
+      << "first divergence at resumption " << agree << ": expected target "
+      << expected[agree].first << " at t=" << expected[agree].second;
+
+  // The scenario exercises what it claims to.
+  const std::size_t stale = pushes.size() - live.size();
+  EXPECT_GT(stale, static_cast<std::size_t>(kProcesses / 2));
+  std::size_t ties = 0;
+  for (std::size_t k = 1; k < live.size(); ++k)
+    if (live[k].t == live[k - 1].t) ++ties;
+  EXPECT_GT(ties, live.size() / 2);
+}
+
 // The engine counters are part of the campaign artefacts, so they must be
 // identical on both hosts, not merely "both plausible".
 TEST(ExecutionContexts, BackendsProduceIdenticalStatsAndTimes) {
@@ -358,6 +486,28 @@ TEST(ExecutionContexts, BackendsProduceIdenticalStatsAndTimes) {
   EXPECT_EQ(fiberStats.peakLiveProcesses, threadStats.peakLiveProcesses);
   EXPECT_EQ(fiberStats.queueHighWater, threadStats.queueHighWater);
   EXPECT_DOUBLE_EQ(fiberStats.simSeconds, threadStats.simSeconds);
+}
+
+// A body that swallows ProcessKilled and blocks again would make teardown
+// rerun it forever; it must end in a report naming the process instead.
+TEST(ProcessKillDeathTest, SwallowedKillIsReportedNotAHang) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        auto sim = std::make_unique<Simulation>();
+        sim->spawn("swallower", [](Process& p) {
+          for (;;) {
+            try {
+              p.delay(1.0);
+            } catch (...) {  // swallows ProcessKilled: the defect under test
+            }
+          }
+        });
+        sim->runUntil(3.0);
+        sim.reset();
+      },
+      "process 'swallower' caught ProcessKilled and blocked again during "
+      "teardown");
 }
 
 // Guard-page containment: a fiber that overruns its stack must fault on
