@@ -33,11 +33,6 @@ struct CampaignOptions {
   /// default (full, or TIBSIM_TRACE_MODE), else "full"/"sampled"/
   /// "aggregate".
   std::string traceMode;
-  /// Event-engine shards per simulated world (--sim-shards): 0 keeps the
-  /// process-wide default (1, or TIBSIM_SIM_SHARDS). Campaign artefacts
-  /// are byte-identical for any value; >1 partitions each world's switch
-  /// tree into conservatively synchronised per-subtree event engines.
-  int simShards = 0;
   /// Enable the deterministic stall watchdog (--stall-report): a world
   /// whose event queue drains with ranks still blocked throws with a
   /// per-rank wait-state report instead of the bare deadlock one-liner.
@@ -52,7 +47,7 @@ struct CampaignOptions {
   /// Content-addressed result cache directory (--cache). When non-empty,
   /// each experiment cell is keyed by core/result_cache.hpp's digest
   /// (experiment + version tag, platform spec bytes, seed, resolved
-  /// trace/shard/stall/verify options, binary fingerprint); hits replay
+  /// trace/stall/verify options, binary fingerprint); hits replay
   /// their JSON/CSV byte-identically from disk and misses are stored
   /// atomically after computing. Ignored (with a summary note) when
   /// --trace-export is set: exported timeline artefacts are written
@@ -72,7 +67,7 @@ struct ExperimentRun {
   std::string json;  ///< the deterministic result document
   /// True when this run replayed from the result cache instead of
   /// executing. The host-only engine fields (hostSeconds, stack
-  /// high-water, shard-gang counters) are zero then: no engine ran here.
+  /// high-water) are zero then: no engine ran here.
   bool fromCache = false;
 };
 
@@ -102,7 +97,7 @@ std::string resultDocument(const Experiment& experiment, std::uint64_t seed,
 /// The `socbench` CLI:
 ///   socbench list [glob...]
 ///   socbench run [glob...] [--json DIR] [--csv DIR] [--jobs N] [--seed S]
-///                [--cache DIR] [--sim-shards N]
+///                [--cache DIR]
 ///                [--trace-mode full|sampled|aggregate]
 ///                [--trace-export DIR] [--stall-report]
 ///                [--verify-collectives] [--compat] [--no-summary]

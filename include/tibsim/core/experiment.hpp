@@ -121,13 +121,26 @@ class ExperimentContext {
   }
 
  private:
+  /// Recorded stats, in the order a --jobs 1 run records them (see
+  /// parallelFor).
+  struct Records {
+    std::vector<sim::EngineStats> engine;
+    std::vector<obs::RunCounters> counters;
+  };
+  /// Where a record made on the calling thread goes: the buffer of the
+  /// parallelFor cell it is running, or records_ outside any cell.
+  Records& recordsHere() const;
+
+  /// The parallelFor cell the calling thread is running, if any.
+  static thread_local const ExperimentContext* cellOwner_;
+  static thread_local Records* cellRecords_;
+
   std::uint64_t seed_;
   TaskPool* pool_;
   std::string traceExportDir_;
   mutable std::atomic<std::size_t> cells_{0};
   mutable std::mutex engineMutex_;
-  mutable std::vector<sim::EngineStats> engineRecords_;
-  mutable std::vector<obs::RunCounters> counterRecords_;
+  mutable Records records_;
   mutable std::mutex exportMutex_;
 };
 

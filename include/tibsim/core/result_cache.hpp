@@ -5,7 +5,7 @@
 // that could change its byte-exact artefacts: the experiment name and its
 // version tag, the constexpr Table-1 platform-spec *bytes* (arch/table1.hpp
 // field values, not version strings), the campaign seed, the
-// trace/shard/stack-relevant campaign options, and a fingerprint of the
+// trace/stall/verify campaign options, and a fingerprint of the
 // running executable's bytes. On a hit the cell's JSON document, engine
 // counters and world accounting replay from disk byte-identically; on a
 // miss the freshly computed cell is stored atomically (write-temp +
@@ -54,7 +54,7 @@ class CacheHasher {
 };
 
 /// Every ingredient of one cell's cache key. The caller resolves the
-/// effective settings (after --trace-mode/--sim-shards overrides and
+/// effective settings (after --trace-mode/--stall-report overrides and
 /// environment defaults) so "--trace-mode full" and an
 /// unset flag that defaults to full produce the same key.
 struct CacheKeyInputs {
@@ -62,7 +62,6 @@ struct CacheKeyInputs {
   std::string versionTag;   ///< Experiment::versionTag()
   std::uint64_t seed = 0;   ///< campaign seed (pre experiment mixing)
   std::string traceMode;    ///< resolved trace mode name
-  int simShards = 1;        ///< resolved shard count
   bool stallReport = false; ///< resolved watchdog arming
   bool verifyCollectives = false;  ///< resolved collective-verifier arming
   std::uint64_t platformSpecHash = 0;  ///< hashPlatformSpecs()
@@ -89,8 +88,8 @@ std::string cacheKey(const CacheKeyInputs& inputs);
 /// result document verbatim, the ResultSet (for CSV/compat rendering), the
 /// deterministic engine counters and the world accounting (for the
 /// __engine/__worlds/__links CSV artefacts and the run summary). Host-only
-/// measurements (wall clock, stack high-water, shard-gang counters) are
-/// deliberately absent — a replayed cell ran no engine.
+/// measurements (wall clock, stack high-water) are deliberately absent — a
+/// replayed cell ran no engine.
 struct CachedRun {
   std::size_t cells = 0;
   sim::EngineStats engine;    ///< deterministic fields only

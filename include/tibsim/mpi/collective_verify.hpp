@@ -11,9 +11,8 @@
 // equal every peer's, and any divergence raises ContractError with a
 // report naming both ranks, both tuples, the call sites and the simulated
 // time. The comparison happens on the existing match path in canonical
-// delivery order, so the report is byte-identical across --sim-shards
-// values — the dynamic cross-check for the
-// static `collective-match` lint rule.
+// delivery order, so the report is byte-identical across runs — the
+// dynamic cross-check for the static `collective-match` lint rule.
 //
 // Mismatches whose tag subspaces never meet (e.g. barrier vs gather) do
 // not match any message and therefore stall; those are caught by the
@@ -95,7 +94,7 @@ struct CollectiveStamp {
 std::string describeStamp(const CollectiveStamp& stamp);
 
 /// Render the mismatch report carried by the ContractError. Derived from
-/// simulated state only: byte-stable across shard counts.
+/// simulated state only: byte-stable across runs.
 std::string formatCollectiveMismatch(int rank, int node, int sender,
                                      std::uint64_t comm,
                                      const CollectiveStamp& local,

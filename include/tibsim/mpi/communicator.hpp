@@ -14,12 +14,11 @@
 //    state: a split performs allgathers of (color, key, creation-ordinal)
 //    over the parent communicator and every member computes
 //    id = (leader world rank << 32) | leader ordinal locally. No global
-//    counter exists, so sharded runs mint identical ids in any interleaving.
+//    counter exists, so the ids depend only on the program.
 //  * Wildcard receives (kAnySource / kAnyTag) match in mailbox delivery
-//    order, which the engine already reconstructs canonically — exact
-//    single-queue (sim-time, sender-ordinal) order — for every --sim-shards
-//    value. A wildcard receive therefore
-//    returns the same message everywhere, byte-for-byte.
+//    order, which the single event queue fixes — (sim-time, push
+//    sequence) order. A wildcard receive therefore returns the same
+//    message on every run, byte-for-byte.
 //  * Non-blocking collectives (ibarrier/ibcast/iallreduce) are lazy: the
 //    request records the operation and wait() executes it, mirroring how
 //    irecv defers its match. All members must eventually wait, and must

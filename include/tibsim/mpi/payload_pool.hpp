@@ -26,16 +26,10 @@
 // single-LIFO pool fed with the same acquire/release sequence. The size
 // classes additionally expose per-class counters (ClassStats) describing
 // what the pool actually did; those are serialised into the campaign
-// __worlds.csv per-class table, so sharded runs reproduce them canonically
-// through ClassModel — the same capacity-only-mirror trick, replayed at the
-// window barriers in merged dispatch order.
+// __worlds.csv per-class table.
 //
 // Single-threaded by design: a world's sends and receives all run on the
-// simulation thread, like the mailboxes. Sharded worlds give each shard its
-// own pool with the compat model disabled and instead replay the canonical
-// acquire/release order through one world-level CompatModel at the window
-// barriers (see simmpi_sharded.cpp), so the serialised counters stay
-// shard-count-invariant.
+// simulation thread, like the mailboxes.
 
 #include <array>
 #include <cstddef>
@@ -64,8 +58,7 @@ class PayloadPool {
   };
 
   /// What the size-classed pool actually did, per power-of-two class.
-  /// Serialised (campaign __worlds.csv per-class table): sharded runs must
-  /// produce these through ClassModel so they stay shard-count-invariant.
+  /// Serialised (campaign __worlds.csv per-class table).
   struct ClassStats {
     std::size_t classBytes = 0;      ///< buffer capacity of this class
     std::uint64_t acquires = 0;      ///< requests that mapped to this class
@@ -94,39 +87,12 @@ class PayloadPool {
       stats_.liveHighWater = outstanding_;
     }
     const Stats& stats() const { return stats_; }
-    std::size_t freeCount() const { return freeCaps_.size(); }
-    std::size_t outstandingCount() const { return outstanding_; }
 
    private:
     friend class PayloadPool;
     std::vector<std::size_t> freeCaps_;  ///< parked capacities, LIFO back
     std::size_t outstanding_ = 0;
     Stats stats_;
-  };
-
-  /// Capacity-only mirror of the size-classed pool itself — the ClassStats
-  /// analogue of CompatModel. Fed the canonical acquire/release sequence at
-  /// the shard barriers it reproduces exactly the per-class counters the
-  /// single-queue pool produces, because the pool's behaviour depends only
-  /// on buffer capacities (always rounded to a class size) and per-class
-  /// LIFO order, both of which this model tracks.
-  class ClassModel {
-   public:
-    /// Model capacity of the acquired buffer; hand it back to release().
-    std::size_t acquire(std::size_t bytes);
-    void release(std::size_t capacity);
-    /// Mirrors PayloadPool::trimToHighWater (same keep policy and order).
-    std::size_t trimToHighWater();
-    void resetStats();
-    const std::vector<ClassStats>& classStats() const { return classStats_; }
-
-   private:
-    void ensureClass(std::size_t index);
-    std::vector<std::vector<std::size_t>> freeCaps_;  ///< by class, LIFO back
-    std::vector<ClassStats> classStats_;
-    std::size_t freeTotal_ = 0;
-    std::size_t outstanding_ = 0;
-    std::size_t liveHighWater_ = 0;
   };
 
   /// Smallest pooled class: one step above the inline capacity.
@@ -139,8 +105,8 @@ class PayloadPool {
   }
 
   /// A buffer holding a copy of `data`, with capacity rounded up to the
-  /// class size. `ticket` receives the pairing token for release (kNoTicket
-  /// when the compat model is disabled).
+  /// class size. `ticket` receives the compat model's pairing token for
+  /// release.
   std::vector<std::byte> acquire(std::span<const std::byte> data,
                                  std::uint32_t& ticket);
 
@@ -162,11 +128,6 @@ class PayloadPool {
   /// restarts from the buffers still outstanding now, not from zero.
   void resetStats();
 
-  /// Per-shard pools in a sharded world: the serialised counters are
-  /// replayed canonically at the world level instead, so the per-pool
-  /// compat model (whose order would be shard-local) is switched off.
-  void disableCompat() { compatEnabled_ = false; }
-
   std::size_t freeBuffers() const { return freeTotal_; }
   std::size_t outstandingBuffers() const { return outstanding_; }
 
@@ -183,7 +144,6 @@ class PayloadPool {
   std::size_t freeTotal_ = 0;
   std::size_t outstanding_ = 0;  ///< buffers acquired and not yet released
   std::size_t liveHighWater_ = 0;
-  bool compatEnabled_ = true;
   CompatModel compat_;
   std::vector<std::size_t> ticketCaps_;  ///< ticket -> legacy-model capacity
   std::vector<std::uint32_t> freeTickets_;
@@ -193,8 +153,7 @@ class PayloadPool {
 /// no separate storage), or pooled (buffer borrowed from a PayloadPool).
 /// Move-only so a pooled buffer has exactly one owner; the receive path
 /// must call intoVector() to hand the bytes to the application and give the
-/// buffer back to a pool (in a sharded world: the *consuming* shard's pool,
-/// which is how warm buffers migrate toward the ranks that use them).
+/// buffer back to the pool.
 class MessagePayload {
  public:
   static constexpr std::size_t kInlineCapacity = 64;

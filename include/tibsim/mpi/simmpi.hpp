@@ -14,8 +14,7 @@
 //    blocks until the receiver posts a matching recv;
 //  * (communicator, tag, source) matching, including deterministic
 //    wildcard receives: kAnySource/kAnyTag match the first message in
-//    canonical delivery order, which the engine reconstructs identically
-//    for every --sim-shards value (communicator.hpp);
+//    delivery order, which the single event queue fixes (communicator.hpp);
 //  * collectives built from point-to-point with the textbook algorithms
 //    (binomial bcast/reduce, dissemination barrier, ring alltoall), all
 //    routed through mpi::Communicator — the world is communicator id 0.
@@ -44,7 +43,6 @@
 #include "tibsim/net/protocol.hpp"
 #include "tibsim/perfmodel/execution_model.hpp"
 #include "tibsim/perfmodel/work_profile.hpp"
-#include "tibsim/sim/shard_scheduler.hpp"
 #include "tibsim/sim/simulation.hpp"
 
 namespace tibsim::mpi {
@@ -62,13 +60,6 @@ struct WorldConfig {
   obs::TraceMode traceMode = obs::defaultTraceMode();
   std::size_t traceReservoirPerRank = 512;  ///< sampled mode: spans kept/rank
   std::uint64_t traceSeed = 0;              ///< sampled mode reservoir seed
-  /// Logical-process shards for the event engine (see sim/shard_scheduler).
-  /// Snapshot of the process-wide default (--sim-shards / TIBSIM_SIM_SHARDS)
-  /// so a campaign-level override flows through. The world clamps to the
-  /// leaf-switch count and falls back to the single-queue engine when the
-  /// topology has no lookahead (zero switch latency) or fewer than two leaf
-  /// subtrees. Campaign artefacts are byte-identical for every value.
-  int simShards = sim::defaultSimShards();
   /// Per-link fabric telemetry (WorldStats::linkStats). On by default —
   /// O(links) counters with no event-order effect; the bench harness turns
   /// it off to measure its cost.
@@ -97,8 +88,8 @@ struct WorldStats {
   double wireBytes = 0.0;
   double fabricQueueingSeconds = 0.0;
   /// Stamp comparisons performed by the collective verifier (zero when
-  /// WorldConfig::verifyCollectives is off). Summed over per-rank counters
-  /// after the run, so the value is shard-invariant.
+  /// WorldConfig::verifyCollectives is off), summed over per-rank counters
+  /// after the run.
   std::uint64_t collectiveChecks = 0;
   int nodes = 0;
   sim::EngineStats engine;  ///< discrete-event engine counters for the run
@@ -119,13 +110,11 @@ struct WorldStats {
   std::uint64_t payloadPoolLiveHighWater = 0;   ///< peak buffers in use
   /// Per-size-class pool activity (power-of-two classes; index = log2 of
   /// the class capacity, entries below the smallest class stay zero).
-  /// Serialised into the campaign __worlds.csv per-class table, so sharded
-  /// runs produce it canonically (PayloadPool::ClassModel replayed at the
-  /// window barriers) and it is byte-identical for every --sim-shards value.
+  /// Serialised into the campaign __worlds.csv per-class table.
   std::vector<PayloadPool::ClassStats> payloadPoolClassStats;
   /// Per-link fabric telemetry folded per link class (all zero when
-  /// WorldConfig::linkTelemetry is off). Shard-invariant by construction:
-  /// every fabric occupancy runs in canonical dispatch order.
+  /// WorldConfig::linkTelemetry is off). Deterministic: every fabric
+  /// occupancy runs in event-queue dispatch order.
   obs::LinkStats linkStats;
   /// Sim-time critical path of the run (obs/critical_path.hpp).
   obs::CriticalPath criticalPath;
@@ -327,8 +316,8 @@ class MpiContext {
   /// Per-rank communicator-creation counter: each split()/dup() this rank
   /// participates in consumes one ordinal, and the new communicator's id is
   /// derived from the *leader's* ordinal — learned through the collective
-  /// itself, never from shared state, so ids are shard-invariant. Starts
-  /// at 1: (leader 0, ordinal 0) would collide with the world id.
+  /// itself, never from shared state, so ids depend only on the program.
+  /// Starts at 1: (leader 0, ordinal 0) would collide with the world id.
   std::uint64_t nextCommOrdinal_ = 1;
   // Flat vector, not a hash map: a rank has a handful of requests in
   // flight, and wait() usually completes them in issue order, so the linear
@@ -337,7 +326,7 @@ class MpiContext {
   // Collective-verifier state (all idle unless config.verifyCollectives).
   // The active stamp is copied into every message this rank sends and
   // compared against every stamped message it matches; each rank's state
-  // is touched only by its own fiber, so sharded windows never race.
+  // is touched only by its own fiber.
   CollectiveStamp activeCollective_{};
   int collectiveDepth_ = 0;
   std::uint64_t collectiveChecks_ = 0;
@@ -382,8 +371,6 @@ class MpiWorld {
 
   enum class Stage : std::uint8_t { Delivered, RtsPending, AwaitingData };
 
-  static constexpr std::uint64_t kNoPoolTicket = ~0ull;
-
   struct Message {
     int src = 0;
     int tag = 0;
@@ -396,17 +383,12 @@ class MpiWorld {
     /// True when delivery already charged receiverCost and folded it into
     /// the wake-up time, so doRecv must not delay again (see deliver()).
     bool receiverCharged = false;
-    /// Sharded runs: world-level pool-compat ticket pairing this message's
-    /// payload acquire with its release (kNoPoolTicket when inline or when
-    /// running on the single-queue engine). See payload_pool.hpp.
-    std::uint64_t poolTicket = kNoPoolTicket;
     /// Communicator the message was sent on; part of the match key. The
     /// world is id 0, so legacy world traffic is unchanged byte-for-byte.
     std::uint64_t comm = 0;
     /// Collective-verifier stamp of the sender at doSend time (disengaged
     /// for point-to-point traffic and when verification is off). Rides the
-    /// message wholesale through the sharded DeferredOp path, so no extra
-    /// shard plumbing and no schedule effect.
+    /// message wholesale, so it has no schedule effect.
     CollectiveStamp verify{};
     /// Critical-path piggyback: the sender's chain when the payload left,
     /// and the wire interval, so a receiver that waited can adopt the
@@ -448,125 +430,10 @@ class MpiWorld {
     double blockedSince = 0.0;
   };
 
-  // -- sharded logical-process execution (simShards > 1) -------------------
-  // The world is partitioned into leaf-switch-contiguous shards, each with
-  // its own Simulation (event queue + fiber scheduler), in-flight slab and
-  // payload pool. Shards advance concurrently inside conservative windows
-  // (sim::ShardScheduler); everything whose result depends on *global*
-  // order — fabric occupancy, totalFlops/totalDramBytes folds, trace spans,
-  // the serialised payload-pool counters, and every event pushed into
-  // another shard — is recorded as a DeferredOp / PendingSpan against the
-  // submitting dispatch and replayed serially at the window barrier in
-  // canonical merged dispatch order. That replay is what keeps campaign
-  // artefacts byte-identical for every shard count.
-
-  /// One trace span captured in-window, flushed to the world tracer at the
-  /// barrier in canonical dispatch order (span order and the sink's memory
-  /// evolution are serialised, so they must not depend on shard count).
-  struct PendingSpan {
-    TraceSpan span;
-    std::uint32_t dispatchIndex = 0;
-  };
-
-  /// A side effect deferred from in-window execution to the barrier.
-  struct DeferredOp {
-    enum class Kind : std::uint8_t {
-      Deliver,      ///< fabric transfer + message into dst shard's slab
-      DataArrival,  ///< rendezvous data wire + completion in dst shard
-      CtsResume,    ///< CTS wire + sender wake-up in the sender's shard
-      StatFold,     ///< totalFlops/totalDramBytes accumulation
-      PoolAcquire,  ///< world pool-compat acquire (serialised counters)
-      PoolRelease,  ///< world pool-compat release
-    };
-    Kind kind = Kind::StatFold;
-    std::uint32_t dispatchIndex = 0;  ///< submitting dispatch (this shard)
-    int fromNode = 0;                 ///< fabric source endpoint
-    int toNode = 0;                   ///< fabric destination endpoint
-    int dstRank = 0;                  ///< Deliver / DataArrival target
-    int targetShard = 0;              ///< CtsResume: the sender's shard
-    double wireBytes = 0.0;
-    double submitT = 0.0;       ///< submit-time sim clock: fabric start
-    std::uint32_t pushIdx = 0;  ///< push index within the submitting dispatch
-    std::uint64_t id = 0;  ///< message id (DataArrival) / ticket (Pool*)
-    double flops = 0.0;
-    double dramBytes = 0.0;
-    std::size_t bytes = 0;  ///< PoolAcquire payload size
-    sim::Process* sender = nullptr;  ///< CtsResume wake-up target
-    /// CtsResume: the receiver's chain when the CTS left, adopted by the
-    /// blocked sender (plus the CTS wire time) at wake-up.
-    obs::PathSnapshot path{};
-    MpiContext* senderCtx = nullptr;  ///< CtsResume adoption target
-    bool hasMessage = false;
-    Message message;  ///< Deliver: moved here until stashed at the barrier
-  };
-
-  /// Per-shard engine state. The single-queue path keeps using the legacy
-  /// members below; engines_ exists only while sharded_ is true.
-  struct Engine {
-    std::unique_ptr<sim::Simulation> sim;
-    int firstRank = 0;
-    int endRank = 0;  ///< one past the last rank
-    std::vector<Message> inflight;
-    std::vector<std::uint32_t> freeSlots;
-    std::uint64_t nextMessageId = 0;
-    std::uint64_t nextPoolTicket = 0;
-    std::uint64_t messageCount = 0;  ///< order-free partial of stats_
-    /// Deliver/DataArrival/CtsResume ops submitted and not yet replayed.
-    /// Per shard because gang threads run windows concurrently; the window
-    /// barrier sums them to decide whether a merge is due.
-    std::uint64_t pendingChannelOps = 0;
-    double payloadBytes = 0.0;       ///< exact integer-valued partial sum
-    std::vector<DeferredOp> ops;
-    std::vector<PendingSpan> spans;
-    // Barrier merge cursors (reset per window).
-    std::size_t logCursor = 0;
-    std::size_t opCursor = 0;
-    std::size_t spanCursor = 0;
-  };
-
   int nodeOfRank(int rank) const { return rank / config_.ranksPerNode; }
-  int shardOfRank(int rank) const {
-    return sharded_ ? shardOfRank_[static_cast<std::size_t>(rank)] : 0;
-  }
-  sim::Simulation& simFor(int rank) {
-    return sharded_ ? *engines_[static_cast<std::size_t>(shardOfRank(rank))].sim
-                    : *sim_;
-  }
-  Engine& engineOf(int rank) {
-    return engines_[static_cast<std::size_t>(shardOfRank(rank))];
-  }
-  Message& messageAt(int rank, std::uint32_t slot) {
-    return sharded_ ? engineOf(rank).inflight[slot] : inflight_[slot];
-  }
-
-  /// Shard count this world will actually run with (policy: config value
-  /// clamped to the leaf-switch count; 1 when the fabric has no lookahead).
-  int effectiveSimShards() const;
-
-  /// Message id unique within any destination mailbox: the legacy global
-  /// counter, or (shard-first-rank << 40 | per-shard counter) so shards
-  /// mint ids without coordination.
-  std::uint64_t nextLocalMessageId(Engine* eng) {
-    if (eng == nullptr) return nextMessageId_++;
-    return (static_cast<std::uint64_t>(eng->firstRank) << 40) |
-           eng->nextMessageId++;
-  }
-
-  WorldStats runSharded(const RankBody& body, int shards);
-  /// Serial window barrier: merge the shards' dispatch logs in canonical
-  /// key order — assigning each dispatch its global ordinal, i.e. the exact
-  /// legacy dispatch sequence — replay deferred ops and flush trace spans
-  /// in that order, advance the virtual global-queue high-water replay, and
-  /// resolve surviving provisional event keys.
-  void shardBarrier();
-  void executeOp(DeferredOp& op, std::uint64_t g);
-  /// Reserve the op's intra-dispatch push position, then queue it.
-  void submitWireOp(Engine& eng, DeferredOp&& op);
-  void foldCompute(int rank, double flops, double dramBytes);
-  /// Rendezvous data-arrival completion (legacy closure body, shard-safe).
-  /// `path`/`departTime` are the sender's chain when the data left, stamped
-  /// into the message here — in the destination shard — so the receiver's
-  /// adoption never reads cross-shard state.
+  /// Rendezvous data-arrival completion: marks the message delivered and
+  /// stamps the sender's chain when the data left (`path`/`departTime`)
+  /// into it, then wakes a waiting receiver.
   void dataArrived(int dstRank, std::uint64_t id,
                    const obs::PathSnapshot& path, double departTime);
 
@@ -585,19 +452,16 @@ class MpiWorld {
   // In-flight message slab: a scheduled delivery captures [this, dst, slot]
   // (16 bytes, inline in the event closure) instead of the Message itself,
   // so scheduling never heap-allocates. A message lives in its slot from
-  // send to consumption; slots are recycled LIFO by consumeSlot(). Sharded
-  // runs keep one slab per shard (slots in a rank's mailbox always index
-  // its own shard's slab).
+  // send to consumption; slots are recycled LIFO by consumeSlot().
   std::uint32_t stashInflight(Message&& message);
-  std::uint32_t stashFor(int dstRank, Message&& message);
   /// Hand the slot's payload to the application and recycle the slot.
-  std::vector<std::byte> consumeSlot(int rank, std::uint32_t slot);
+  std::vector<std::byte> consumeSlot(std::uint32_t slot);
   void chargeCpu(int node, double seconds);
   void traceSpan(int rank, SpanKind kind, double begin, double end,
                  int peer = -1, std::size_t bytes = 0,
                  std::uint64_t comm = 0);
   /// Fold fabric link telemetry and the end rank's chain into stats_
-  /// (called at the end of run()/runSharded() before teardown).
+  /// (called at the end of run() before teardown).
   void harvestPathAndLinks();
   /// The ContractError text for an all-ranks-blocked world: the bare
   /// deadlock line, plus the per-rank wait-state report when
@@ -626,45 +490,6 @@ class MpiWorld {
   PayloadPool pool_;
   std::vector<Message> inflight_;
   std::vector<std::uint32_t> freeSlots_;
-
-  // Sharded execution state (unused while sharded_ is false).
-  bool sharded_ = false;
-  std::vector<Engine> engines_;   // rebuilt per run()
-  std::vector<int> shardOfRank_;  // rank -> shard index
-  std::unique_ptr<sim::ShardScheduler> scheduler_;
-  /// Per-shard payload pools (compat disabled; the canonical counters come
-  /// from worldPoolCompat_). Persistent across runs, like pool_.
-  std::vector<PayloadPool> shardPools_;
-  /// Legacy pool accounting replayed in canonical order at the barriers —
-  /// the source of the serialised pool counters on sharded runs. Persists
-  /// across runs so repeat runs mirror the warm-pool behaviour of pool_.
-  PayloadPool::CompatModel worldPoolCompat_;
-  /// Canonical size-class accounting replayed alongside worldPoolCompat_ at
-  /// the barriers: an exact capacity-only mirror of the size-classed pool
-  /// the single-queue path runs, so the serialised per-class counters are
-  /// shard-count-invariant too. Persists across runs, like pool_.
-  PayloadPool::ClassModel worldPoolClass_;
-  /// poolTicketCaps_[shard][seq] = model capacities of that acquire, handed
-  /// back to the matching release.
-  struct PoolTicketCaps {
-    std::size_t legacy = 0;   ///< CompatModel capacity
-    std::size_t classed = 0;  ///< ClassModel capacity
-  };
-  std::vector<std::vector<PoolTicketCaps>> poolTicketCaps_;
-  // Virtual global-queue replay (what the single queue's size would have
-  // been at each merged dispatch) for the serialised queueHighWater.
-  std::uint64_t mergedQueueSize_ = 0;
-  std::uint64_t mergedQueueHighWater_ = 0;
-  /// Next global dispatch ordinal (the barrier merge numbers every dispatch
-  /// in exact legacy order; ordinal 0 is reserved for pre-run spawns).
-  std::uint64_t nextGlobalOrd_ = 1;
-  /// Scratch, per shard: global ordinal of each local dispatch this window.
-  std::vector<std::vector<std::uint64_t>> shardOrdByDispatch_;
-  /// Scratch: shards with unmerged dispatch records this barrier.
-  std::vector<std::size_t> mergeScratch_;
-  /// Dispatch records merged across all shardBarrier() calls this run
-  /// (EngineStats::shardMergeRecords).
-  std::uint64_t shardMergeRecords_ = 0;
 };
 
 }  // namespace tibsim::mpi

@@ -37,13 +37,6 @@ class Fabric {
   /// Switch hops between two nodes (1 within a leaf, 3 across the core).
   int hopCount(int src, int dst) const;
 
-  /// Conservative-synchronisation lookahead for sharded simulation: every
-  /// wire transfer (any node pair, any size) arrives no earlier than
-  /// submit + one cut-through hop, so a shard scheduler may safely dispatch
-  /// all events below min(next event) + lookaheadSeconds(). Zero or
-  /// negative (degenerate topologies) means sharding must be disabled.
-  double lookaheadSeconds() const { return spec_.switchLatency; }
-
   bool sameLeaf(int src, int dst) const;
 
   const TopologySpec& spec() const { return spec_; }

@@ -9,9 +9,8 @@
 // 32,768 nodes for no analytic gain — contention is a class property).
 //
 // Everything here is derived from simulated time only, and every
-// scheduleWire call is made in canonical order (inline on the single
-// queue, or serially replayed at the shard barrier), so the counters are
-// shard-invariant by construction and safe to serialise into artefacts.
+// scheduleWire call is made in the event queue's dispatch order, so the
+// counters are deterministic and safe to serialise into artefacts.
 
 #include <cstdint>
 

@@ -18,7 +18,7 @@
 //
 // Sampling is seeded explicitly (SinkConfig::seed, fed from the campaign
 // RNG), never from global state, so artefacts are byte-identical across
-// --jobs values and shard counts.
+// runs and --jobs values.
 
 #include <array>
 #include <cstddef>

@@ -30,21 +30,15 @@ struct EngineStats {
   /// on compiler frame layout, so — like hostSeconds — it feeds the run
   /// summary, never the serialised artefacts.
   std::size_t stackHighWaterBytes = 0;
-  // Sharded-engine counters (1 / 0 / 0 on the single-queue engine). Window
-  // counts depend on how work happened to spread over shards, so — like
-  // hostSeconds — they feed the run summary only, never the serialised
-  // artefacts.
-  std::size_t shardCount = 1;       ///< logical-process shards in the run
-  std::uint64_t shardWindows = 0;   ///< conservative windows executed
-  std::uint64_t shardParallelWindows = 0;  ///< windows with >1 active shard
-  // Shard-gang profiling (zero on the single-queue engine): what the
-  // window barriers actually cost and how much merge work they did, so
-  // --sim-shards tuning is measurable. Barrier host time is wall-clock and
-  // stays out of serialised artefacts, like hostSeconds.
-  std::uint64_t shardBarrierCalls = 0;  ///< barriers that ran a merge
-  std::uint64_t shardBarrierSkips = 0;  ///< barriers batched away (no merge)
-  std::uint64_t shardMergeRecords = 0;  ///< dispatch records merged
-  double shardBarrierHostSeconds = 0.0;  ///< host time inside merges
+  // Always 0: the event loop is one queue per world. perfbench's engineJson
+  // (perfbench/src/main.cpp) still reads these six fields for its
+  // sim.shard.* metrics, so they stay until the benchmark drops them.
+  std::uint64_t shardWindows = 0;
+  std::uint64_t shardParallelWindows = 0;
+  std::uint64_t shardBarrierCalls = 0;
+  std::uint64_t shardBarrierSkips = 0;
+  std::uint64_t shardMergeRecords = 0;
+  double shardBarrierHostSeconds = 0.0;
 
   /// Fold another simulation's stats into this one. Order-independent
   /// (sums and maxes only) so accumulation across parallelFor cells yields
@@ -60,22 +54,6 @@ struct EngineStats {
     fiberStackBytes = std::max(fiberStackBytes, other.fiberStackBytes);
     stackHighWaterBytes =
         std::max(stackHighWaterBytes, other.stackHighWaterBytes);
-    shardCount = std::max(shardCount, other.shardCount);
-    shardWindows += other.shardWindows;
-    shardParallelWindows += other.shardParallelWindows;
-    shardBarrierCalls += other.shardBarrierCalls;
-    shardBarrierSkips += other.shardBarrierSkips;
-    shardMergeRecords += other.shardMergeRecords;
-    shardBarrierHostSeconds += other.shardBarrierHostSeconds;
-  }
-
-  /// Mean events per conservative window — the lookahead-efficiency
-  /// figure: higher means the shards amortise each barrier better.
-  double eventsPerShardWindow() const {
-    return shardWindows > 0
-               ? static_cast<double>(eventsDispatched) /
-                     static_cast<double>(shardWindows)
-               : 0.0;
   }
 
   /// Host wall-clock cost per simulated second (0 when nothing simulated).

@@ -15,7 +15,6 @@
 #include "tibsim/mpi/collective_verify.hpp"
 #include "tibsim/obs/stall_report.hpp"
 #include "tibsim/obs/trace_sink.hpp"
-#include "tibsim/sim/shard_scheduler.hpp"
 
 namespace tibsim::core {
 
@@ -128,7 +127,7 @@ std::string resultDocument(const Experiment& experiment, std::uint64_t seed,
     // Link-utilization telemetry (net/fabric.hpp): per-kind busy time,
     // bytes, transfer counts and queueing-delay histograms. Recorded at
     // canonical fabric occupancy points only, so the object is
-    // byte-identical across runs, --jobs and --sim-shards.
+    // byte-identical across runs and --jobs values.
     if (counters->links.any()) {
       json::Value links = json::Value::object();
       links["uplink"] = linkKindJson(counters->links.uplink);
@@ -177,12 +176,6 @@ CampaignResult runCampaign(const CampaignOptions& options,
   if (!options.traceMode.empty())
     traceOverride.emplace(obs::parseTraceMode(options.traceMode));
 
-  // Shard-count override, same snapshot pattern again: every WorldConfig
-  // captures sim::defaultSimShards() at construction. Artefacts stay
-  // byte-identical for any value; only wall-clock changes.
-  std::optional<sim::ScopedSimShards> shardOverride;
-  if (options.simShards > 0) shardOverride.emplace(options.simShards);
-
   // Stall-watchdog override (--stall-report): WorldConfig snapshots the
   // default, so every world built below inherits it. Leaving the flag off
   // keeps whatever TIBSIM_STALL_REPORT set process-wide.
@@ -213,7 +206,6 @@ CampaignResult runCampaign(const CampaignOptions& options,
     CacheKeyInputs base;
     base.seed = options.seed;
     base.traceMode = obs::toString(obs::defaultTraceMode());
-    base.simShards = sim::defaultSimShards();
     base.stallReport = obs::defaultStallReport();
     base.verifyCollectives = mpi::defaultVerifyCollectives();
     base.platformSpecHash = hashPlatformSpecs();
@@ -230,7 +222,6 @@ CampaignResult runCampaign(const CampaignOptions& options,
     out << "=== socbench: " << selected.size() << " experiment"
         << (selected.size() == 1 ? "" : "s") << ", jobs=" << jobs
         << ", seed=" << options.seed
-        << ", sim-shards=" << sim::defaultSimShards()
         << ", trace-mode=" << obs::toString(obs::defaultTraceMode())
         << " ===\n"
         << kPaperLine << "\n\n";
@@ -361,7 +352,7 @@ CampaignResult runCampaign(const CampaignOptions& options,
         // Link telemetry: per-kind scalar table, then (after a blank line,
         // the __worlds.csv convention) the nonzero queueing-delay buckets.
         // Doubles go through json::formatNumber so the artefact is
-        // byte-identical across runs, --jobs and --sim-shards.
+        // byte-identical across runs and --jobs values.
         std::string csv =
             "kind,busySeconds,bytes,transfers,queueSeconds,"
             "maxLinkBusySeconds\n";
@@ -456,28 +447,6 @@ CampaignResult runCampaign(const CampaignOptions& options,
     }
     if (anyEngine) {
       out << "-- engine --\n" << engineTable.render() << '\n';
-    }
-    // Shard-gang block: only when a sharded engine actually ran. Window
-    // counts and barrier host time are run-summary-only (never serialised).
-    bool anyShards = false;
-    TextTable shardTable({"experiment", "shards", "windows", "parallel",
-                          "barriers", "skipped", "merged recs", "ev/window",
-                          "barrier s"});
-    for (const ExperimentRun& run : campaign.runs) {
-      if (run.engine.shardCount <= 1 || run.engine.shardWindows == 0)
-        continue;
-      anyShards = true;
-      shardTable.addRow({run.name, std::to_string(run.engine.shardCount),
-                         std::to_string(run.engine.shardWindows),
-                         std::to_string(run.engine.shardParallelWindows),
-                         std::to_string(run.engine.shardBarrierCalls),
-                         std::to_string(run.engine.shardBarrierSkips),
-                         std::to_string(run.engine.shardMergeRecords),
-                         fmt(run.engine.eventsPerShardWindow(), 1),
-                         fmt(run.engine.shardBarrierHostSeconds, 2)});
-    }
-    if (anyShards) {
-      out << "-- shard gangs --\n" << shardTable.render() << '\n';
     }
     // Critical-path block: where the slowest dependency chain spent its
     // simulated time (compute / protocol / wire / residual wait).
@@ -581,7 +550,7 @@ void printUsage(std::ostream& out) {
          "usage:\n"
          "  socbench list [glob...]\n"
          "  socbench run [glob...] [--json DIR] [--csv DIR] [--jobs N]\n"
-         "               [--seed S] [--cache DIR] [--sim-shards N]\n"
+         "               [--seed S] [--cache DIR]\n"
          "               [--trace-mode full|sampled|aggregate]\n"
          "               [--trace-export DIR] [--stall-report]\n"
          "               [--verify-collectives]\n"
@@ -591,15 +560,10 @@ void printUsage(std::ostream& out) {
          "Flags accept both '--flag value' and '--flag=value'.\n"
          "--cache DIR keys every experiment cell by a content hash "
          "(experiment + version tag, platform spec bytes, seed, resolved\n"
-         "trace/shard/stall/verify options, binary fingerprint): hits "
+         "trace/stall/verify options, binary fingerprint): hits "
          "replay their JSON/CSV byte-identically from DIR, misses are\n"
          "computed and stored atomically. Any ingredient change — a rebuilt "
          "binary, an edited Table-1 number — is an automatic miss.\n"
-         "--sim-shards partitions every simulated world's switch tree into "
-         "N per-subtree event engines under conservative (lookahead)\n"
-         "synchronisation. Artefacts are byte-identical for any N; shards "
-         "run windows concurrently on multi-core hosts. TIBSIM_SIM_SHARDS\n"
-         "sets the same default.\n"
          "--trace-mode bounds traced worlds' span memory: 'full' keeps "
          "every span, 'sampled' a deterministic per-rank reservoir,\n"
          "'aggregate' streaming per-rank histograms only (O(ranks), the "
@@ -685,14 +649,6 @@ int socbenchMain(int argc, const char* const* argv) {
       if (v == nullptr) return 2;
       if (!parseNumber(*v, options.seed)) {
         std::cerr << "socbench: --seed expects an unsigned integer, got \""
-                  << *v << "\"\n";
-        return 2;
-      }
-    } else if (arg == "--sim-shards") {
-      const std::string* v = flagValue("--sim-shards");
-      if (v == nullptr) return 2;
-      if (!parseNumber(*v, options.simShards)) {
-        std::cerr << "socbench: --sim-shards expects an integer, got \""
                   << *v << "\"\n";
         return 2;
       }

@@ -3,22 +3,62 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <tuple>
+#include <utility>
 
 #include "tibsim/common/assert.hpp"
 #include "builtin_experiments.hpp"
 
 namespace tibsim::core {
 
+thread_local const ExperimentContext* ExperimentContext::cellOwner_ = nullptr;
+thread_local ExperimentContext::Records* ExperimentContext::cellRecords_ =
+    nullptr;
+
 void ExperimentContext::parallelFor(
     std::size_t n, const std::function<void(std::size_t)>& fn) const {
   cells_ += n;
+  // Each cell records into a buffer of its own, and the buffers are
+  // spliced into the caller's in index order once every cell has run. The
+  // fold below therefore sees records in the order a --jobs 1 run makes
+  // them, whichever pool thread ran which cell.
+  std::vector<Records> cellRecords(n);
+  struct CellScope {
+    const ExperimentContext* owner;
+    Records* records;
+    CellScope(const ExperimentContext* ctx, Records* mine)
+        : owner(std::exchange(cellOwner_, ctx)),
+          records(std::exchange(cellRecords_, mine)) {}
+    CellScope(const CellScope&) = delete;
+    CellScope& operator=(const CellScope&) = delete;
+    ~CellScope() {
+      cellOwner_ = owner;
+      cellRecords_ = records;
+    }
+  };
+  const auto cell = [&](std::size_t i) {
+    const CellScope scope(this, &cellRecords[i]);
+    fn(i);
+  };
   if (pool_ != nullptr && pool_->threadCount() > 1) {
-    pool_->parallelFor(n, fn);
+    pool_->parallelFor(n, cell);
   } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
+    for (std::size_t i = 0; i < n; ++i) cell(i);
   }
+  std::lock_guard lock(engineMutex_);
+  Records& into = recordsHere();
+  for (Records& r : cellRecords) {
+    into.engine.insert(into.engine.end(), r.engine.begin(), r.engine.end());
+    into.counters.insert(into.counters.end(),
+                         std::make_move_iterator(r.counters.begin()),
+                         std::make_move_iterator(r.counters.end()));
+  }
+}
+
+ExperimentContext::Records& ExperimentContext::recordsHere() const {
+  return cellOwner_ == this ? *cellRecords_ : records_;
 }
 
 bool ExperimentContext::exportArtefact(const std::string& filename,
@@ -41,17 +81,16 @@ bool ExperimentContext::exportArtefact(const std::string& filename,
 
 void ExperimentContext::recordEngineStats(const sim::EngineStats& stats) const {
   std::lock_guard lock(engineMutex_);
-  engineRecords_.push_back(stats);
+  recordsHere().engine.push_back(stats);
 }
 
 sim::EngineStats ExperimentContext::engineStats() const {
   std::vector<sim::EngineStats> records;
   {
     std::lock_guard lock(engineMutex_);
-    records = engineRecords_;
+    records = records_.engine;
   }
-  // parallelFor cells record in completion order, which depends on --jobs;
-  // double addition is not associative, so fold in a canonical order to
+  // Double addition is not associative, so fold in a canonical order to
   // keep simSeconds (serialised into campaign JSON) byte-deterministic.
   std::sort(records.begin(), records.end(),
             [](const sim::EngineStats& a, const sim::EngineStats& b) {
@@ -70,17 +109,20 @@ sim::EngineStats ExperimentContext::engineStats() const {
 void ExperimentContext::recordRunCounters(
     const obs::RunCounters& counters) const {
   std::lock_guard lock(engineMutex_);
-  counterRecords_.push_back(counters);
+  recordsHere().counters.push_back(counters);
 }
 
 obs::RunCounters ExperimentContext::runCounters() const {
   std::vector<obs::RunCounters> records;
   {
     std::lock_guard lock(engineMutex_);
-    records = counterRecords_;
+    records = records_.counters;
   }
   // Same canonical-order fold as engineStats(): payloadBytes/wireBytes are
-  // double sums and land in the serialised campaign artefacts.
+  // double sums and land in the serialised campaign artefacts. The key
+  // leaves ties (one app under several protocols records equal traffic but
+  // different critical-path and link timings); parallelFor's splice keeps
+  // those in serial order, so the sums do not depend on --jobs either.
   std::sort(records.begin(), records.end(),
             [](const obs::RunCounters& a, const obs::RunCounters& b) {
               return std::tie(a.messages, a.spansRecorded, a.payloadBytes,

@@ -39,8 +39,8 @@ const std::vector<std::string> kPathColumns = {
 ResultSet runTaskFarm(ExperimentContext& ctx) {
   // 2 ranks/node on Tibidabo-style trees: 128, 512 and 2,048 ranks. The
   // 2,048-rank point is the headline — a single master feeding 2,047
-  // workers through one wildcard receive, byte-identical for every
-  // --sim-shards value.
+  // workers through one wildcard receive, byte-identical across runs and
+  // --jobs values.
   const std::vector<int> nodeCounts = {64, 256, 1024};
 
   apps::TaskFarm::Params probeParams;

@@ -342,7 +342,6 @@ std::string cacheKey(const CacheKeyInputs& inputs) {
   h.str(inputs.versionTag);
   h.u64(inputs.seed);
   h.str(inputs.traceMode);
-  h.i64(inputs.simShards);
   h.boolean(inputs.stallReport);
   h.boolean(inputs.verifyCollectives);
   h.u64(inputs.platformSpecHash);

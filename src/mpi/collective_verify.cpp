@@ -19,7 +19,7 @@ bool readVerifyCollectivesFromEnv() {
 bool& verifyCollectivesSlot() {
   // Process-wide default, mutated only from the host thread between runs
   // (socbench flag parsing, ScopedVerifyCollectives in tests) — never
-  // from inside a shard window. tibsim-lint: allow(shard-shared)
+  // from inside a running world. tibsim-lint: allow(sim-static)
   static bool slot = readVerifyCollectivesFromEnv();
   return slot;
 }

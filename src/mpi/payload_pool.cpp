@@ -58,105 +58,6 @@ std::size_t PayloadPool::CompatModel::trimToHighWater() {
 }
 
 // ---------------------------------------------------------------------------
-// PayloadPool::ClassModel — the size-classed pool, capacities only
-// ---------------------------------------------------------------------------
-// Every branch below mirrors the corresponding branch of PayloadPool::
-// acquire/release/trimToHighWater exactly; the equivalence holds because
-// buffer capacities are always rounded up to a class size, so classIndex of
-// a capacity recovers the class a real buffer would park in.
-
-void PayloadPool::ClassModel::ensureClass(std::size_t index) {
-  if (index < freeCaps_.size()) return;
-  freeCaps_.resize(index + 1);
-  classStats_.resize(index + 1);
-  for (std::size_t c = kMinClassIndex; c < classStats_.size(); ++c)
-    classStats_[c].classBytes = classBytes(c);
-}
-
-std::size_t PayloadPool::ClassModel::acquire(std::size_t bytes) {
-  const std::size_t cls = classIndex(bytes);
-  ensureClass(cls);
-  ++classStats_[cls].acquires;
-
-  std::size_t capacity = 0;
-  if (freeTotal_ > 0) {
-    // Donor selection identical to the real pool: own class, smallest
-    // larger class, largest smaller class.
-    std::size_t donor = cls;
-    if (freeCaps_[donor].empty()) {
-      donor = freeCaps_.size();
-      for (std::size_t c = cls + 1; c < freeCaps_.size(); ++c) {
-        if (!freeCaps_[c].empty()) {
-          donor = c;
-          break;
-        }
-      }
-      if (donor == freeCaps_.size()) {
-        for (std::size_t c = cls; c-- > 0;) {
-          if (!freeCaps_[c].empty()) {
-            donor = c;
-            break;
-          }
-        }
-      }
-    }
-    TIB_ASSERT(donor < freeCaps_.size() && !freeCaps_[donor].empty());
-    capacity = freeCaps_[donor].back();
-    freeCaps_[donor].pop_back();
-    --freeTotal_;
-    if (capacity >= bytes)
-      ++classStats_[cls].reuses;
-    else
-      ++classStats_[cls].allocations;
-  } else {
-    ++classStats_[cls].allocations;
-  }
-  // The real pool reserves up to the class size (reserve() allocates
-  // exactly, never geometrically), so the resulting capacity is the donor's
-  // capacity or the class size, whichever is larger.
-  if (capacity < classBytes(cls)) capacity = classBytes(cls);
-
-  ++outstanding_;
-  liveHighWater_ = std::max(liveHighWater_, outstanding_);
-  return capacity;
-}
-
-void PayloadPool::ClassModel::release(std::size_t capacity) {
-  if (outstanding_ > 0) --outstanding_;
-  if (capacity == 0) return;
-  const std::size_t cls = classIndex(capacity);
-  ensureClass(cls);
-  freeCaps_[cls].push_back(capacity);
-  ++freeTotal_;
-  ++classStats_[cls].parked;
-}
-
-std::size_t PayloadPool::ClassModel::trimToHighWater() {
-  const std::size_t keep =
-      liveHighWater_ > outstanding_ ? liveHighWater_ - outstanding_ : 0;
-  std::size_t dropped = 0;
-  for (std::size_t c = kMinClassIndex;
-       c < freeCaps_.size() && freeTotal_ > keep; ++c) {
-    auto& list = freeCaps_[c];
-    while (!list.empty() && freeTotal_ > keep) {
-      list.erase(list.begin());
-      --freeTotal_;
-      ++dropped;
-    }
-  }
-  return dropped;
-}
-
-void PayloadPool::ClassModel::resetStats() {
-  liveHighWater_ = outstanding_;
-  for (auto& cs : classStats_) {
-    const std::size_t bytes = cs.classBytes;
-    cs = ClassStats{};
-    cs.classBytes = bytes;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // PayloadPool — the size-classed pool that actually holds memory
 // ---------------------------------------------------------------------------
 
@@ -234,14 +135,14 @@ std::vector<std::byte> PayloadPool::acquire(std::span<const std::byte> data,
 
   ++outstanding_;
   liveHighWater_ = std::max(liveHighWater_, outstanding_);
-  ticket = compatEnabled_ ? mintTicket(compat_.acquire(bytes)) : kNoTicket;
+  ticket = mintTicket(compat_.acquire(bytes));
   return buffer;
 }
 
 void PayloadPool::release(std::vector<std::byte>&& buffer,
                           std::uint32_t ticket) {
   if (outstanding_ > 0) --outstanding_;
-  if (compatEnabled_ && ticket != kNoTicket) {
+  if (ticket != kNoTicket) {
     compat_.release(ticketCaps_[ticket]);
     freeTickets_.push_back(ticket);
   }
@@ -273,7 +174,7 @@ std::size_t PayloadPool::trimToHighWater() {
       ++dropped;
     }
   }
-  if (compatEnabled_) compat_.trimToHighWater();
+  compat_.trimToHighWater();
   return dropped;
 }
 

@@ -69,7 +69,8 @@ double MpiContext::now() const { return process_.now(); }
 void MpiContext::compute(const perfmodel::WorkProfile& work) {
   const double seconds = world_.execModel_.time(
       world_.platform(), work, world_.frequencyHz(), /*cores=*/1);
-  world_.foldCompute(rank_, work.flops, work.bytes);
+  world_.stats_.totalFlops += work.flops;
+  world_.stats_.totalDramBytes += work.bytes;
   world_.stats_.nodeBusySeconds[static_cast<std::size_t>(node_)] += seconds;
   path_.computeSeconds += seconds;
   const double begin = now();
@@ -235,9 +236,8 @@ MpiWorld::~MpiWorld() {
   // A world whose run() threw still holds blocked rank fibers. Unwind them
   // first: their destructors (CollectiveGuard among them) reach into the
   // contexts, mailboxes, fabric and pools, which reverse declaration order
-  // would otherwise free before the engines.
+  // would otherwise free before the engine.
   sim_.reset();
-  for (Engine& e : engines_) e.sim.reset();
 }
 
 void MpiWorld::chargeCpu(int node, double seconds) {
@@ -248,34 +248,7 @@ void MpiWorld::chargeCpu(int node, double seconds) {
 void MpiWorld::traceSpan(int rank, SpanKind kind, double begin, double end,
                          int peer, std::size_t bytes, std::uint64_t comm) {
   if (!tracing_) return;
-  if (!sharded_) {
-    tracer_.record(TraceSpan{rank, kind, begin, end, peer, bytes, comm});
-    return;
-  }
-  // Span order (and the sink's capacity evolution) is serialised, so spans
-  // buffer per shard and flush at the barrier in canonical dispatch order.
-  Engine& eng = engineOf(rank);
-  eng.spans.push_back(PendingSpan{TraceSpan{rank, kind, begin, end, peer,
-                                            bytes, comm},
-                                  eng.sim->currentDispatchIndex()});
-}
-
-void MpiWorld::foldCompute(int rank, double flops, double dramBytes) {
-  if (!sharded_) {
-    stats_.totalFlops += flops;
-    stats_.totalDramBytes += dramBytes;
-    return;
-  }
-  // totalFlops/totalDramBytes accumulate fractional values whose FP sum is
-  // order-dependent (and gflops is serialised), so the fold replays at the
-  // barrier in canonical order.
-  Engine& eng = engineOf(rank);
-  DeferredOp op;
-  op.kind = DeferredOp::Kind::StatFold;
-  op.dispatchIndex = eng.sim->currentDispatchIndex();
-  op.flops = flops;
-  op.dramBytes = dramBytes;
-  eng.ops.push_back(std::move(op));
+  tracer_.record(TraceSpan{rank, kind, begin, end, peer, bytes, comm});
 }
 
 void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
@@ -283,44 +256,20 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
                       bool allowRendezvous) {
   TIB_REQUIRE(dst >= 0 && dst < ranks_);
   TIB_REQUIRE(dst != ctx.rank());
-  Engine* eng = sharded_ ? &engineOf(ctx.rank()) : nullptr;
-  if (eng != nullptr) {
-    ++eng->messageCount;
-    eng->payloadBytes += static_cast<double>(bytes);
-  } else {
-    ++stats_.messageCount;
-    stats_.payloadBytes += static_cast<double>(bytes);
-  }
+  ++stats_.messageCount;
+  stats_.payloadBytes += static_cast<double>(bytes);
 
   // Small payloads ride inline in the Message; larger ones borrow a warm
   // buffer from the pool (recycled by doRecv/wait), so a steady-state send
-  // performs no heap allocation. Sharded runs use this shard's pool and
-  // additionally record the acquire against the world-level compat model
-  // (replayed canonically at the barrier — see payload_pool.hpp).
-  const int srcShard = shardOfRank(ctx.rank());
-  MessagePayload copy(
-      payload,
-      eng != nullptr ? shardPools_[static_cast<std::size_t>(srcShard)]
-                     : pool_);
-  std::uint64_t poolTicket = kNoPoolTicket;
-  if (eng != nullptr && copy.pooled()) {
-    poolTicket = (static_cast<std::uint64_t>(srcShard) << 32) |
-                 eng->nextPoolTicket++;
-    DeferredOp op;
-    op.kind = DeferredOp::Kind::PoolAcquire;
-    op.dispatchIndex = eng->sim->currentDispatchIndex();
-    op.bytes = payload.size();
-    op.id = poolTicket;
-    eng->ops.push_back(std::move(op));
-  }
+  // performs no heap allocation.
+  MessagePayload copy(payload, pool_);
   const int srcNode = ctx.node();
   const int dstNode = nodeOfRank(dst);
-  sim::Simulation& sim = simFor(ctx.rank());
+  sim::Simulation& sim = *sim_;
 
   const double sendBegin = sim.now();
   if (srcNode == dstNode) {
-    // Shared-memory path: one copy in, one copy out, no NIC. Same node
-    // means same shard, so this path stays fully in-window on sharded runs.
+    // Shared-memory path: one copy in, one copy out, no NIC.
     const double side =
         0.3e-6 + static_cast<double>(bytes) / sameNodeCopyBandwidth_;
     chargeCpu(srcNode, side);
@@ -329,13 +278,12 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
     traceSpan(ctx.rank(), SpanKind::Send, sendBegin, sim.now(), dst,
               bytes, comm);
     Message msg{ctx.rank(), tag, bytes, std::move(copy), Stage::Delivered,
-                side, nullptr, nextLocalMessageId(eng)};
-    msg.poolTicket = poolTicket;
+                side, nullptr, nextMessageId_++};
     msg.comm = comm;
     msg.verify = ctx.activeCollective_;
     msg.path = ctx.path_;
     msg.departTime = sim.now();
-    const std::uint32_t slot = stashFor(dst, std::move(msg));
+    const std::uint32_t slot = stashInflight(std::move(msg));
     sim.scheduleIn(0.2e-6, [this, dst, slot] { deliver(dst, slot); });
     return;
   }
@@ -353,30 +301,15 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
     const double wireBytes =
         costs.wireSeconds * platform().nicLinkRateBytesPerS;
     Message msg{ctx.rank(), tag, bytes, std::move(copy), Stage::Delivered,
-                costs.receiverSeconds, nullptr, nextLocalMessageId(eng)};
-    msg.poolTicket = poolTicket;
+                costs.receiverSeconds, nullptr, nextMessageId_++};
     msg.comm = comm;
     msg.verify = ctx.activeCollective_;
     msg.path = ctx.path_;
     msg.departTime = sim.now();
-    if (eng == nullptr) {
-      const double arrival =
-          fabric_->scheduleWire(srcNode, dstNode, wireBytes, sim.now());
-      const std::uint32_t slot = stashFor(dst, std::move(msg));
-      sim.scheduleAt(arrival, [this, dst, slot] { deliver(dst, slot); });
-    } else {
-      // Fabric occupancy is global state: defer the wire arithmetic and the
-      // delivery push to the barrier, replayed in canonical order.
-      DeferredOp op;
-      op.kind = DeferredOp::Kind::Deliver;
-      op.fromNode = srcNode;
-      op.toNode = dstNode;
-      op.dstRank = dst;
-      op.wireBytes = wireBytes;
-      op.hasMessage = true;
-      op.message = std::move(msg);
-      submitWireOp(*eng, std::move(op));
-    }
+    const double arrival =
+        fabric_->scheduleWire(srcNode, dstNode, wireBytes, sim.now());
+    const std::uint32_t slot = stashInflight(std::move(msg));
+    sim.scheduleAt(arrival, [this, dst, slot] { deliver(dst, slot); });
     return;
   }
 
@@ -386,29 +319,16 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
   chargeCpu(srcNode, rts.senderSeconds);
   ctx.path_.sendSeconds += rts.senderSeconds;
   ctx.process_.delay(rts.senderSeconds);
-  const std::uint64_t id = nextLocalMessageId(eng);
+  const std::uint64_t id = nextMessageId_++;
   Message msg{ctx.rank(), tag,     bytes, std::move(copy),
               Stage::RtsPending,   costs.receiverSeconds,
               &ctx.process_,       id};
-  msg.poolTicket = poolTicket;
   msg.comm = comm;
   msg.verify = ctx.activeCollective_;
-  if (eng == nullptr) {
-    const double rtsArrival =
-        fabric_->scheduleWire(srcNode, dstNode, 84.0, sim.now());
-    const std::uint32_t slot = stashFor(dst, std::move(msg));
-    sim.scheduleAt(rtsArrival, [this, dst, slot] { deliver(dst, slot); });
-  } else {
-    DeferredOp op;
-    op.kind = DeferredOp::Kind::Deliver;
-    op.fromNode = srcNode;
-    op.toNode = dstNode;
-    op.dstRank = dst;
-    op.wireBytes = 84.0;  // RTS frame
-    op.hasMessage = true;
-    op.message = std::move(msg);
-    submitWireOp(*eng, std::move(op));
-  }
+  const double rtsArrival =
+      fabric_->scheduleWire(srcNode, dstNode, 84.0, sim.now());
+  const std::uint32_t slot = stashInflight(std::move(msg));
+  sim.scheduleAt(rtsArrival, [this, dst, slot] { deliver(dst, slot); });
   // Stall-watchdog bookkeeping: the rank is about to block outside any
   // mailbox wait, so record what it is blocked on here.
   ctx.sendBlocked_ = true;
@@ -430,24 +350,11 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
             comm);
   const obs::PathSnapshot dataPath = ctx.path_;
   const double dataDepart = sim.now();
-  if (eng == nullptr) {
-    const double dataArrival =
-        fabric_->scheduleWire(srcNode, dstNode, wireBytes, sim.now());
-    sim.scheduleAt(dataArrival, [this, dst, id, dataPath, dataDepart] {
-      dataArrived(dst, id, dataPath, dataDepart);
-    });
-  } else {
-    DeferredOp op;
-    op.kind = DeferredOp::Kind::DataArrival;
-    op.fromNode = srcNode;
-    op.toNode = dstNode;
-    op.dstRank = dst;
-    op.wireBytes = wireBytes;
-    op.id = id;
-    op.path = dataPath;
-    op.submitT = dataDepart;
-    submitWireOp(*eng, std::move(op));
-  }
+  const double dataArrival =
+      fabric_->scheduleWire(srcNode, dstNode, wireBytes, sim.now());
+  sim.scheduleAt(dataArrival, [this, dst, id, dataPath, dataDepart] {
+    dataArrived(dst, id, dataPath, dataDepart);
+  });
 }
 
 void MpiWorld::dataArrived(int dstRank, std::uint64_t id,
@@ -455,7 +362,7 @@ void MpiWorld::dataArrived(int dstRank, std::uint64_t id,
   Mailbox& box = mailboxes_[static_cast<std::size_t>(dstRank)];
   Message* arrived = nullptr;
   for (const std::uint32_t s : box.messages) {
-    Message& m = messageAt(dstRank, s);
+    Message& m = inflight_[s];
     if (m.id == id) {
       arrived = &m;
       arrived->stage = Stage::Delivered;
@@ -463,7 +370,7 @@ void MpiWorld::dataArrived(int dstRank, std::uint64_t id,
       // data-stream time, not the stale RTS-time snapshot.
       arrived->path = path;
       arrived->departTime = departTime;
-      arrived->arrivalTime = simFor(dstRank).now();
+      arrived->arrivalTime = sim_->now();
       break;
     }
   }
@@ -474,19 +381,18 @@ void MpiWorld::dataArrived(int dstRank, std::uint64_t id,
   // in mailbox order; otherwise a plain wake and the receiver rescans.
   Message* firstMatch = nullptr;
   for (const std::uint32_t s : box.messages) {
-    Message& m = messageAt(dstRank, s);
+    Message& m = inflight_[s];
     if (matches(m, box.waitComm, box.waitSrc, box.waitTag)) {
       firstMatch = &m;
       break;
     }
   }
-  sim::Simulation& sim = simFor(dstRank);
   if (arrived != nullptr && firstMatch == arrived) {
     chargeCpu(nodeOfRank(dstRank), arrived->receiverCost);
     arrived->receiverCharged = true;
-    sim.resumeAt(sim.now() + arrived->receiverCost, *box.waiter);
+    sim_->resumeAt(sim_->now() + arrived->receiverCost, *box.waiter);
   } else {
-    sim.resume(*box.waiter);
+    sim_->resume(*box.waiter);
   }
 }
 
@@ -501,50 +407,17 @@ std::uint32_t MpiWorld::stashInflight(Message&& message) {
   return slot;
 }
 
-std::uint32_t MpiWorld::stashFor(int dstRank, Message&& message) {
-  if (!sharded_) return stashInflight(std::move(message));
-  // Messages live in the *destination* shard's slab: delivery, matching and
-  // consumption all run there, so only one shard ever touches the slot.
-  Engine& eng = engineOf(dstRank);
-  if (eng.freeSlots.empty()) {
-    eng.inflight.push_back(std::move(message));
-    return static_cast<std::uint32_t>(eng.inflight.size() - 1);
-  }
-  const std::uint32_t slot = eng.freeSlots.back();
-  eng.freeSlots.pop_back();
-  eng.inflight[slot] = std::move(message);
-  return slot;
-}
-
-std::vector<std::byte> MpiWorld::consumeSlot(int rank, std::uint32_t slot) {
-  if (!sharded_) {
-    std::vector<std::byte> out = inflight_[slot].payload.intoVector(pool_);
-    freeSlots_.push_back(slot);
-    return out;
-  }
-  Engine& eng = engineOf(rank);
-  Message& msg = eng.inflight[slot];
-  if (msg.payload.pooled() && msg.poolTicket != kNoPoolTicket) {
-    // Mirror the release into the world compat model in canonical order.
-    DeferredOp op;
-    op.kind = DeferredOp::Kind::PoolRelease;
-    op.dispatchIndex = eng.sim->currentDispatchIndex();
-    op.id = msg.poolTicket;
-    eng.ops.push_back(std::move(op));
-  }
-  // The buffer parks in the *consuming* shard's pool: warm buffers migrate
-  // toward the ranks that actually receive large payloads.
-  std::vector<std::byte> out = msg.payload.intoVector(
-      shardPools_[static_cast<std::size_t>(shardOfRank(rank))]);
-  eng.freeSlots.push_back(slot);
+std::vector<std::byte> MpiWorld::consumeSlot(std::uint32_t slot) {
+  std::vector<std::byte> out = inflight_[slot].payload.intoVector(pool_);
+  freeSlots_.push_back(slot);
   return out;
 }
 
 void MpiWorld::deliver(int dstRank, std::uint32_t slot) {
   Mailbox& box = mailboxes_[static_cast<std::size_t>(dstRank)];
   box.messages.push_back(slot);
-  Message& msg = messageAt(dstRank, slot);
-  msg.arrivalTime = simFor(dstRank).now();
+  Message& msg = inflight_[slot];
+  msg.arrivalTime = sim_->now();
   if (box.waiting && matches(msg, box.waitComm, box.waitSrc, box.waitTag)) {
     box.waiting = false;
     if (msg.stage == Stage::Delivered) {
@@ -554,10 +427,9 @@ void MpiWorld::deliver(int dstRank, std::uint32_t slot) {
       // receiver resumes at the same simulated instant either way.
       chargeCpu(nodeOfRank(dstRank), msg.receiverCost);
       msg.receiverCharged = true;
-      sim::Simulation& sim = simFor(dstRank);
-      sim.resumeAt(sim.now() + msg.receiverCost, *box.waiter);
+      sim_->resumeAt(sim_->now() + msg.receiverCost, *box.waiter);
     } else {
-      simFor(dstRank).resume(*box.waiter);
+      sim_->resume(*box.waiter);
     }
   }
 }
@@ -570,15 +442,15 @@ std::vector<std::byte> MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm,
   TIB_REQUIRE(src != ctx.rank());
   TIB_REQUIRE(tag == kAnyTag || tag >= 0);
   Mailbox& box = mailboxes_[static_cast<std::size_t>(ctx.rank())];
-  sim::Simulation& sim = simFor(ctx.rank());
+  sim::Simulation& sim = *sim_;
   const double recvEntry = sim.now();
 
   while (true) {
     for (auto it = box.messages.begin(); it != box.messages.end(); ++it) {
       const std::uint32_t slot = *it;
-      Message& m = messageAt(ctx.rank(), slot);
+      Message& m = inflight_[slot];
       // Wildcards resolve here: the first match in mailbox order is the
-      // canonical choice (delivery order is already shard-invariant), so
+      // canonical choice (the event queue fixes delivery order), so
       // kAnySource/kAnyTag stay deterministic.
       if (!matches(m, comm, src, tag)) continue;
       const int msgSrc = m.src;
@@ -589,7 +461,7 @@ std::vector<std::byte> MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm,
         // Collective verifier: the consumed message's stamp must agree
         // with whatever collective this rank is executing. The comparison
         // rides the canonical match order, so any report is byte-identical
-        // across shard counts.
+        // across runs.
         verifyCollectiveMatch(ctx, m);
         if (m.receiverCharged) {
           // Delivery already charged receiverCost and folded it into the
@@ -611,7 +483,7 @@ std::vector<std::byte> MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm,
           ctx.path_.recvSeconds += m.receiverCost;
           if (receivedBytes != nullptr) *receivedBytes = m.bytes;
           box.messages.erase(it);
-          return consumeSlot(ctx.rank(), slot);
+          return consumeSlot(slot);
         }
         // Dequeue before delay(): deliveries during the yield push into
         // this deque and invalidate iterators, and they can also grow the
@@ -630,7 +502,7 @@ std::vector<std::byte> MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm,
         traceSpan(ctx.rank(), SpanKind::Recv, cpuBegin, sim.now(), msgSrc,
                   bytes, comm);
         if (receivedBytes != nullptr) *receivedBytes = bytes;
-        return consumeSlot(ctx.rank(), slot);
+        return consumeSlot(slot);
       }
       if (m.stage == Stage::RtsPending) {
         // Matched a rendezvous request: return a CTS and wait for the data.
@@ -643,36 +515,20 @@ std::vector<std::byte> MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm,
         ctx.path_.recvSeconds += cts.senderSeconds;
         ctx.process_.delay(cts.senderSeconds);
         // The CTS is what unblocks the rendezvous sender, so the sender's
-        // chain becomes this receiver's chain plus the CTS hop. The
-        // adoption is applied inside the sender's shard at wake-up.
+        // chain becomes this receiver's chain plus the CTS hop, adopted at
+        // the sender's wake-up.
         const obs::PathSnapshot ctsPath = ctx.path_;
         MpiContext* senderCtx =
             contexts_[static_cast<std::size_t>(msgSrc)].get();
-        if (!sharded_) {
-          const double ctsDepart = sim.now();
-          const double ctsArrival = fabric_->scheduleWire(
-              ctx.node(), nodeOfRank(msgSrc), 84.0, ctsDepart);
-          const double ctsLink = std::max(0.0, ctsArrival - ctsDepart);
-          sim.scheduleAt(ctsArrival,
-                         [this, sender, senderCtx, ctsPath, ctsLink] {
-                           senderCtx->adoptPath(ctsPath, ctsLink);
-                           sim_->resume(*sender);
-                         });
-        } else {
-          // CTS wire + sender wake-up land in the sender's shard; both
-          // defer to the barrier like every other cross-shard effect.
-          Engine& eng = engineOf(ctx.rank());
-          DeferredOp op;
-          op.kind = DeferredOp::Kind::CtsResume;
-          op.fromNode = ctx.node();
-          op.toNode = nodeOfRank(msgSrc);
-          op.wireBytes = 84.0;
-          op.targetShard = shardOfRank(msgSrc);
-          op.sender = sender;
-          op.path = ctsPath;
-          op.senderCtx = senderCtx;
-          submitWireOp(eng, std::move(op));
-        }
+        const double ctsDepart = sim.now();
+        const double ctsArrival = fabric_->scheduleWire(
+            ctx.node(), nodeOfRank(msgSrc), 84.0, ctsDepart);
+        const double ctsLink = std::max(0.0, ctsArrival - ctsDepart);
+        sim.scheduleAt(ctsArrival,
+                       [this, sender, senderCtx, ctsPath, ctsLink] {
+                         senderCtx->adoptPath(ctsPath, ctsLink);
+                         sim_->resume(*sender);
+                       });
         break;  // fall through to waiting for the data-arrival wake-up
       }
       // AwaitingData: the exchange is in flight; keep waiting.
@@ -702,9 +558,6 @@ void MpiWorld::verifyCollectiveMatch(MpiContext& ctx, const Message& message) {
 }
 
 WorldStats MpiWorld::run(const RankBody& body) {
-  const int shards = effectiveSimShards();
-  if (shards > 1) return runSharded(body, shards);
-  sharded_ = false;
   sim_ = std::make_unique<sim::Simulation>();
   // Huge worlds lease fiber stacks from the slab arena so the VMA count
   // stays far below vm.max_map_count (private guarded stacks cost 2 each).

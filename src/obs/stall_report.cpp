@@ -20,7 +20,7 @@ bool readStallReportFromEnv() {
 bool& stallReportSlot() {
   // Process-wide default, mutated only from the host thread between runs
   // (socbench flag parsing, ScopedStallReport in tests) — never from
-  // inside a shard window. tibsim-lint: allow(shard-shared)
+  // inside a running world. tibsim-lint: allow(sim-static)
   static bool slot = readStallReportFromEnv();
   return slot;
 }

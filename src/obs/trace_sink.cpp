@@ -51,8 +51,8 @@ TraceMode readModeFromEnv() {
 TraceMode& defaultModeSlot() {
   // Process-wide configuration, written from the host thread (CLI/env/
   // ScopedTraceMode) before any world runs and only snapshotted into
-  // WorldConfig — never touched from inside shard windows.
-  static TraceMode slot = readModeFromEnv();  // tibsim-lint: allow(shard-shared)
+  // WorldConfig — never touched from inside a running world.
+  static TraceMode slot = readModeFromEnv();  // tibsim-lint: allow(sim-static)
   return slot;
 }
 
@@ -150,7 +150,7 @@ class FullSink final : public TraceSink {
 /// draws from its own RNG stream (seed mixed with the rank), and span
 /// arrival order per rank is deterministic (the event loop is), so the
 /// reservoir is a pure function of (seed, run) — identical across --jobs
-/// and shard counts.
+/// values.
 class SampledSink final : public TraceSink {
  public:
   SampledSink(std::size_t perRank, std::uint64_t seed)

@@ -131,7 +131,7 @@ char* mapGuardedStackMemory(std::size_t bytes) {
 class FiberStackArena {
  public:
   static FiberStackArena& instance() {
-    // tibsim-lint: allow(shard-shared) — mutex-guarded process-wide arena
+    // tibsim-lint: allow(sim-static) — mutex-guarded process-wide arena
     static FiberStackArena arena;
     return arena;
   }
@@ -279,8 +279,9 @@ void ExecutionContext::switchIn() {
   TIB_ASSERT(armed_ && !done_);
   void* fakeStack = nullptr;
   asanStartSwitch(&fakeStack, stack_, stackBytes_);
-  // The resuming host thread may differ between switches (shard windows
-  // run on gang threads), so the host fiber is looked up every time.
+  // The resuming host thread may differ between switches: a world run on
+  // one thread can be torn down, unwinding its blocked fibers, on another.
+  // So the host fiber is looked up every time.
   tsanHost_ = tsanCurrentFiber();
   tsanSwitchTo(tsanFiber_);
   TIB_REQUIRE(swapcontext(&hostCtx_, &fiberCtx_) == 0);

@@ -110,7 +110,6 @@ void Process::kill() {
 // ---------------------------------------------------------------------------
 
 void Simulation::EventQueue::push(Event ev) {
-  if ((ev.ord1 & kProvisionalOrd) != 0) ++provisional_;
   heap_.push_back(std::move(ev));
   std::size_t i = heap_.size() - 1;
   while (i > 0) {
@@ -124,7 +123,6 @@ void Simulation::EventQueue::push(Event ev) {
 Simulation::Event Simulation::EventQueue::pop() {
   TIB_ASSERT(!heap_.empty());
   Event out = std::move(heap_.front());
-  if ((out.ord1 & kProvisionalOrd) != 0) --provisional_;
   Event last = std::move(heap_.back());
   heap_.pop_back();
   if (!heap_.empty()) {
@@ -142,33 +140,6 @@ Simulation::Event Simulation::EventQueue::pop() {
     heap_[i] = std::move(last);
   }
   return out;
-}
-
-void Simulation::EventQueue::finalizeKeys(
-    const std::vector<std::uint64_t>& gByD) {
-  // Most windows leave no provisional survivors (compute phases push and
-  // consume within the window); the counter makes those barriers O(1)
-  // instead of a full heap walk per shard per window.
-  if (provisional_ == 0) return;
-  for (Event& ev : heap_) {
-    if ((ev.ord1 & kProvisionalOrd) == 0) continue;
-    const std::uint64_t d = ev.ord1 & ~kProvisionalOrd;
-    TIB_ASSERT(d < gByD.size());
-    ev.ord1 = gByD[d];
-  }
-  provisional_ = 0;
-  // Final ordinals order provisional entries exactly as their (D, idx)
-  // provisional keys did within this shard, but the sift keeps the heap
-  // valid against channel pushes that interleaved between them.
-  for (std::size_t i = 1; i < heap_.size(); ++i) {
-    std::size_t j = i;
-    while (j > 0) {
-      const std::size_t parent = (j - 1) / 2;
-      if (!before(heap_[j], heap_[parent])) break;
-      std::swap(heap_[j], heap_[parent]);
-      j = parent;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -193,65 +164,8 @@ std::uint32_t Simulation::stashClosure(UniqueFunction fn) {
 }
 
 void Simulation::pushQueue(double t, Process* proc, std::uint64_t aux) {
-  if (!shardMode_) {
-    // Legacy single-queue order: (t, global sequence) — bit-identical to
-    // the historical tie-break.
-    queue_.push(Event{t, nextSeq_++, 0, proc, aux});
-  } else if (inDispatch_) {
-    // Key by pushing dispatch (provisionally, by its local index — the
-    // barrier resolves it to the global ordinal) and push position within
-    // the dispatch: the legacy push-sequence order, reconstructed.
-    const std::uint64_t d = dispatchLog_.size() - 1;
-    queue_.push(Event{t, kProvisionalOrd | d,
-                      dispatchLog_.back().pushes++, proc, aux});
-  } else if (inSpawnPush_) {
-    // Spawn start events sort by process id (= global rank): final key,
-    // ordinal 0 — before every dispatched event's pushes, as in the legacy
-    // engine where all spawns precede the first dispatch.
-    queue_.push(Event{t, 0, spawnOrdHint_, proc, aux});
-  } else {
-    // Other host-context pushes (generic Simulation API use; simMPI never
-    // schedules from the host mid-run). Keyed after all spawn ids.
-    queue_.push(Event{t, 0, (1ull << 40) + hostSeq_++, proc, aux});
-  }
+  queue_.push(Event{t, nextSeq_++, proc, aux});
   stats_.queueHighWater = std::max(stats_.queueHighWater, queue_.size());
-}
-
-void Simulation::enableShardMode(std::uint64_t firstProcessId) {
-  TIB_REQUIRE_MSG(processes_.empty() && queue_.empty(),
-                  "enableShardMode must precede the first spawn/schedule");
-  shardMode_ = true;
-  idBase_ = firstProcessId;
-  nextProcessId_ = firstProcessId;
-}
-
-double Simulation::nextEventTime() const {
-  TIB_ASSERT(!queue_.empty());
-  return queue_.top().t;
-}
-
-std::uint64_t Simulation::runWindow(double windowEnd) {
-  std::uint64_t dispatched = 0;
-  while (!queue_.empty() && queue_.top().t < windowEnd) {
-    dispatch(popAndPrefetch());
-    ++dispatched;
-  }
-  return dispatched;
-}
-
-void Simulation::scheduleChannel(double t, std::uint64_t g,
-                                 std::uint64_t pushIdx, UniqueFunction fn) {
-  TIB_REQUIRE_MSG(t >= now_,
-                  "cross-shard event would land in this shard's past "
-                  "(lookahead bound violated)");
-  TIB_ASSERT((g & kProvisionalOrd) == 0);
-  queue_.push(Event{t, g, pushIdx, nullptr, stashClosure(std::move(fn))});
-  stats_.queueHighWater = std::max(stats_.queueHighWater, queue_.size());
-}
-
-void Simulation::finalizeWindowKeys(const std::vector<std::uint64_t>& gByD) {
-  queue_.finalizeKeys(gByD);
-  dispatchLog_.clear();
 }
 
 void Simulation::scheduleAt(double t, UniqueFunction fn) {
@@ -273,14 +187,9 @@ Process& Simulation::spawn(std::string name, Process::Body body) {
   ++stats_.processesSpawned;
   ++liveNow_;
   stats_.peakLiveProcesses = std::max(stats_.peakLiveProcesses, liveNow_);
-  // The start event is keyed by the new process id in shard mode so start
-  // events across shards merge in spawn (rank) order.
-  inSpawnPush_ = true;
-  spawnOrdHint_ = ref.id_;
   scheduleAt(now_, [&ref] {
     if (!ref.finished()) ref.switchIn();
   });
-  inSpawnPush_ = false;
   return ref;
 }
 
@@ -356,17 +265,12 @@ void Simulation::dispatch(const Event& ev) {
   TIB_ASSERT(ev.t >= now_);
   now_ = ev.t;
   ++stats_.eventsDispatched;
-  if (shardMode_) {
-    dispatchLog_.push_back(DispatchRecord{ev.t, ev.ord1, ev.ord2, 0});
-    inDispatch_ = true;
-  }
   if (ev.proc != nullptr) {
     Process& p = *ev.proc;
     if (!p.finished_ && p.suspended_ && p.suspendSeq_ == ev.aux) {
       p.suspended_ = false;
       p.switchIn();
     }
-    inDispatch_ = false;
     return;
   }
   // Move the closure out and free its slot before invoking: the callback
@@ -375,7 +279,6 @@ void Simulation::dispatch(const Event& ev) {
       std::move(closures_[static_cast<std::size_t>(ev.aux)]);
   freeClosureSlots_.push_back(static_cast<std::uint32_t>(ev.aux));
   fn();
-  inDispatch_ = false;
 }
 
 void Simulation::noteProcessFinished(Process& p) {

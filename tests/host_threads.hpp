@@ -4,10 +4,9 @@
 // switches into those fibers:
 //
 //   Host::Fiber   the calling test thread, as in a `--jobs 1` campaign;
-//   Host::Thread  a freshly spawned host thread, as in the `--jobs` pool
-//                 and the shard gang, where a fiber may also be resumed
-//                 (and torn down) by a different thread than the one that
-//                 first entered it.
+//   Host::Thread  a freshly spawned host thread, as in the `--jobs` pool,
+//                 where a fiber may also be torn down by a different
+//                 thread than the one that first entered it.
 //
 // Nothing the engine computes may depend on the host, so the Backends/*
 // and RankCounts/* suites run every case on both and name the instances

@@ -1,6 +1,6 @@
 // Fixture: the observability layer records from inside the event loop, so
-// the shard-shared rule covers src/obs/ too — a mutable static ordinal
-// races once shard gang threads run windows concurrently.
+// the sim-static rule covers src/obs/ too — a mutable static ordinal races
+// once --jobs pool threads run worlds concurrently.
 unsigned long long nextSpanOrdinal() {
   static unsigned long long ordinal = 0;
   return ++ordinal;

@@ -1,4 +1,4 @@
-// Fixture: per-sink member state keeps obs recording shard-safe, and a
+// Fixture: per-sink member state keeps obs recording per world, and a
 // process-wide configuration slot written only from the host thread is
 // waived explicitly.
 struct Sink {
@@ -7,6 +7,6 @@ struct Sink {
 };
 
 int defaultMode() {
-  static int slot = 0;  // tibsim-lint: allow(shard-shared)
+  static int slot = 0;  // tibsim-lint: allow(sim-static)
   return slot;
 }

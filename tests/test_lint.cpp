@@ -91,12 +91,12 @@ const FixtureCase kFixtureCases[] = {
      "include/tibsim/common/fixture.hpp"},
     {"mpi-contract", "bad/mpi_contract.cpp", "src/apps/fixture.cpp", 11,
      "good/mpi_contract.cpp", "src/apps/fixture.cpp"},
-    {"shard-shared", "bad/shard_shared.cpp", "src/net/fixture.cpp", 4,
-     "good/shard_shared.cpp", "src/net/fixture.cpp"},
+    {"sim-static", "bad/sim_static.cpp", "src/net/fixture.cpp", 3,
+     "good/sim_static.cpp", "src/net/fixture.cpp"},
     // Same rule through an obs-layer path: trace sinks and link telemetry
     // mutate from inside the event loop, so src/obs/ counts as sim code.
-    {"shard-shared", "bad/obs_shared.cpp", "src/obs/fixture.cpp", 5,
-     "good/obs_shared.cpp", "src/obs/fixture.cpp"},
+    {"sim-static", "bad/obs_static.cpp", "src/obs/fixture.cpp", 5,
+     "good/obs_static.cpp", "src/obs/fixture.cpp"},
     {"wildcard-recv", "bad/wildcard_recv.cpp", "src/apps/fixture.cpp", 6,
      "good/wildcard_recv.cpp", "src/apps/fixture.cpp"},
     // The good fixture also covers the uniform-condition, membership-

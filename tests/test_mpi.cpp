@@ -229,7 +229,7 @@ TEST_P(SimMpiTest, DeadlockWithoutWatchdogPointsAtTheFlag) {
 
 TEST_P(SimMpiTest, StallReportListsEveryBlockedRank) {
   // The report is derived from simulated state only, so the exact lines
-  // can be pinned: identical on both hosts and any shard count.
+  // can be pinned: identical on both hosts and on every run.
   obs::ScopedStallReport scoped(true);
   MpiWorld world(testConfig(), 4);
   try {
@@ -275,14 +275,14 @@ TEST_P(SimMpiTest, StallReportCoversRendezvousSenders) {
 }
 
 TEST_P(SimMpiTest, StallReportIsByteIdenticalAcrossShards) {
+  // The report must not change on a repeat run or with the host thread.
   obs::ScopedStallReport scoped(true);
-  const auto report = [](int shards) {
+  const auto report = [](Host host) {
     WorldConfig cfg = testConfig();
     cfg.topology.nodesPerLeafSwitch = 2;
-    cfg.simShards = shards;
     MpiWorld world(cfg, 6);
     try {
-      run(world, [](MpiContext& ctx) {
+      runOn(host, world, [](MpiContext& ctx) {
         if (ctx.rank() < 3) {
           ctx.recv((ctx.rank() + 1) % 3, 9);  // 3-cycle among ranks 0..2
         } else {
@@ -290,20 +290,20 @@ TEST_P(SimMpiTest, StallReportIsByteIdenticalAcrossShards) {
         }
       });
     } catch (const ContractError& error) {
-      // Strip the engine-specific TIB_REQUIRE prefix (expression and
-      // file:line differ between the single-queue and sharded engines);
-      // the report body itself must be byte-identical.
+      // Strip the TIB_REQUIRE prefix (expression and file:line); the
+      // report body itself must be byte-identical.
       const std::string what = error.what();
       const std::size_t at = what.find("stall report:");
       return at == std::string::npos ? what : what.substr(at);
     }
     return std::string();
   };
-  const std::string base = report(1);
+  const std::string base = report(GetParam());
   ASSERT_NE(base.find("stall report: 3 rank(s) blocked"), std::string::npos)
       << base;
-  EXPECT_EQ(report(2), base);
-  EXPECT_EQ(report(3), base);
+  EXPECT_EQ(report(GetParam()), base);
+  EXPECT_EQ(report(Host::Fiber), base);
+  EXPECT_EQ(report(Host::Thread), base);
 }
 
 // ---- Runtime collective-matching verifier ---------------------------------
@@ -383,14 +383,14 @@ TEST_P(SimMpiCollectiveVerifyTest, CollectiveVsPointToPointIsReported) {
 }
 
 TEST_P(SimMpiCollectiveVerifyTest, MismatchReportIsByteIdenticalAcrossShards) {
-  const auto report = [](int shards) {
+  // The report must not change on a repeat run or with the host thread.
+  const auto report = [](Host host) {
     WorldConfig cfg = testConfig();
     cfg.verifyCollectives = true;
     cfg.topology.nodesPerLeafSwitch = 2;
-    cfg.simShards = shards;
     MpiWorld world(cfg, 6);
     try {
-      run(world, [](MpiContext& ctx) {
+      runOn(host, world, [](MpiContext& ctx) {
         Communicator comm = ctx.commWorld();
         if (ctx.rank() == 3) {
           comm.allreduce(2.0, ReduceOp::Sum);
@@ -399,19 +399,20 @@ TEST_P(SimMpiCollectiveVerifyTest, MismatchReportIsByteIdenticalAcrossShards) {
         }
       });
     } catch (const ContractError& error) {
-      // Strip the engine-specific TIB_REQUIRE prefix, as in the stall-
-      // report test; the report body must be byte-identical.
+      // Strip the TIB_REQUIRE prefix, as in the stall-report test; the
+      // report body must be byte-identical.
       const std::string what = error.what();
       const std::size_t at = what.find("collective mismatch");
       return at == std::string::npos ? what : what.substr(at);
     }
     return std::string();
   };
-  const std::string base = report(1);
+  const std::string base = report(GetParam());
   ASSERT_NE(base.find("collective mismatch on comm 0"), std::string::npos)
       << base;
-  EXPECT_EQ(report(2), base);
-  EXPECT_EQ(report(3), base);
+  EXPECT_EQ(report(GetParam()), base);
+  EXPECT_EQ(report(Host::Fiber), base);
+  EXPECT_EQ(report(Host::Thread), base);
 }
 
 TEST_P(SimMpiTest, RankExceptionsPropagate) {
@@ -874,25 +875,6 @@ TEST(PayloadPool, ClassPoolReusesWhereTheLegacyLifoWouldAllocate) {
   poolRelease(pool, std::move(l2));
 }
 
-TEST(PayloadPool, DisableCompatStopsMintingTickets) {
-  // Per-shard pools in a sharded world run without the compat model (the
-  // world replays the canonical acquire/release order itself), so their
-  // acquires hand back kNoTicket and the legacy counters stay untouched.
-  PayloadPool pool;
-  pool.disableCompat();
-  const std::vector<std::byte> data(1024, std::byte{9});
-  PooledBuf buf = poolAcquire(pool, data);
-  EXPECT_EQ(buf.ticket, PayloadPool::kNoTicket);
-  poolRelease(pool, std::move(buf));
-  EXPECT_EQ(pool.stats().reuses + pool.stats().allocations, 0u);
-  EXPECT_EQ(pool.stats().returns, 0u);
-  // The class pool itself still works normally.
-  EXPECT_EQ(pool.freeBuffers(), 1u);
-  PooledBuf again = poolAcquire(pool, data);
-  EXPECT_EQ(pool.classStats()[PayloadPool::classIndex(1024)].reuses, 1u);
-  poolRelease(pool, std::move(again));
-}
-
 TEST(PayloadPool, WorldRunReportsTrimAndHighWater) {
   // A world whose ranks exchange pool-sized payloads must report a nonzero
   // live high-water mark, and the teardown trim keeps the parked-buffer
@@ -1045,15 +1027,13 @@ TEST_P(SimMpiCommunicatorTest, WildcardRecvReportsSourceAndTag) {
 
 TEST_P(SimMpiCommunicatorTest, WildcardRecvIsDeterministicAcrossShards) {
   // Four senders race into one wildcard receiver; the matched (src, tag)
-  // sequence must be identical for every shard count (and both hosts, via
-  // the suite parameter). Tiny leaf switches force real sharding.
-  auto sequence = [](int shards) {
+  // sequence must be identical on every run and on both hosts.
+  auto sequence = [](Host host) {
     WorldConfig cfg = testConfig();
     cfg.topology.nodesPerLeafSwitch = 2;
-    cfg.simShards = shards;
     MpiWorld world(cfg, 5);
     std::vector<std::pair<int, int>> matched;
-    run(world, [&](MpiContext& ctx) {
+    runOn(host, world, [&](MpiContext& ctx) {
       const Communicator comm = ctx.commWorld();
       if (ctx.rank() == 0) {
         for (int i = 0; i < 4; ++i) {
@@ -1072,11 +1052,11 @@ TEST_P(SimMpiCommunicatorTest, WildcardRecvIsDeterministicAcrossShards) {
     });
     return matched;
   };
-  const auto base = sequence(1);
+  const auto base = sequence(GetParam());
   ASSERT_EQ(base.size(), 4u);
-  EXPECT_EQ(sequence(2), base);
-  EXPECT_EQ(sequence(4), base);
-  EXPECT_EQ(sequence(1), base);  // rerun stability
+  EXPECT_EQ(sequence(GetParam()), base);  // rerun stability
+  EXPECT_EQ(sequence(Host::Fiber), base);
+  EXPECT_EQ(sequence(Host::Thread), base);
 }
 
 TEST_P(SimMpiCommunicatorTest, SplitOrdersMembersByKeyThenWorldRank) {
@@ -1261,10 +1241,9 @@ TEST_P(SimMpiCommunicatorTest, RecvDoublesReportsByteCountAndSource) {
 }
 
 TEST_P(SimMpiCommunicatorTest, TaskFarmDistributesEveryTaskDeterministically) {
-  auto distribution = [](int shards) {
+  auto distribution = [] {
     WorldConfig cfg = testConfig();
     cfg.topology.nodesPerLeafSwitch = 2;
-    cfg.simShards = shards;
     MpiWorld world(cfg, 9);
     apps::TaskFarm::Params params;
     params.tasks = 40;
@@ -1273,7 +1252,7 @@ TEST_P(SimMpiCommunicatorTest, TaskFarmDistributesEveryTaskDeterministically) {
     run(world, apps::TaskFarm::rankBody(params));
     return perWorker;
   };
-  const std::vector<std::uint64_t> base = distribution(1);
+  const std::vector<std::uint64_t> base = distribution();
   ASSERT_EQ(base.size(), 9u);
   EXPECT_EQ(base[0], 0u);  // the master serves, it does not compute
   std::uint64_t total = 0;
@@ -1281,8 +1260,7 @@ TEST_P(SimMpiCommunicatorTest, TaskFarmDistributesEveryTaskDeterministically) {
   EXPECT_EQ(total, 40u);
   for (std::size_t w = 1; w < base.size(); ++w)
     EXPECT_GE(base[w], 1u) << "worker " << w << " starved";
-  EXPECT_EQ(distribution(2), base);
-  EXPECT_EQ(distribution(4), base);
+  EXPECT_EQ(distribution(), base);  // rerun stability
 }
 
 TEST_P(SimMpiTest, DeterministicAcrossRuns) {

@@ -367,24 +367,23 @@ TEST(WorldTrace, SampledReservoirIdenticalAcrossBackends) {
 }
 
 // ---------------------------------------------------------------------------
-// Link telemetry, critical path and sharded exporter identity
+// Link telemetry, critical path and exporter identity
 // ---------------------------------------------------------------------------
 
-mpi::WorldConfig shardableConfig(int shards) {
+mpi::WorldConfig shardableConfig() {
   mpi::WorldConfig cfg = tegraConfig();
-  cfg.topology.nodesPerLeafSwitch = 2;  // tiny leaves force real sharding
-  cfg.simShards = shards;
+  cfg.topology.nodesPerLeafSwitch = 2;  // tiny leaves: traffic crosses the core
   return cfg;
 }
 
 TEST(WorldLinks, TelemetryCountsTransfersAndIsShardInvariant) {
-  const auto run = [](int shards, bool telemetry) {
-    mpi::WorldConfig cfg = shardableConfig(shards);
+  const auto run = [](Host host, bool telemetry) {
+    mpi::WorldConfig cfg = shardableConfig();
     cfg.linkTelemetry = telemetry;
     mpi::MpiWorld world(cfg, 8);
-    return world.run(commHeavyBody);
+    return onHost(host, [&] { return world.run(commHeavyBody); });
   };
-  const auto base = run(1, true);
+  const auto base = run(Host::Fiber, true);
   ASSERT_TRUE(base.linkStats.any());
   EXPECT_GT(base.linkStats.uplink.transfers, 0u);
   EXPECT_GT(base.linkStats.uplink.busySeconds, 0.0);
@@ -397,9 +396,10 @@ TEST(WorldLinks, TelemetryCountsTransfersAndIsShardInvariant) {
   EXPECT_LE(base.linkStats.uplink.maxLinkBusySeconds,
             base.linkStats.uplink.busySeconds);
   // Fabric occupancy happens at canonical wire-scheduling points only, so
-  // the counters are exactly shard-invariant, not merely close.
-  for (int shards : {2, 4}) {
-    const auto got = run(shards, true);
+  // the counters repeat exactly on a rerun and on either host, not merely
+  // closely.
+  for (const Host host : {Host::Fiber, Host::Thread}) {
+    const auto got = run(host, true);
     EXPECT_EQ(got.linkStats.uplink.transfers,
               base.linkStats.uplink.transfers);
     EXPECT_DOUBLE_EQ(got.linkStats.uplink.busySeconds,
@@ -416,13 +416,13 @@ TEST(WorldLinks, TelemetryCountsTransfersAndIsShardInvariant) {
     }
   }
   // Telemetry off: same simulation, empty counters.
-  const auto off = run(1, false);
+  const auto off = run(Host::Fiber, false);
   EXPECT_FALSE(off.linkStats.any());
   EXPECT_DOUBLE_EQ(off.wallClockSeconds, base.wallClockSeconds);
 }
 
 TEST(CriticalPath, DecomposesWallClockExactly) {
-  mpi::MpiWorld world(shardableConfig(1), 8);
+  mpi::MpiWorld world(shardableConfig(), 8);
   const auto stats = world.run(commHeavyBody);
   const obs::CriticalPath& path = stats.criticalPath;
   EXPECT_GE(path.endRank, 0);
@@ -439,34 +439,34 @@ TEST(CriticalPath, DecomposesWallClockExactly) {
 }
 
 TEST(CriticalPath, IdenticalAcrossShardsAndBackends) {
-  const auto run = [](Host host, int shards) {
-    mpi::MpiWorld world(shardableConfig(shards), 8);
+  // The chain must repeat exactly on a rerun and on either host.
+  const auto run = [](Host host) {
+    mpi::MpiWorld world(shardableConfig(), 8);
     return onHost(host, [&] { return world.run(commHeavyBody); })
         .criticalPath;
   };
-  const obs::CriticalPath base = run(Host::Fiber, 1);
+  const obs::CriticalPath base = run(Host::Fiber);
   for (const Host host : {Host::Fiber, Host::Thread}) {
-    for (int shards : {1, 2, 4}) {
-      const obs::CriticalPath got = run(host, shards);
-      EXPECT_EQ(got.endRank, base.endRank);
-      EXPECT_EQ(got.edges, base.edges);
-      EXPECT_DOUBLE_EQ(got.computeSeconds, base.computeSeconds);
-      EXPECT_DOUBLE_EQ(got.sendSeconds, base.sendSeconds);
-      EXPECT_DOUBLE_EQ(got.recvSeconds, base.recvSeconds);
-      EXPECT_DOUBLE_EQ(got.linkSeconds, base.linkSeconds);
-      EXPECT_DOUBLE_EQ(got.waitSeconds, base.waitSeconds);
-    }
+    const obs::CriticalPath got = run(host);
+    EXPECT_EQ(got.endRank, base.endRank);
+    EXPECT_EQ(got.edges, base.edges);
+    EXPECT_DOUBLE_EQ(got.computeSeconds, base.computeSeconds);
+    EXPECT_DOUBLE_EQ(got.sendSeconds, base.sendSeconds);
+    EXPECT_DOUBLE_EQ(got.recvSeconds, base.recvSeconds);
+    EXPECT_DOUBLE_EQ(got.linkSeconds, base.linkSeconds);
+    EXPECT_DOUBLE_EQ(got.waitSeconds, base.waitSeconds);
   }
 }
 
-std::pair<std::string, std::string> shardedArtefacts(int shards) {
-  mpi::WorldConfig cfg = shardableConfig(shards);
+std::pair<std::string, std::string> sampledArtefacts(Host host) {
+  mpi::WorldConfig cfg = shardableConfig();
   cfg.traceMode = TraceMode::Sampled;
   cfg.traceReservoirPerRank = 16;
   cfg.traceSeed = 7;
   mpi::MpiWorld world(cfg, 8);
   world.enableTracing();
-  const auto stats = world.run(commHeavyBody);
+  const auto stats =
+      onHost(host, [&] { return world.run(commHeavyBody); });
   const std::string prv =
       world.tracer().exportPrv(8, stats.wallClockSeconds);
   const std::string breakdown = obs::exportBreakdownCsv(
@@ -475,14 +475,15 @@ std::pair<std::string, std::string> shardedArtefacts(int shards) {
 }
 
 TEST(Exporters, ShardedRunsExportByteIdenticalArtefacts) {
-  const auto base = shardedArtefacts(1);
+  // A rerun, on either host, exports the same sampled timeline bytes.
+  const auto base = sampledArtefacts(Host::Fiber);
   ASSERT_EQ(base.first.rfind("#Paraver", 0), 0u);
   ASSERT_NE(base.second.find("rank,compute_s"), std::string::npos);
-  for (int shards : {2, 8}) {
-    const auto got = shardedArtefacts(shards);
-    EXPECT_EQ(got.first, base.first) << "prv differs: shards=" << shards;
-    EXPECT_EQ(got.second, base.second)
-        << "breakdown differs: shards=" << shards;
+  for (const Host host : {Host::Fiber, Host::Thread}) {
+    const auto got = sampledArtefacts(host);
+    const std::string name = testhost::hostName(host);
+    EXPECT_EQ(got.first, base.first) << "prv differs: host=" << name;
+    EXPECT_EQ(got.second, base.second) << "breakdown differs: host=" << name;
   }
 }
 

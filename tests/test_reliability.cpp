@@ -6,6 +6,7 @@
 #include <cmath>
 #include <string>
 
+#include "host_threads.hpp"
 #include "tibsim/arch/registry.hpp"
 #include "tibsim/common/assert.hpp"
 #include "tibsim/common/units.hpp"
@@ -104,13 +105,12 @@ TEST(DramErrors, InvalidInputsRejected) {
 // Fault injection into a verified collective run (ROADMAP 6.3)
 // ---------------------------------------------------------------------------
 
-mpi::WorldConfig faultDemoConfig(int shards = 1) {
+mpi::WorldConfig faultDemoConfig() {
   mpi::WorldConfig cfg;
   cfg.platform = arch::PlatformRegistry::tegra2();
   cfg.frequencyHz = units::ghz(1.0);
   cfg.ranksPerNode = 1;
   cfg.topology.nodesPerLeafSwitch = 2;
-  cfg.simShards = shards;
   return cfg;
 }
 
@@ -153,12 +153,18 @@ TEST(FaultInjection, BitFlipSurfacesAsCollectiveMismatch) {
 }
 
 TEST(FaultInjection, MismatchReportIsByteIdenticalAcrossShards) {
+  // The report must repeat byte for byte on a rerun and when another host
+  // thread drives the ranks (host_threads.hpp).
   const FaultPlan plan = planCollectiveFault(DramErrorModel{}, 6, 5, 42);
-  const std::string base =
-      runCollectiveFaultDemo(faultDemoConfig(1), 6, 5, plan);
+  const auto report = [&](testhost::Host host) {
+    return testhost::onHost(host, [&] {
+      return runCollectiveFaultDemo(faultDemoConfig(), 6, 5, plan);
+    });
+  };
+  const std::string base = report(testhost::Host::Fiber);
   ASSERT_FALSE(base.empty());
-  EXPECT_EQ(runCollectiveFaultDemo(faultDemoConfig(2), 6, 5, plan), base);
-  EXPECT_EQ(runCollectiveFaultDemo(faultDemoConfig(3), 6, 5, plan), base);
+  EXPECT_EQ(report(testhost::Host::Fiber), base);
+  EXPECT_EQ(report(testhost::Host::Thread), base);
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 
 #include "host_threads.hpp"
 #include "tibsim/common/assert.hpp"
-#include "tibsim/sim/shard_scheduler.hpp"
 #include "tibsim/sim/simulation.hpp"
 
 namespace tibsim::sim {
@@ -593,35 +592,6 @@ TEST(FiberStackSizeDeathTest, MalformedEnvironmentValueIsAContractError) {
       ::testing::ExitedWithCode(0),
       "TIBSIM_FIBER_STACK_KB must be a plain decimal KiB count >= 16 .*"
       "got \"64k\"");
-}
-
-TEST(ShardScheduler, ChannelPushToTornDownShardIsAContractViolation) {
-  // Routing a rank's cross-shard event to a detached engine is a
-  // partitioning bug; the channel must reject it loudly, not enqueue into
-  // freed state.
-  Simulation a;
-  Simulation b;
-  ShardScheduler sched(1.0e-6);
-  sched.addShard(&a);
-  const std::size_t victim = sched.addShard(&b);
-  sched.channelPush(victim, 0.5e-6, 1, 0, [] {});  // alive: accepted
-  sched.teardownShard(victim);
-  EXPECT_THROW(sched.channelPush(victim, 1.5e-6, 2, 0, [] {}),
-               ContractError);
-}
-
-TEST(ShardScheduler, ScopedSimShardsOverrideRestoresPrevious) {
-  const int before = defaultSimShards();
-  {
-    ScopedSimShards scoped(4);
-    EXPECT_EQ(defaultSimShards(), 4);
-    {
-      ScopedSimShards nested(2);
-      EXPECT_EQ(defaultSimShards(), 2);
-    }
-    EXPECT_EQ(defaultSimShards(), 4);
-  }
-  EXPECT_EQ(defaultSimShards(), before);
 }
 
 }  // namespace

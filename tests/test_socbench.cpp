@@ -335,14 +335,15 @@ TEST(Campaign, ThrowsWhenNothingMatches) {
   EXPECT_THROW(core::runCampaign(options, sink), ContractError);
 }
 
-// One experiment at --jobs 1, so every world it builds runs on `host`
-// (host_threads.hpp) or, with shards > 1, on that host's shard gang.
-core::CampaignResult shardedCampaign(int shards, const std::string& pattern,
-                                     Host host = Host::Fiber) {
+// One experiment, run from `host` (host_threads.hpp). At --jobs 1 every
+// world it builds runs on that host; at --jobs > 1 its cells run on the
+// campaign pool's threads.
+core::CampaignResult hostCampaign(const std::string& pattern,
+                                  Host host = Host::Fiber, int jobs = 1) {
   core::CampaignOptions options;
   options.patterns = {pattern};
   options.summary = false;
-  options.simShards = shards;
+  options.jobs = jobs;
   std::ostringstream sink;
   return testhost::onHost(host,
                           [&] { return core::runCampaign(options, sink); });
@@ -352,8 +353,8 @@ TEST(Campaign, JsonIsByteIdenticalAcrossSimBackends) {
   // imb_suite drives full simMPI worlds, so the simulated clocks and
   // engine counters both reach the artefact. It must not depend on which
   // host thread switched into the rank fibers.
-  const auto fiber = shardedCampaign(1, "imb_suite", Host::Fiber);
-  const auto thread = shardedCampaign(1, "imb_suite", Host::Thread);
+  const auto fiber = hostCampaign("imb_suite", Host::Fiber);
+  const auto thread = hostCampaign("imb_suite", Host::Thread);
   ASSERT_EQ(fiber.runs.size(), 1u);
   ASSERT_EQ(thread.runs.size(), 1u);
   EXPECT_FALSE(fiber.runs[0].json.empty());
@@ -361,28 +362,23 @@ TEST(Campaign, JsonIsByteIdenticalAcrossSimBackends) {
 }
 
 TEST(Campaign, JsonIsByteIdenticalAcrossShardCounts) {
-  // fig06 runs 64- and 96-node (multi-leaf-switch) worlds, so
-  // --sim-shards > 1 actually partitions the switch tree (8 clamps to the
-  // leaf count). The conservative windows plus the barrier merge must
-  // reconstruct the single-queue dispatch order exactly: the artefact
-  // bytes may not depend on the shard count.
-  const auto one = shardedCampaign(1, "fig06");
-  const auto two = shardedCampaign(2, "fig06");
-  const auto eight = shardedCampaign(8, "fig06");
+  // Every world runs on one event queue; what may vary is how many pool
+  // threads run fig06's 64- and 96-node cells at once. A second run at
+  // --jobs 4 must serialise the same bytes.
+  const auto one = hostCampaign("fig06");
+  const auto pooled = hostCampaign("fig06", Host::Fiber, 4);
   ASSERT_EQ(one.runs.size(), 1u);
-  ASSERT_EQ(two.runs.size(), 1u);
-  ASSERT_EQ(eight.runs.size(), 1u);
+  ASSERT_EQ(pooled.runs.size(), 1u);
   EXPECT_FALSE(one.runs[0].json.empty());
-  EXPECT_EQ(one.runs[0].json, two.runs[0].json);
-  EXPECT_EQ(one.runs[0].json, eight.runs[0].json);
+  EXPECT_EQ(one.runs[0].json, pooled.runs[0].json);
 }
 
 TEST(Campaign, ShardedJsonIsByteIdenticalAcrossSimBackends) {
-  // Sharding composes with the host: gang windows spawned from a worker
-  // thread must serialise the same bytes as from the test thread.
-  const auto fiber = shardedCampaign(8, "ablation_interconnect", Host::Fiber);
-  const auto thread =
-      shardedCampaign(8, "ablation_interconnect", Host::Thread);
+  // The --jobs pool composes with the host: pool threads started from a
+  // worker thread must serialise the same bytes as a serial run on the
+  // test thread.
+  const auto fiber = hostCampaign("ablation_interconnect", Host::Fiber);
+  const auto thread = hostCampaign("ablation_interconnect", Host::Thread, 4);
   ASSERT_EQ(fiber.runs.size(), 1u);
   ASSERT_EQ(thread.runs.size(), 1u);
   EXPECT_FALSE(fiber.runs[0].json.empty());
@@ -393,34 +389,32 @@ TEST(Campaign, TaskFarmJsonIsByteIdenticalAcrossShardsAndBackends) {
   // The wildcard-receive acceptance bar: the task farm's self-scheduling
   // master matches kAnySource results at up to 2,048 ranks, and the full
   // artefact (including the per-worker distribution the tables derive
-  // from) must not depend on the shard count or the host thread.
-  const auto one = shardedCampaign(1, "taskfarm");
-  const auto two = shardedCampaign(2, "taskfarm");
-  const auto eight = shardedCampaign(8, "taskfarm");
-  const auto thread = shardedCampaign(8, "taskfarm", Host::Thread);
+  // from) must not depend on the run, the --jobs value or the host thread.
+  const auto one = hostCampaign("taskfarm");
+  const auto pooled = hostCampaign("taskfarm", Host::Fiber, 4);
+  const auto thread = hostCampaign("taskfarm", Host::Thread);
   ASSERT_EQ(one.runs.size(), 1u);
   EXPECT_FALSE(one.runs[0].json.empty());
-  EXPECT_EQ(one.runs[0].json, two.runs[0].json);
-  EXPECT_EQ(one.runs[0].json, eight.runs[0].json);
+  EXPECT_EQ(one.runs[0].json, pooled.runs[0].json);
   EXPECT_EQ(one.runs[0].json, thread.runs[0].json);
   EXPECT_EQ(one.runs[0].engine.peakLiveProcesses, 2048u);
 }
 
 TEST(Campaign, HydroAsyncJsonIsByteIdenticalAcrossShardsAndBackends) {
-  // comm.split()/dup() and the non-blocking collectives cross the shard
-  // boundary here: communicator ids are minted from traffic, so every
-  // shard count and host thread must serialise identical bytes.
-  const auto one = shardedCampaign(1, "hydro_async");
-  const auto eight = shardedCampaign(8, "hydro_async");
-  const auto thread = shardedCampaign(8, "hydro_async", Host::Thread);
+  // comm.split()/dup() and the non-blocking collectives: communicator ids
+  // are minted from traffic, so every --jobs value and host thread must
+  // serialise identical bytes.
+  const auto one = hostCampaign("hydro_async");
+  const auto pooled = hostCampaign("hydro_async", Host::Fiber, 4);
+  const auto thread = hostCampaign("hydro_async", Host::Thread, 4);
   ASSERT_EQ(one.runs.size(), 1u);
   EXPECT_FALSE(one.runs[0].json.empty());
-  EXPECT_EQ(one.runs[0].json, eight.runs[0].json);
+  EXPECT_EQ(one.runs[0].json, pooled.runs[0].json);
   EXPECT_EQ(one.runs[0].json, thread.runs[0].json);
 }
 
 TEST(Campaign, EngineStatsLandInResultDocument) {
-  const auto campaign = shardedCampaign(1, "imb_suite");
+  const auto campaign = hostCampaign("imb_suite");
   const json::Value doc = json::Value::parse(campaign.runs[0].json);
   const json::Value* engine = doc.find("engine");
   ASSERT_NE(engine, nullptr);
@@ -512,6 +506,7 @@ TEST(Cli, RejectsNonNumericIntegerFlags) {
   EXPECT_EQ(cliExit({"run", "--jobs", ""}), 2);
   EXPECT_EQ(cliExit({"run", "--seed", "banana"}), 2);
   EXPECT_EQ(cliExit({"run", "--seed", "-1"}), 2);
+  // No such flag (the sharded engine is gone): an unknown flag exits 2.
   EXPECT_EQ(cliExit({"run", "--sim-shards", "many"}), 2);
   EXPECT_EQ(cliExit({"run", "--jobs=banana"}), 2);  // --flag=value spelling
 }

@@ -366,56 +366,34 @@ void checkThreadLocal(const FileContext& ctx, const Rule& rule,
     if (!std::regex_search(ctx.code[i], kTls)) continue;
     emit(ctx, i, rule,
          "thread_local inside fiber-run simulation code: all fibers of a "
-         "world share one host thread, and shards run on whichever gang "
-         "thread picks up their window, so the storage is silently shared "
-         "across ranks and silently changes between windows",
+         "world share one host thread, so the storage is silently shared "
+         "across ranks, and a --jobs pool thread runs one world after "
+         "another, so it also carries over from one world into the next",
          "keep per-rank state in the rank body or in MpiContext", out);
   }
 }
 
-void checkShardShared(const FileContext& ctx, const Rule& rule,
-                      std::vector<Finding>& out) {
+void checkSimStatic(const FileContext& ctx, const Rule& rule,
+                    std::vector<Finding>& out) {
   if (!ctx.isSimPath) return;
-  // The event loop and the shard scheduler implement the queue and the
-  // cross-shard channel; only they may touch the raw primitives.
-  const bool engineFile =
-      pathContains(ctx.path, "src/sim/simulation.cpp") ||
-      pathContains(ctx.path, "src/sim/shard_scheduler.cpp");
-  // Raw event-queue pushes bypass the canonical (time, ordinal) keying that
-  // keeps shard merges byte-identical to the single-queue schedule.
-  static const std::regex kQueuePush(
-      "\\bqueue_\\s*\\.\\s*push\\s*\\(|\\bEventQueue::push\\b|"
-      "(?:\\.|->)\\s*scheduleChannel\\s*\\(");
-  // Function-local mutable statics are shared by every shard once the gang
-  // runs windows on multiple host threads. Heuristic: a `static` followed
-  // by a declarator that reaches `=` or `;` without an intervening paren
-  // (so function declarations and brace-init-with-call escape; const and
-  // constexpr statics are immutable and fine).
+  // Function-local mutable statics are shared by every world the --jobs
+  // pool runs concurrently. Heuristic: a `static` followed by a declarator
+  // that reaches `=` or `;` without an intervening paren (so function
+  // declarations and brace-init-with-call escape; const and constexpr
+  // statics are immutable and fine).
   static const std::regex kMutableStatic(
       "\\bstatic\\s+(?!const\\b|constexpr\\b)[^=;()]*[=;]");
   for (std::size_t i = 0; i < ctx.code.size(); ++i) {
-    if (!engineFile && std::regex_search(ctx.code[i], kQueuePush)) {
-      emit(ctx, i, rule,
-           "direct event-queue access from shardable simulation code: "
-           "events pushed outside the engine bypass the canonical "
-           "(time, ordinal) keying and the cross-shard channel replay, so "
-           "sharded runs diverge from the single-queue schedule",
-           "route cross-shard work through ShardScheduler::channelPush "
-           "(or Simulation::scheduleAt within a shard)",
-           out);
-    }
-    if (std::regex_search(ctx.code[i], kMutableStatic)) {
-      emit(ctx, i, rule,
-           "mutable static in shardable simulation code: shard gang "
-           "threads run windows concurrently, so function-local static "
-           "state is shared across shards and races (or orders "
-           "nondeterministically) once --sim-shards > 1 meets a "
-           "multi-core host",
-           "move the state into Simulation/MpiWorld members (per-shard), "
-           "or annotate a mutex-guarded process-wide singleton with "
-           "tibsim-lint: allow(shard-shared)",
-           out);
-    }
+    if (!std::regex_search(ctx.code[i], kMutableStatic)) continue;
+    emit(ctx, i, rule,
+         "mutable static in simulation code: --jobs pool threads run "
+         "worlds concurrently, so function-local static state is shared "
+         "across worlds and races (or orders nondeterministically) on a "
+         "multi-core host",
+         "move the state into Simulation/MpiWorld members (per world), "
+         "or annotate a mutex-guarded process-wide singleton with "
+         "tibsim-lint: allow(sim-static)",
+         out);
   }
 }
 
@@ -884,8 +862,8 @@ constexpr std::array<Rule, 12> kSourceRules = {{
     {"wall-clock",
      "no wall-clock reads (steady_clock/system_clock/time()) outside "
      "annotated host-side measurement",
-     "campaign artefacts must be byte-identical across reruns, --jobs and "
-     "--sim-shards; host clocks differ every run"},
+     "campaign artefacts must be byte-identical across reruns and --jobs "
+     "values; host clocks differ every run"},
     {"random-source",
      "no rand()/std::random_device/drand48 anywhere",
      "all stochastic components must seed from the campaign seed via "
@@ -904,9 +882,9 @@ constexpr std::array<Rule, 12> kSourceRules = {{
      "world; simulated waiting goes through Process::delay/suspend"},
     {"thread-local",
      "no thread_local in sim paths",
-     "many fiber ranks share one host thread and shard windows hop "
-     "between gang threads, so thread_local state is neither per-rank nor "
-     "stable across windows"},
+     "many fiber ranks share one host thread and a --jobs pool thread runs "
+     "many worlds in turn, so thread_local state is neither per-rank nor "
+     "per-world"},
     {"pragma-once",
      "headers start with #pragma once",
      "double inclusion breaks the single-library build; include guards "
@@ -919,12 +897,11 @@ constexpr std::array<Rule, 12> kSourceRules = {{
      "double payloads go through sendDoubles/recvDoubles",
      "the helpers enforce the multiple-of-sizeof(double) payload "
      "contract; raw send()/reinterpret_cast paths only fail at runtime"},
-    {"shard-shared",
-     "no raw EventQueue pushes or mutable statics in shardable sim code "
-     "outside the engine/channel API",
-     "per-subtree shards replay cross-shard effects through the channel "
-     "to stay byte-identical; raw pushes and cross-shard mutable state "
-     "break the canonical order (and race on multi-core gangs)"},
+    {"sim-static",
+     "no mutable statics in sim code",
+     "--jobs pool threads run worlds concurrently, so mutable static "
+     "state is shared across worlds and races (or orders "
+     "nondeterministically) on multi-core hosts"},
     {"wildcard-recv",
      "wildcard receives (kAnySource/kAnyTag) in sim paths carry an "
      "explicit waiver",
@@ -947,7 +924,7 @@ constexpr std::array<void (*)(const FileContext&, const Rule&,
                   checkPointerKeyedContainer, checkFiberBlocking,
                   checkThreadLocal, checkPragmaOnce,
                   checkUsingNamespaceHeader, checkMpiContract,
-                  checkShardShared, checkWildcardRecv,
+                  checkSimStatic, checkWildcardRecv,
                   checkCollectiveMatch}};
 
 bool ruleSelected(const Options& options, const char* id) {

@@ -2,7 +2,7 @@
 // tibsim-lint — repo-specific determinism & sim-safety static analysis.
 //
 // The campaign's headline guarantees (byte-identical reruns across --jobs
-// and --sim-shards, platform tables faithful to the paper's Table 1) are
+// values, platform tables faithful to the paper's Table 1) are
 // end-to-end properties that CI reruns catch late and point nowhere near
 // the offending line. This
 // linter enforces the source-level invariants that make those guarantees
