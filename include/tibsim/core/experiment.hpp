@@ -105,16 +105,6 @@ class ExperimentContext {
     counters.payloadPoolReturns = stats.payloadPoolReturns;
     counters.payloadPoolTrimmedBuffers = stats.payloadPoolTrimmedBuffers;
     counters.payloadPoolLiveHighWater = stats.payloadPoolLiveHighWater;
-    counters.payloadPoolClasses.resize(stats.payloadPoolClassStats.size());
-    for (std::size_t c = 0; c < stats.payloadPoolClassStats.size(); ++c) {
-      const auto& cs = stats.payloadPoolClassStats[c];
-      obs::PayloadClassCounters& out = counters.payloadPoolClasses[c];
-      out.classBytes = cs.classBytes;
-      out.acquires = cs.acquires;
-      out.reuses = cs.reuses;
-      out.allocations = cs.allocations;
-      out.parked = cs.parked;
-    }
     counters.links = stats.linkStats;
     counters.criticalPath = stats.criticalPath;
     recordRunCounters(counters);

@@ -3,30 +3,23 @@
 //
 // Every send used to construct a fresh std::vector<std::byte> for its
 // payload and every receive freed it — one allocator round-trip per message,
-// millions of times per big-cluster sweep. Two layers remove that:
+// millions of times per big-cluster sweep. Two layers remove most of that:
 //
 //  * MessagePayload stores payloads of up to kInlineCapacity (64) bytes
 //    inline in the Message itself — covering the control traffic (doubles,
 //    counters, CTS-sized frames) that dominates message counts — and backs
 //    larger payloads with a buffer acquired from the world's PayloadPool.
-//  * PayloadPool parks returned buffers in power-of-two *size classes*
-//    (128 B, 256 B, ... — anything smaller rides inline). An acquire is
-//    served from the request's own class when possible, then from the
-//    smallest larger class (no copy-growth), and only as a last resort from
-//    a smaller class (which reallocates, exactly like the old single free
-//    list did). Apps cycling through many distinct large payload sizes
-//    therefore stop thrashing one LIFO: each size class keeps its warm
-//    buffers. Buffer capacities are rounded up to the class size so parked
-//    buffers stay interchangeable within a class.
+//  * PayloadPool parks returned buffers on one LIFO free list. An acquire
+//    pops the newest parked buffer; if its capacity covers the request the
+//    send allocates nothing, otherwise the buffer is grown to exactly the
+//    request.
 //
-// Accounting: the serialised WorldStats counters (reuses, allocations,
-// returns, trimmedBuffers, liveHighWater) predate the size classes and are
-// part of the byte-identical campaign artefact contract, so they are
-// produced by CompatModel — an exact count/capacity replica of the original
-// single-LIFO pool fed with the same acquire/release sequence. The size
-// classes additionally expose per-class counters (ClassStats) describing
-// what the pool actually did; those are serialised into the campaign
-// __worlds.csv per-class table.
+// Only the send side stops allocating once the pool is warm: a receive
+// still hands the application a fresh vector (MessagePayload::intoVector).
+//
+// Every Stats counter is a function of the simulated acquire/release
+// sequence only, so WorldStats serialises them into the byte-identical
+// campaign artefacts.
 //
 // Single-threaded by design: a world's sends and receives all run on the
 // simulation thread, like the mailboxes.
@@ -41,12 +34,11 @@
 
 namespace tibsim::mpi {
 
-/// Size-classed free lists of payload buffers with legacy-exact accounting.
+/// LIFO free list of payload buffers.
 class PayloadPool {
  public:
   /// Deterministic accounting (functions of the simulated run only, safe to
-  /// serialise): how payload storage was obtained and returned, in the
-  /// original single-free-list model (see CompatModel).
+  /// serialise): how payload storage was obtained and returned.
   struct Stats {
     std::uint64_t inlineMessages = 0;  ///< payloads stored in the Message
     std::uint64_t pooledMessages = 0;  ///< payloads backed by a pool buffer
@@ -57,103 +49,43 @@ class PayloadPool {
     std::uint64_t liveHighWater = 0;   ///< max buffers checked out at once
   };
 
-  /// What the size-classed pool actually did, per power-of-two class.
-  /// Serialised (campaign __worlds.csv per-class table).
-  struct ClassStats {
-    std::size_t classBytes = 0;      ///< buffer capacity of this class
-    std::uint64_t acquires = 0;      ///< requests that mapped to this class
-    std::uint64_t reuses = 0;        ///< served by a parked buffer (any class)
-    std::uint64_t allocations = 0;   ///< paid an allocation or copy-growth
-    std::uint64_t parked = 0;        ///< buffers returned into this class
-  };
-
-  /// Ticket pairing an acquire with its release for the compat model.
-  static constexpr std::uint32_t kNoTicket = 0xffffffffu;
-
-  /// Exact replica of the pre-size-class pool's accounting: one LIFO of
-  /// buffer capacities, reuse iff the popped capacity fits, trim from the
-  /// cold front. Fed with the same acquire/release sequence it reproduces
-  /// the historical serialised counters bit-for-bit — which is the contract
-  /// that keeps existing campaign artefacts byte-identical.
-  class CompatModel {
-   public:
-    /// Legacy-model capacity of the acquired buffer; the caller keeps it
-    /// per live buffer and hands it back to release().
-    std::size_t acquire(std::size_t bytes);
-    void release(std::size_t capacity);
-    std::size_t trimToHighWater();
-    void resetStats() {
-      stats_ = Stats{};
-      stats_.liveHighWater = outstanding_;
-    }
-    const Stats& stats() const { return stats_; }
-
-   private:
-    friend class PayloadPool;
-    std::vector<std::size_t> freeCaps_;  ///< parked capacities, LIFO back
-    std::size_t outstanding_ = 0;
-    Stats stats_;
-  };
-
-  /// Smallest pooled class: one step above the inline capacity.
-  static constexpr std::size_t kMinClassIndex = 7;  // 128 bytes
-
-  /// Power-of-two class for a payload of `bytes` (>= 65).
-  static std::size_t classIndex(std::size_t bytes);
-  static std::size_t classBytes(std::size_t index) {
-    return std::size_t{1} << index;
-  }
-
-  /// A buffer holding a copy of `data`, with capacity rounded up to the
-  /// class size. `ticket` receives the compat model's pairing token for
-  /// release.
-  std::vector<std::byte> acquire(std::span<const std::byte> data,
-                                 std::uint32_t& ticket);
+  /// A buffer holding a copy of `data`: the newest parked buffer if its
+  /// capacity covers `data` (a reuse), else a buffer grown to exactly
+  /// data.size() bytes (an allocation).
+  std::vector<std::byte> acquire(std::span<const std::byte> data);
 
   /// Park a buffer for reuse. Contents are discarded, capacity is kept.
-  void release(std::vector<std::byte>&& buffer, std::uint32_t ticket);
+  void release(std::vector<std::byte>&& buffer);
 
   /// Free parked buffers beyond what the observed peak demand can use:
   /// keeps at most (liveHighWater - currently outstanding) buffers parked,
-  /// dropping the smallest classes' coldest buffers first. Returns the
-  /// number of buffers actually freed from the class lists.
+  /// dropping the oldest first. Returns the number of buffers freed.
   std::size_t trimToHighWater();
 
-  /// Serialised accounting (legacy model — see CompatModel).
-  const Stats& stats() const { return compat_.stats(); }
-  /// Per-class accounting of what the size-classed pool actually did.
-  const std::vector<ClassStats>& classStats() const { return classStats_; }
+  const Stats& stats() const { return stats_; }
 
   /// Resets counters for the next accounting window. The live high-water
   /// restarts from the buffers still outstanding now, not from zero.
   void resetStats();
 
-  std::size_t freeBuffers() const { return freeTotal_; }
+  std::size_t freeBuffers() const { return free_.size(); }
   std::size_t outstandingBuffers() const { return outstanding_; }
 
  private:
   friend class MessagePayload;
 
-  void ensureClass(std::size_t index);
-  std::uint32_t mintTicket(std::size_t compatCap);
-  void noteInlineMessage() { ++compat_.stats_.inlineMessages; }
-  void notePooledMessage() { ++compat_.stats_.pooledMessages; }
+  void noteInlineMessage() { ++stats_.inlineMessages; }
+  void notePooledMessage() { ++stats_.pooledMessages; }
 
-  std::vector<std::vector<std::vector<std::byte>>> free_;  ///< by class
-  std::vector<ClassStats> classStats_;
-  std::size_t freeTotal_ = 0;
+  std::vector<std::vector<std::byte>> free_;  ///< oldest first, newest back
   std::size_t outstanding_ = 0;  ///< buffers acquired and not yet released
-  std::size_t liveHighWater_ = 0;
-  CompatModel compat_;
-  std::vector<std::size_t> ticketCaps_;  ///< ticket -> legacy-model capacity
-  std::vector<std::uint32_t> freeTickets_;
+  Stats stats_;
 };
 
 /// Payload storage for one in-flight message: empty, inline (<= 64 bytes,
 /// no separate storage), or pooled (buffer borrowed from a PayloadPool).
-/// Move-only so a pooled buffer has exactly one owner; the receive path
-/// must call intoVector() to hand the bytes to the application and give the
-/// buffer back to the pool.
+/// Move-only so a pooled buffer has exactly one owner; whoever drops a
+/// message calls intoVector() or recycle() to give the buffer back.
 class MessagePayload {
  public:
   static constexpr std::size_t kInlineCapacity = 64;
@@ -171,7 +103,6 @@ class MessagePayload {
   MessagePayload(MessagePayload&& other) noexcept
       : size_(std::exchange(other.size_, 0)),
         pooled_(std::exchange(other.pooled_, false)),
-        ticket_(std::exchange(other.ticket_, PayloadPool::kNoTicket)),
         buffer_(std::move(other.buffer_)) {
     if (!pooled_ && size_ > 0)
       std::memcpy(inline_.data(), other.inline_.data(), size_);
@@ -179,7 +110,6 @@ class MessagePayload {
   MessagePayload& operator=(MessagePayload&& other) noexcept {
     size_ = std::exchange(other.size_, 0);
     pooled_ = std::exchange(other.pooled_, false);
-    ticket_ = std::exchange(other.ticket_, PayloadPool::kNoTicket);
     buffer_ = std::move(other.buffer_);
     if (!pooled_ && size_ > 0)
       std::memcpy(inline_.data(), other.inline_.data(), size_);
@@ -200,10 +130,12 @@ class MessagePayload {
   /// pooled buffer returned to `pool` for the next send to reuse.
   std::vector<std::byte> intoVector(PayloadPool& pool);
 
+  /// Drop the bytes unread, returning any pooled buffer to `pool`.
+  void recycle(PayloadPool& pool);
+
  private:
   std::size_t size_ = 0;
   bool pooled_ = false;
-  std::uint32_t ticket_ = PayloadPool::kNoTicket;
   // Deliberately not zero-initialised: only the first size_ bytes are ever
   // written (ctor) and read (view/moves), and zeroing 64 bytes per Message
   // construction is measurable on the ping-pong hot path.

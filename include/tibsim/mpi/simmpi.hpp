@@ -99,19 +99,15 @@ struct WorldStats {
   std::uint64_t traceSpansRetained = 0;
   std::size_t traceMemoryBytes = 0;
   // Payload memory accounting (see payload_pool.hpp). Steady-state sends
-  // are zero-allocation when poolAllocations stays flat against
-  // pooledMessages; all five are deterministic and serialisable.
+  // are allocation-free when poolAllocations stays flat against
+  // pooledMessages; all seven are deterministic and serialisable.
   std::uint64_t payloadInlineMessages = 0;  ///< stored in the Message itself
   std::uint64_t payloadPooledMessages = 0;  ///< backed by a pool buffer
   std::uint64_t payloadPoolReuses = 0;      ///< pooled sends with no alloc
   std::uint64_t payloadPoolAllocations = 0; ///< pooled sends that allocated
-  std::uint64_t payloadPoolReturns = 0;     ///< buffers recycled by recv/wait
+  std::uint64_t payloadPoolReturns = 0;     ///< buffers back in the pool
   std::uint64_t payloadPoolTrimmedBuffers = 0;  ///< freed by teardown trim
   std::uint64_t payloadPoolLiveHighWater = 0;   ///< peak buffers in use
-  /// Per-size-class pool activity (power-of-two classes; index = log2 of
-  /// the class capacity, entries below the smallest class stay zero).
-  /// Serialised into the campaign __worlds.csv per-class table.
-  std::vector<PayloadPool::ClassStats> payloadPoolClassStats;
   /// Per-link fabric telemetry folded per link class (all zero when
   /// WorldConfig::linkTelemetry is off). Deterministic: every fabric
   /// occupancy runs in event-queue dispatch order.

@@ -10,25 +10,12 @@
 // byte-identical campaign JSON/CSV.
 
 #include <algorithm>
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "tibsim/obs/critical_path.hpp"
 #include "tibsim/obs/link_stats.hpp"
 
 namespace tibsim::obs {
-
-/// Per-size-class payload-pool activity rolled up across worlds (the
-/// RunCounters analogue of PayloadPool::ClassStats; index = log2 of the
-/// class capacity). Serialised into the campaign __worlds.csv class table.
-struct PayloadClassCounters {
-  std::size_t classBytes = 0;
-  std::uint64_t acquires = 0;
-  std::uint64_t reuses = 0;
-  std::uint64_t allocations = 0;
-  std::uint64_t parked = 0;
-};
 
 struct RunCounters {
   std::uint64_t worlds = 0;  ///< simMPI worlds accounted
@@ -51,8 +38,6 @@ struct RunCounters {
   std::uint64_t payloadPoolReturns = 0;
   std::uint64_t payloadPoolTrimmedBuffers = 0;  ///< freed at teardown trims
   std::uint64_t payloadPoolLiveHighWater = 0;   ///< worst single-world peak
-  /// Per-class pool activity (grows to the largest class any world used).
-  std::vector<PayloadClassCounters> payloadPoolClasses;
   /// Per-link-kind fabric telemetry summed across worlds (net/fabric.hpp).
   LinkStats links;
   /// Sim-time critical-path attribution summed across worlds
@@ -80,17 +65,6 @@ struct RunCounters {
     payloadPoolTrimmedBuffers += other.payloadPoolTrimmedBuffers;
     payloadPoolLiveHighWater =
         std::max(payloadPoolLiveHighWater, other.payloadPoolLiveHighWater);
-    if (payloadPoolClasses.size() < other.payloadPoolClasses.size())
-      payloadPoolClasses.resize(other.payloadPoolClasses.size());
-    for (std::size_t c = 0; c < other.payloadPoolClasses.size(); ++c) {
-      PayloadClassCounters& mine = payloadPoolClasses[c];
-      const PayloadClassCounters& theirs = other.payloadPoolClasses[c];
-      if (mine.classBytes == 0) mine.classBytes = theirs.classBytes;
-      mine.acquires += theirs.acquires;
-      mine.reuses += theirs.reuses;
-      mine.allocations += theirs.allocations;
-      mine.parked += theirs.parked;
-    }
     links.accumulate(other.links);
     criticalPath.accumulate(other.criticalPath);
   }

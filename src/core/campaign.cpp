@@ -331,26 +331,11 @@ CampaignResult runCampaign(const CampaignOptions& options,
             << run.counters.payloadPoolReturns << ','
             << run.counters.payloadPoolTrimmedBuffers << ','
             << run.counters.payloadPoolLiveHighWater << '\n';
-        // Per-size-class pool table, appended after a blank line so the
-        // first table keeps its historical byte layout. Only classes with
-        // activity are emitted (acquires or parked), keeping the artefact
-        // independent of how far any world's class vector happened to grow.
-        bool classHeader = false;
-        for (const obs::PayloadClassCounters& cls :
-             run.counters.payloadPoolClasses) {
-          if (cls.acquires == 0 && cls.parked == 0) continue;
-          if (!classHeader) {
-            csv << "\nclassBytes,acquires,reuses,allocations,parked\n";
-            classHeader = true;
-          }
-          csv << cls.classBytes << ',' << cls.acquires << ',' << cls.reuses
-              << ',' << cls.allocations << ',' << cls.parked << '\n';
-        }
         writeFile(dir / (run.name + "__worlds.csv"), csv.str());
       }
       if (run.counters.links.any()) {
-        // Link telemetry: per-kind scalar table, then (after a blank line,
-        // the __worlds.csv convention) the nonzero queueing-delay buckets.
+        // Link telemetry: per-kind scalar table, then (after a blank line)
+        // the nonzero queueing-delay buckets.
         // Doubles go through json::formatNumber so the artefact is
         // byte-identical across runs and --jobs values.
         std::string csv =

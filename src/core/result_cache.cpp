@@ -182,17 +182,6 @@ json::Value countersToJson(const obs::RunCounters& c) {
       static_cast<double>(c.payloadPoolTrimmedBuffers);
   v["payloadPoolLiveHighWater"] =
       static_cast<double>(c.payloadPoolLiveHighWater);
-  json::Value classes = json::Value::array();
-  for (const obs::PayloadClassCounters& cls : c.payloadPoolClasses) {
-    json::Value row = json::Value::array();
-    row.push(static_cast<double>(cls.classBytes));
-    row.push(static_cast<double>(cls.acquires));
-    row.push(static_cast<double>(cls.reuses));
-    row.push(static_cast<double>(cls.allocations));
-    row.push(static_cast<double>(cls.parked));
-    classes.push(std::move(row));
-  }
-  v["payloadPoolClasses"] = std::move(classes);
   json::Value links = json::Value::object();
   links["uplink"] = linkKindToJson(c.links.uplink);
   links["core"] = linkKindToJson(c.links.core);
@@ -240,20 +229,6 @@ obs::RunCounters countersFromJson(const json::Value& v) {
       static_cast<std::uint64_t>(member(v, "payloadPoolTrimmedBuffers"));
   c.payloadPoolLiveHighWater =
       static_cast<std::uint64_t>(member(v, "payloadPoolLiveHighWater"));
-  const json::Value* classes = v.find("payloadPoolClasses");
-  TIB_REQUIRE_MSG(classes != nullptr && classes->isArray(),
-                  "cache entry missing payloadPoolClasses");
-  for (const json::Value& row : classes->items()) {
-    TIB_REQUIRE_MSG(row.isArray() && row.size() == 5,
-                    "malformed payloadPoolClasses row");
-    obs::PayloadClassCounters cls;
-    cls.classBytes = static_cast<std::size_t>(row.at(0).asDouble());
-    cls.acquires = static_cast<std::uint64_t>(row.at(1).asDouble());
-    cls.reuses = static_cast<std::uint64_t>(row.at(2).asDouble());
-    cls.allocations = static_cast<std::uint64_t>(row.at(3).asDouble());
-    cls.parked = static_cast<std::uint64_t>(row.at(4).asDouble());
-    c.payloadPoolClasses.push_back(cls);
-  }
   const json::Value* links = v.find("links");
   TIB_REQUIRE_MSG(links != nullptr && links->isObject(),
                   "cache entry missing links");

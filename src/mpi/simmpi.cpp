@@ -261,7 +261,8 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
 
   // Small payloads ride inline in the Message; larger ones borrow a warm
   // buffer from the pool (recycled by doRecv/wait), so a steady-state send
-  // performs no heap allocation.
+  // performs no heap allocation. The receive side still allocates the
+  // vector it hands the application (MessagePayload::intoVector).
   MessagePayload copy(payload, pool_);
   const int srcNode = ctx.node();
   const int dstNode = nodeOfRank(dst);
@@ -601,8 +602,11 @@ WorldStats MpiWorld::run(const RankBody& body) {
   stats_.traceSpansRecorded = tracer_.spansRecorded();
   stats_.traceSpansRetained = tracer_.spansRetained();
   stats_.traceMemoryBytes = tracer_.memoryBytes();
-  // World-teardown checkpoint: drop parked buffers this run's peak demand
-  // could never use at once, then harvest the counters (trim included).
+  // World-teardown checkpoint: no rank can consume a message any more, so
+  // the buffers of those never received go back to the pool; then drop
+  // parked buffers this run's peak demand could never use at once, and
+  // harvest the counters (returns and trim included).
+  for (Message& m : inflight_) m.payload.recycle(pool_);
   pool_.trimToHighWater();
   const PayloadPool::Stats& poolStats = pool_.stats();
   stats_.payloadInlineMessages = poolStats.inlineMessages;
@@ -612,7 +616,6 @@ WorldStats MpiWorld::run(const RankBody& body) {
   stats_.payloadPoolReturns = poolStats.returns;
   stats_.payloadPoolTrimmedBuffers = poolStats.trimmedBuffers;
   stats_.payloadPoolLiveHighWater = poolStats.liveHighWater;
-  stats_.payloadPoolClassStats = pool_.classStats();
   for (const auto& ctx : contexts_)
     stats_.collectiveChecks += ctx->collectiveChecks_;
 

@@ -98,10 +98,10 @@ INSTANTIATE_TEST_SUITE_P(
     AllKernels, KernelCorrectness,
     ::testing::Combine(::testing::ValuesIn(suiteTags()),
                        ::testing::Bool(), ::testing::Values(0, 1)),
-    [](const ::testing::TestParamInfo<KernelCorrectness::ParamType>& info) {
-      return std::get<0>(info.param) +
-             (std::get<1>(info.param) ? "_par" : "_ser") +
-             (std::get<2>(info.param) == 0 ? "_small" : "_medium");
+    [](const ::testing::TestParamInfo<KernelCorrectness::ParamType>& test) {
+      return std::get<0>(test.param) +
+             (std::get<1>(test.param) ? "_par" : "_ser") +
+             (std::get<2>(test.param) == 0 ? "_small" : "_medium");
     });
 
 TEST(KernelRepeatability, SerialAndParallelAgree) {
@@ -149,9 +149,9 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, KernelSeedSweep,
     ::testing::Combine(::testing::ValuesIn(suiteTags()),
                        ::testing::Values(1, 2, 3)),
-    [](const ::testing::TestParamInfo<KernelSeedSweep::ParamType>& info) {
-      return std::get<0>(info.param) + "_seed" +
-             std::to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<KernelSeedSweep::ParamType>& test) {
+      return std::get<0>(test.param) + "_seed" +
+             std::to_string(std::get<1>(test.param));
     });
 
 TEST(Fft, RejectsNonPowerOfTwo) {

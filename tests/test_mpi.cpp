@@ -705,34 +705,14 @@ TEST_P(SimMpiCollectivesTest, PipelinedBcastCausality) {
   for (double t : finish) EXPECT_GT(t, 0.05);
 }
 
-namespace {
-// The ticket pairs an acquire with its release for the pool's legacy-compat
-// accounting; the tests thread it alongside the buffer like MessagePayload
-// does internally.
-struct PooledBuf {
-  std::vector<std::byte> buf;
-  std::uint32_t ticket = PayloadPool::kNoTicket;
-};
-
-PooledBuf poolAcquire(PayloadPool& pool, std::span<const std::byte> data) {
-  PooledBuf out;
-  out.buf = pool.acquire(data, out.ticket);
-  return out;
-}
-
-void poolRelease(PayloadPool& pool, PooledBuf&& pooled) {
-  pool.release(std::move(pooled.buf), pooled.ticket);
-}
-}  // namespace
-
 TEST(PayloadPool, AcquireCopiesAndCountsAllocations) {
   PayloadPool pool;
   std::vector<std::byte> data(4096);
   for (std::size_t i = 0; i < data.size(); ++i)
     data[i] = static_cast<std::byte>(i);
-  const PooledBuf buf = poolAcquire(pool, data);
-  ASSERT_EQ(buf.buf.size(), data.size());
-  EXPECT_EQ(std::memcmp(buf.buf.data(), data.data(), data.size()), 0);
+  const std::vector<std::byte> buf = pool.acquire(data);
+  ASSERT_EQ(buf.size(), data.size());
+  EXPECT_EQ(std::memcmp(buf.data(), data.data(), data.size()), 0);
   EXPECT_EQ(pool.stats().allocations, 1u);
   EXPECT_EQ(pool.stats().reuses, 0u);
   EXPECT_EQ(pool.freeBuffers(), 0u);
@@ -741,26 +721,26 @@ TEST(PayloadPool, AcquireCopiesAndCountsAllocations) {
 TEST(PayloadPool, ReleasedBuffersAreReusedLifoWithoutAllocating) {
   PayloadPool pool;
   const std::vector<std::byte> data(1024, std::byte{0x5a});
-  PooledBuf buf = poolAcquire(pool, data);
-  poolRelease(pool, std::move(buf));
+  std::vector<std::byte> buf = pool.acquire(data);
+  pool.release(std::move(buf));
   EXPECT_EQ(pool.stats().returns, 1u);
   EXPECT_EQ(pool.freeBuffers(), 1u);
-  const PooledBuf again = poolAcquire(pool, data);
+  const std::vector<std::byte> again = pool.acquire(data);
   EXPECT_EQ(pool.stats().allocations, 1u);  // unchanged: served from pool
   EXPECT_EQ(pool.stats().reuses, 1u);
   EXPECT_EQ(pool.freeBuffers(), 0u);
-  EXPECT_EQ(again.buf.size(), data.size());
-  EXPECT_EQ(std::memcmp(again.buf.data(), data.data(), data.size()), 0);
+  EXPECT_EQ(again.size(), data.size());
+  EXPECT_EQ(std::memcmp(again.data(), data.data(), data.size()), 0);
 }
 
 TEST(PayloadPool, EveryAcquireIsEitherReuseOrAllocation) {
   PayloadPool pool;
   const std::vector<std::byte> data(512, std::byte{7});
   for (int round = 0; round < 5; ++round) {
-    PooledBuf a = poolAcquire(pool, data);
-    PooledBuf b = poolAcquire(pool, data);
-    poolRelease(pool, std::move(a));
-    poolRelease(pool, std::move(b));
+    std::vector<std::byte> a = pool.acquire(data);
+    std::vector<std::byte> b = pool.acquire(data);
+    pool.release(std::move(a));
+    pool.release(std::move(b));
   }
   const PayloadPool::Stats& s = pool.stats();
   EXPECT_EQ(s.reuses + s.allocations, 10u);
@@ -772,19 +752,19 @@ TEST(PayloadPool, EveryAcquireIsEitherReuseOrAllocation) {
 TEST(PayloadPool, LiveHighWaterTracksPeakSimultaneousBuffers) {
   PayloadPool pool;
   const std::vector<std::byte> data(256, std::byte{3});
-  PooledBuf a = poolAcquire(pool, data);
-  PooledBuf b = poolAcquire(pool, data);
-  PooledBuf c = poolAcquire(pool, data);
+  std::vector<std::byte> a = pool.acquire(data);
+  std::vector<std::byte> b = pool.acquire(data);
+  std::vector<std::byte> c = pool.acquire(data);
   EXPECT_EQ(pool.outstandingBuffers(), 3u);
   EXPECT_EQ(pool.stats().liveHighWater, 3u);
-  poolRelease(pool, std::move(a));
-  poolRelease(pool, std::move(b));
-  poolRelease(pool, std::move(c));
+  pool.release(std::move(a));
+  pool.release(std::move(b));
+  pool.release(std::move(c));
   EXPECT_EQ(pool.outstandingBuffers(), 0u);
   // The mark records the peak, not the current level.
   EXPECT_EQ(pool.stats().liveHighWater, 3u);
   // Serial churn afterwards never raises it.
-  for (int i = 0; i < 4; ++i) poolRelease(pool, poolAcquire(pool, data));
+  for (int i = 0; i < 4; ++i) pool.release(pool.acquire(data));
   EXPECT_EQ(pool.stats().liveHighWater, 3u);
 }
 
@@ -792,9 +772,9 @@ TEST(PayloadPool, TrimToHighWaterFreesColdSurplus) {
   PayloadPool pool;
   const std::vector<std::byte> data(256, std::byte{4});
   // Burst: five buffers live at once, then all parked.
-  std::vector<PooledBuf> live;
-  for (int i = 0; i < 5; ++i) live.push_back(poolAcquire(pool, data));
-  for (auto& buf : live) poolRelease(pool, std::move(buf));
+  std::vector<std::vector<std::byte>> live;
+  for (int i = 0; i < 5; ++i) live.push_back(pool.acquire(data));
+  for (auto& buf : live) pool.release(std::move(buf));
   live.clear();
   EXPECT_EQ(pool.freeBuffers(), 5u);
   // Peak demand was 5 simultaneous buffers, so nothing is surplus yet.
@@ -803,7 +783,7 @@ TEST(PayloadPool, TrimToHighWaterFreesColdSurplus) {
   // A new accounting window with only serial traffic: the observed peak
   // drops to 1, and the next trim frees the four cold buffers.
   pool.resetStats();
-  poolRelease(pool, poolAcquire(pool, data));
+  pool.release(pool.acquire(data));
   EXPECT_EQ(pool.stats().liveHighWater, 1u);
   EXPECT_EQ(pool.trimToHighWater(), 4u);
   EXPECT_EQ(pool.freeBuffers(), 1u);
@@ -815,64 +795,36 @@ TEST(PayloadPool, TrimToHighWaterFreesColdSurplus) {
 TEST(PayloadPool, TrimAccountsForBuffersStillOutstanding) {
   PayloadPool pool;
   const std::vector<std::byte> data(128, std::byte{5});
-  PooledBuf held = poolAcquire(pool, data);
-  PooledBuf other = poolAcquire(pool, data);
-  poolRelease(pool, std::move(other));
+  std::vector<std::byte> held = pool.acquire(data);
+  std::vector<std::byte> other = pool.acquire(data);
+  pool.release(std::move(other));
   // Peak 2, one checked out, one parked: parked + outstanding == peak, so
   // the parked buffer must survive the trim.
   EXPECT_EQ(pool.trimToHighWater(), 0u);
   EXPECT_EQ(pool.freeBuffers(), 1u);
-  poolRelease(pool, std::move(held));
+  pool.release(std::move(held));
 }
 
-TEST(PayloadPool, SizeClassesRoundCapacityUpAndKeepWarmBuffersPerClass) {
-  PayloadPool pool;
-  // 100 bytes lands in the 128-byte class, 4000 bytes in the 4096 class.
-  EXPECT_EQ(PayloadPool::classBytes(PayloadPool::classIndex(100)), 128u);
-  EXPECT_EQ(PayloadPool::classBytes(PayloadPool::classIndex(128)), 128u);
-  EXPECT_EQ(PayloadPool::classBytes(PayloadPool::classIndex(129)), 256u);
-  EXPECT_EQ(PayloadPool::classBytes(PayloadPool::classIndex(4000)), 4096u);
-  const std::vector<std::byte> small(100, std::byte{1});
-  const std::vector<std::byte> large(4000, std::byte{2});
-  PooledBuf s = poolAcquire(pool, small);
-  PooledBuf l = poolAcquire(pool, large);
-  EXPECT_EQ(s.buf.capacity(), 128u);
-  EXPECT_EQ(l.buf.capacity(), 4096u);
-  poolRelease(pool, std::move(s));
-  poolRelease(pool, std::move(l));
-  // Each request is served from its own class: the small request must not
-  // consume (and under-size) the large parked buffer or vice versa.
-  PooledBuf s2 = poolAcquire(pool, small);
-  EXPECT_EQ(s2.buf.capacity(), 128u);
-  PooledBuf l2 = poolAcquire(pool, large);
-  EXPECT_EQ(l2.buf.capacity(), 4096u);
-  const auto& cs = pool.classStats();
-  EXPECT_EQ(cs[PayloadPool::classIndex(100)].reuses, 1u);
-  EXPECT_EQ(cs[PayloadPool::classIndex(4000)].reuses, 1u);
-  poolRelease(pool, std::move(s2));
-  poolRelease(pool, std::move(l2));
-}
-
-TEST(PayloadPool, ClassPoolReusesWhereTheLegacyLifoWouldAllocate) {
-  // Release order large-then-small leaves the small capacity on top of the
-  // legacy LIFO, so the old pool would pop it for a large request, find it
-  // too small, and reallocate. The class pool picks the exact class instead.
-  // The serialised (compat) stats must still report the legacy outcome —
-  // that is the byte-identical artefact contract — while the class stats
-  // report the true reuse.
+TEST(PayloadPool, LifoGrowsAnUndersizedNewestBufferToExactlyTheRequest) {
+  // Release order large-then-small leaves the small buffer on top of the
+  // LIFO, so a large request pops it, finds it too small, and grows it to
+  // exactly the request: an allocation, while the large buffer stays parked.
   PayloadPool pool;
   const std::vector<std::byte> small(100, std::byte{1});
   const std::vector<std::byte> large(4000, std::byte{2});
-  PooledBuf l = poolAcquire(pool, large);
-  PooledBuf s = poolAcquire(pool, small);
-  poolRelease(pool, std::move(l));
-  poolRelease(pool, std::move(s));  // small capacity now tops the legacy LIFO
-  PooledBuf l2 = poolAcquire(pool, large);
-  EXPECT_EQ(l2.buf.capacity(), 4096u);          // served from the 4096 class
-  EXPECT_EQ(pool.stats().allocations, 3u);      // legacy model reallocated
+  std::vector<std::byte> l = pool.acquire(large);
+  std::vector<std::byte> s = pool.acquire(small);
+  EXPECT_EQ(l.capacity(), large.size());
+  EXPECT_EQ(s.capacity(), small.size());
+  pool.release(std::move(l));
+  pool.release(std::move(s));  // the small buffer is now the newest
+  std::vector<std::byte> l2 = pool.acquire(large);
+  EXPECT_EQ(l2.capacity(), large.size());
+  EXPECT_EQ(l2, large);
+  EXPECT_EQ(pool.stats().allocations, 3u);
   EXPECT_EQ(pool.stats().reuses, 0u);
-  EXPECT_EQ(pool.classStats()[PayloadPool::classIndex(4000)].reuses, 1u);
-  poolRelease(pool, std::move(l2));
+  EXPECT_EQ(pool.freeBuffers(), 1u);  // the large buffer, still parked
+  pool.release(std::move(l2));
 }
 
 TEST(PayloadPool, WorldRunReportsTrimAndHighWater) {
@@ -895,6 +847,25 @@ TEST(PayloadPool, WorldRunReportsTrimAndHighWater) {
   EXPECT_LE(stats.payloadPoolReturns - stats.payloadPoolReuses -
                 stats.payloadPoolTrimmedBuffers,
             stats.payloadPoolLiveHighWater);
+}
+
+TEST(PayloadPool, UnreceivedPayloadsGoBackToThePoolWhenTheRunEnds) {
+  // A message nobody receives dies with the run that sent it. Its pooled
+  // buffer must come back, or the pool counts it as checked out for the
+  // rest of the world's life and every later run inherits the peak.
+  MpiWorld world(WorldConfig::tibidaboNode(), 4);
+  const std::vector<std::byte> payload(4096, std::byte{0x3c});
+  const WorldStats first = world.run([&](MpiContext& ctx) {
+    if (ctx.rank() == 0) ctx.send(2, 9, payload.size(), payload);
+  });
+  EXPECT_EQ(first.payloadPooledMessages, 1u);
+  EXPECT_EQ(first.payloadPoolReturns, 1u);
+  EXPECT_EQ(first.payloadPoolLiveHighWater, 1u);
+  for (int rerun = 1; rerun <= 2; ++rerun) {
+    const WorldStats quiet = world.run([](MpiContext&) {});
+    EXPECT_EQ(quiet.payloadPooledMessages, 0u) << "rerun " << rerun;
+    EXPECT_EQ(quiet.payloadPoolLiveHighWater, 0u) << "rerun " << rerun;
+  }
 }
 
 TEST(MessagePayloadStorage, InlineUpToCapacityPooledAbove) {

@@ -31,6 +31,7 @@ core::CacheKeyInputs baseInputs() {
   inputs.seed = 42;
   inputs.traceMode = "full";
   inputs.stallReport = false;
+  inputs.verifyCollectives = false;
   inputs.platformSpecHash = 0x1234;
   inputs.binaryFingerprint = 0x5678;
   return inputs;
@@ -55,6 +56,7 @@ TEST(CacheKey, EveryIngredientFlipsTheKeyIndependently) {
   EXPECT_NE(flipped([](auto& i) { i.seed = 43; }), key);
   EXPECT_NE(flipped([](auto& i) { i.traceMode = "aggregate"; }), key);
   EXPECT_NE(flipped([](auto& i) { i.stallReport = true; }), key);
+  EXPECT_NE(flipped([](auto& i) { i.verifyCollectives = true; }), key);
   EXPECT_NE(flipped([](auto& i) { i.platformSpecHash ^= 1; }), key);
   EXPECT_NE(flipped([](auto& i) { i.binaryFingerprint ^= 1; }), key);
 }
@@ -116,13 +118,6 @@ core::CachedRun sampleRun() {
   run.counters.payloadPoolReturns = 190;
   run.counters.payloadPoolTrimmedBuffers = 10;
   run.counters.payloadPoolLiveHighWater = 17;
-  obs::PayloadClassCounters cls;
-  cls.classBytes = 256;
-  cls.acquires = 40;
-  cls.reuses = 30;
-  cls.allocations = 10;
-  cls.parked = 5;
-  run.counters.payloadPoolClasses.push_back(cls);
   run.counters.links.uplink.busySeconds = 0.5;
   run.counters.links.uplink.bytes = 1e5;
   run.counters.links.uplink.transfers = 77;
@@ -175,9 +170,20 @@ TEST(ResultCache, StoreLoadRoundTripsEveryField) {
   EXPECT_EQ(loaded->counters.messages, stored.counters.messages);
   EXPECT_EQ(loaded->counters.payloadBytes, stored.counters.payloadBytes);
   EXPECT_EQ(loaded->counters.wireBytes, stored.counters.wireBytes);
-  ASSERT_EQ(loaded->counters.payloadPoolClasses.size(), 1u);
-  EXPECT_EQ(loaded->counters.payloadPoolClasses[0].classBytes, 256u);
-  EXPECT_EQ(loaded->counters.payloadPoolClasses[0].reuses, 30u);
+  EXPECT_EQ(loaded->counters.payloadInlineMessages,
+            stored.counters.payloadInlineMessages);
+  EXPECT_EQ(loaded->counters.payloadPooledMessages,
+            stored.counters.payloadPooledMessages);
+  EXPECT_EQ(loaded->counters.payloadPoolReuses,
+            stored.counters.payloadPoolReuses);
+  EXPECT_EQ(loaded->counters.payloadPoolAllocations,
+            stored.counters.payloadPoolAllocations);
+  EXPECT_EQ(loaded->counters.payloadPoolReturns,
+            stored.counters.payloadPoolReturns);
+  EXPECT_EQ(loaded->counters.payloadPoolTrimmedBuffers,
+            stored.counters.payloadPoolTrimmedBuffers);
+  EXPECT_EQ(loaded->counters.payloadPoolLiveHighWater,
+            stored.counters.payloadPoolLiveHighWater);
   EXPECT_EQ(loaded->counters.links.uplink.busySeconds, 0.5);
   EXPECT_EQ(loaded->counters.links.uplink.transfers, 77u);
   EXPECT_EQ(loaded->counters.links.uplink.queueDelay.counts[3], 11u);

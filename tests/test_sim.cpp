@@ -286,7 +286,8 @@ TEST_P(SimulationTest, DeterministicAcrossRuns) {
     Simulation sim;
     std::vector<double> times;
     for (int i = 0; i < 5; ++i) {
-      sim.spawn("p" + std::to_string(i), [&times, i](Process& p) {
+      const std::string name = std::string("p").append(std::to_string(i));
+      sim.spawn(name, [&times, i](Process& p) {
         p.delay(0.1 * (i + 1));
         times.push_back(p.now());
         p.delay(0.05);
@@ -376,7 +377,8 @@ TEST_P(SimulationTest, DeepQueueDispatchOrderFollowsPushOrder) {
 
   for (int i = 0; i < kProcesses; ++i) {
     pushes.push_back({0.0, pushes.size(), i, 0});  // the start event
-    procs.push_back(&sim.spawn("p" + std::to_string(i), [&, i](Process& p) {
+    const std::string name = std::string("p").append(std::to_string(i));
+    procs.push_back(&sim.spawn(name, [&, i](Process& p) {
       resumptions.emplace_back(i, p.now());
       // Seeded per process, so the scenario does not depend on the order
       // the engine runs the bodies in.
@@ -466,7 +468,8 @@ TEST(ExecutionContexts, BackendsProduceIdenticalStatsAndTimes) {
     Simulation sim;
     std::vector<double> times;
     for (int i = 0; i < 8; ++i) {
-      sim.spawn("p" + std::to_string(i), [&times, i](Process& p) {
+      const std::string name = std::string("p").append(std::to_string(i));
+      sim.spawn(name, [&times, i](Process& p) {
         p.delay(0.01 * (i + 1));
         times.push_back(p.now());
         p.delay(0.02);

@@ -35,9 +35,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(StreamOp::Copy, StreamOp::Scale,
                                          StreamOp::Add, StreamOp::Triad),
                        ::testing::Bool()),
-    [](const ::testing::TestParamInfo<StreamOps::ParamType>& info) {
-      return toString(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "_par" : "_ser");
+    [](const ::testing::TestParamInfo<StreamOps::ParamType>& test) {
+      return toString(std::get<0>(test.param)) +
+             (std::get<1>(test.param) ? "_par" : "_ser");
     });
 
 TEST(Stream, FullSequenceVerifies) {
