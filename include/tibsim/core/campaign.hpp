@@ -33,11 +33,6 @@ struct CampaignOptions {
   /// default (full, or TIBSIM_TRACE_MODE), else "full"/"sampled"/
   /// "aggregate".
   std::string traceMode;
-  /// Enable the deterministic stall watchdog (--stall-report): a world
-  /// whose event queue drains with ranks still blocked throws with a
-  /// per-rank wait-state report instead of the bare deadlock one-liner.
-  /// false keeps the process-wide default (off, or TIBSIM_STALL_REPORT).
-  bool stallReport = false;
   /// Arm the runtime collective-matching verifier (--verify-collectives):
   /// every collective entry stamps its traffic and any rank matching a
   /// stamp that disagrees with its own active collective throws a
@@ -47,7 +42,7 @@ struct CampaignOptions {
   /// Content-addressed result cache directory (--cache). When non-empty,
   /// each experiment cell is keyed by core/result_cache.hpp's digest
   /// (experiment + version tag, platform spec bytes, seed, resolved
-  /// trace/stall/verify options, binary fingerprint); hits replay
+  /// trace/verify options, binary fingerprint); hits replay
   /// their JSON/CSV byte-identically from disk and misses are stored
   /// atomically after computing. Ignored (with a summary note) when
   /// --trace-export is set: exported timeline artefacts are written
@@ -99,8 +94,8 @@ std::string resultDocument(const Experiment& experiment, std::uint64_t seed,
 ///   socbench run [glob...] [--json DIR] [--csv DIR] [--jobs N] [--seed S]
 ///                [--cache DIR]
 ///                [--trace-mode full|sampled|aggregate]
-///                [--trace-export DIR] [--stall-report]
-///                [--verify-collectives] [--compat] [--no-summary]
+///                [--trace-export DIR] [--verify-collectives]
+///                [--compat] [--no-summary]
 /// Flags accept both "--flag value" and "--flag=value". Numeric flags are
 /// validated (a usage error, not an uncaught std::stoi abort). Returns the
 /// process exit code.

@@ -5,7 +5,7 @@
 // that could change its byte-exact artefacts: the experiment name and its
 // version tag, the constexpr Table-1 platform-spec *bytes* (arch/table1.hpp
 // field values, not version strings), the campaign seed, the
-// trace/stall/verify campaign options, and a fingerprint of the
+// trace/verify campaign options, and a fingerprint of the
 // running executable's bytes. On a hit the cell's JSON document, engine
 // counters and world accounting replay from disk byte-identically; on a
 // miss the freshly computed cell is stored atomically (write-temp +
@@ -54,15 +54,14 @@ class CacheHasher {
 };
 
 /// Every ingredient of one cell's cache key. The caller resolves the
-/// effective settings (after --trace-mode/--stall-report overrides and
-/// environment defaults) so "--trace-mode full" and an
+/// effective settings (after --trace-mode/--verify-collectives overrides
+/// and environment defaults) so "--trace-mode full" and an
 /// unset flag that defaults to full produce the same key.
 struct CacheKeyInputs {
   std::string experiment;   ///< registry name
   std::string versionTag;   ///< Experiment::versionTag()
   std::uint64_t seed = 0;   ///< campaign seed (pre experiment mixing)
   std::string traceMode;    ///< resolved trace mode name
-  bool stallReport = false; ///< resolved watchdog arming
   bool verifyCollectives = false;  ///< resolved collective-verifier arming
   std::uint64_t platformSpecHash = 0;  ///< hashPlatformSpecs()
   std::uint64_t binaryFingerprint = 0; ///< executableFingerprint()

@@ -15,8 +15,8 @@
 // dynamic cross-check for the static `collective-match` lint rule.
 //
 // Mismatches whose tag subspaces never meet (e.g. barrier vs gather) do
-// not match any message and therefore stall; those are caught by the
-// complementary --stall-report watchdog instead.
+// not match any message and therefore stall; the deadlock error's stall
+// report (obs/stall_report.hpp) names those instead.
 
 #include <cstdint>
 #include <string>
@@ -24,7 +24,8 @@
 namespace tibsim::mpi {
 
 /// Process-wide default for WorldConfig::verifyCollectives. Initialised
-/// once from TIBSIM_VERIFY_COLLECTIVES ("1"/"on"/"true" enable).
+/// once from TIBSIM_VERIFY_COLLECTIVES: "1"/"on"/"true" enable,
+/// "0"/"off"/"false" disable, anything else is a ContractError.
 bool defaultVerifyCollectives();
 void setDefaultVerifyCollectives(bool on);
 

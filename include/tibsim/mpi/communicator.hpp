@@ -46,8 +46,8 @@ inline constexpr int kAnyTag = -1;
 inline constexpr int kUndefinedColor = -1;
 
 /// Built-in reduction combiners. All element-wise over doubles; Sum keeps
-/// the historical left-fold order so world-communicator reductions stay
-/// byte-identical to the legacy reduceSum.
+/// the historical left-fold order, so world reductions stay byte-identical
+/// to the pre-communicator runtime.
 enum class ReduceOp : std::uint8_t { Sum, Min, Max, Prod };
 
 /// User-supplied combiner: must be deterministic and associative enough for
@@ -56,8 +56,9 @@ enum class ReduceOp : std::uint8_t { Sum, Min, Max, Prod };
 using CombineFn = double (*)(double, double);
 
 /// A communication scope: a subset of world ranks with dense comm-local
-/// numbering. Cheap to copy (shared group table); methods may only be
-/// called from inside the owning rank's body, like MpiContext itself.
+/// numbering. The rank body's MpiContext is the world communicator itself.
+/// Cheap to copy (shared group table); methods may only be called from
+/// inside the owning rank's body.
 class Communicator {
  public:
   using Request = std::uint64_t;
@@ -110,8 +111,11 @@ class Communicator {
   void sendrecv(int peer, int tag, std::size_t sendBytes,
                 std::size_t* recvBytes = nullptr) const;
 
+  /// Eager buffered send even at rendezvous sizes: charged now, never
+  /// blocks, complete by construction, but must still be waited.
   Request isend(int dst, int tag, std::size_t bytes,
                 std::span<const std::byte> payload = {}) const;
+  /// Registers interest in (src, tag); wait() performs the match.
   Request irecv(int src, int tag) const;
   /// Complete any request minted through this context (send, recv, or a
   /// non-blocking collective). Collective requests execute here.
@@ -130,9 +134,12 @@ class Communicator {
   std::vector<double> bcast(
       std::vector<double> values, int root,
       std::source_location loc = std::source_location::current()) const;
+  /// Size-only broadcast (models the traffic without carrying data).
   void bcastBytes(
       std::size_t bytes, int root,
       std::source_location loc = std::source_location::current()) const;
+  /// HPL-style bulk broadcast: a binomial control message, then every
+  /// member streams the payload once at the protocol's sustained rate.
   void pipelinedBcastBytes(
       std::size_t bytes, int root,
       std::source_location loc = std::source_location::current()) const;
@@ -149,6 +156,7 @@ class Communicator {
   double allreduce(
       double value, ReduceOp op,
       std::source_location loc = std::source_location::current()) const;
+  /// One double per member, in rank order at root; others return empty.
   std::vector<double> gather(
       double value, int root,
       std::source_location loc = std::source_location::current()) const;

@@ -27,7 +27,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <source_location>
 #include <span>
 #include <vector>
@@ -37,9 +36,9 @@
 #include "tibsim/mpi/collective_verify.hpp"
 #include "tibsim/mpi/communicator.hpp"
 #include "tibsim/mpi/payload_pool.hpp"
-#include "tibsim/mpi/trace.hpp"
 #include "tibsim/obs/critical_path.hpp"
 #include "tibsim/obs/stall_report.hpp"
+#include "tibsim/obs/trace_sink.hpp"
 #include "tibsim/net/protocol.hpp"
 #include "tibsim/perfmodel/execution_model.hpp"
 #include "tibsim/perfmodel/work_profile.hpp"
@@ -64,9 +63,6 @@ struct WorldConfig {
   /// O(links) counters with no event-order effect; the bench harness turns
   /// it off to measure its cost.
   bool linkTelemetry = true;
-  /// Deadlocked-world wait-state report (obs/stall_report.hpp). Snapshot
-  /// of the process-wide default (--stall-report / TIBSIM_STALL_REPORT).
-  bool stallReport = obs::defaultStallReport();
   /// Runtime collective-matching verifier (mpi/collective_verify.hpp).
   /// Snapshot of the process-wide default (--verify-collectives /
   /// TIBSIM_VERIFY_COLLECTIVES). Stamps ride inside Message, so enabling
@@ -122,12 +118,12 @@ struct WorldStats {
 
 class MpiWorld;
 
-/// Per-rank handle passed to the rank body. All methods are blocking in
-/// simulated time and may only be called from inside the rank body.
-class MpiContext {
+/// Per-rank handle passed to the rank body: the world communicator (id 0,
+/// identity rank mapping) plus the rank's compute charges. Every
+/// communication method is Communicator's; all are blocking in simulated
+/// time and may only be called from inside the rank body.
+class MpiContext : public Communicator {
  public:
-  int rank() const { return rank_; }
-  int size() const;
   int node() const { return node_; }
   double now() const;
 
@@ -135,24 +131,9 @@ class MpiContext {
   void compute(const perfmodel::WorkProfile& work);
   void computeSeconds(double seconds);
 
-  /// Blocking send of `bytes` with optional real payload.
-  void send(int dst, int tag, std::size_t bytes,
-            std::span<const std::byte> payload = {});
-  void sendDoubles(int dst, int tag, std::span<const double> values);
-
-  /// Blocking receive; returns the payload (empty if size-only message).
-  /// receivedBytes (if non-null) gets the modelled message size.
-  std::vector<std::byte> recv(int src, int tag,
-                              std::size_t* receivedBytes = nullptr);
-  std::vector<double> recvDoubles(int src, int tag);
-
-  /// The world communicator (id 0, identity rank mapping). Sub-communicators
-  /// derive from it via Communicator::split()/dup().
-  Communicator commWorld() { return Communicator(this, 0, rank_, nullptr); }
-
-  /// Deadlock-free paired exchange (ordered by rank id).
-  void sendrecv(int peer, int tag, std::size_t sendBytes,
-                std::size_t* recvBytes = nullptr);
+  /// A world communicator by value, the root of split()/dup(). Copying the
+  /// context itself into a Communicator would slice it.
+  Communicator commWorld() { return Communicator(this, 0, rank(), nullptr); }
 
   /// Halo exchange with both chain neighbours (rank-1, rank+1) using a
   /// red-black schedule: even ranks exchange right first, odd ranks left
@@ -160,71 +141,10 @@ class MpiContext {
   /// serialisation chain down the ring.
   void neighborExchange(std::size_t bytes, int tag);
 
-  // -- non-blocking operations --------------------------------------------
-  /// Handle for a pending non-blocking operation.
-  using Request = std::uint64_t;
-
-  /// Non-blocking send. The sender's stack cost is charged immediately and
-  /// the message is always buffered eagerly (an implementation with enough
-  /// bounce buffers) — the returned request is complete by construction
-  /// but must still be passed to wait()/waitall().
-  Request isend(int dst, int tag, std::size_t bytes,
-                std::span<const std::byte> payload = {});
-
-  /// Non-blocking receive: registers interest in (src, tag); the match is
-  /// performed by wait(). Lets a rank overlap computation with the arrival
-  /// of in-flight messages.
-  Request irecv(int src, int tag);
-
-  /// Complete a pending operation. For irecv requests, blocks until the
-  /// message arrives and returns its payload (and size via receivedBytes).
-  std::vector<std::byte> wait(Request request,
-                              std::size_t* receivedBytes = nullptr);
-
-  /// Complete a set of requests (in request order).
-  void waitall(std::span<const Request> requests);
-
-  // -- collectives -------------------------------------------------------
-  // World-communicator delegations; the defaulted std::source_location
-  // records the call site for the collective verifier's mismatch report.
-  void barrier(std::source_location loc = std::source_location::current());
-  /// Broadcast `values` from root; every rank returns the root's data.
-  std::vector<double> bcast(
-      std::vector<double> values, int root,
-      std::source_location loc = std::source_location::current());
-  /// Size-only broadcast (models the traffic without carrying data).
-  void bcastBytes(std::size_t bytes, int root,
-                  std::source_location loc = std::source_location::current());
-  /// Pipelined ring broadcast of a large buffer (HPL-style): a small
-  /// binomial control message enforces causality, then every rank streams
-  /// the payload through once at the protocol's sustained rate. Use for
-  /// bulk broadcasts where the binomial tree's log(p) root fan-out would
-  /// be unrealistic.
-  void pipelinedBcastBytes(
-      std::size_t bytes, int root,
-      std::source_location loc = std::source_location::current());
-  std::vector<double> reduceSum(
-      std::span<const double> values, int root,
-      std::source_location loc = std::source_location::current());
-  std::vector<double> allreduceSum(
-      std::span<const double> values,
-      std::source_location loc = std::source_location::current());
-  double allreduceSum(
-      double value, std::source_location loc = std::source_location::current());
+  /// Max over all ranks, frozen in its own tag sub-space and schedule
+  /// (see collectives.cpp).
   double allreduceMax(
       double value, std::source_location loc = std::source_location::current());
-  /// Gather one double per rank to root (returned in rank order at root).
-  std::vector<double> gather(
-      double value, int root,
-      std::source_location loc = std::source_location::current());
-  std::vector<double> allgather(
-      double value, std::source_location loc = std::source_location::current());
-  /// Ring all-to-all of size-only messages (bytesPerPeer to every rank).
-  void alltoallBytes(
-      std::size_t bytesPerPeer,
-      std::source_location loc = std::source_location::current());
-
-  MpiWorld& world() { return world_; }
 
  private:
   friend class MpiWorld;
@@ -235,10 +155,10 @@ class MpiContext {
     enum class Kind : std::uint8_t { Send, Recv, Barrier, Bcast, Allreduce };
     Request request = 0;
     Kind kind = Kind::Send;
-    int peer = 0;  ///< world rank (or kAnySource) for Send/Recv
-    int tag = 0;   ///< or kAnyTag
+    int peer = 0;  ///< Recv: world rank or kAnySource
+    int tag = 0;   ///< Recv: tag or kAnyTag
     /// Scope for Recv matching and for executing a lazy collective at
-    /// wait(). Default (null) means the world for Recv (id() == 0).
+    /// wait().
     Communicator comm;
     int root = 0;                   ///< Bcast root (comm-local)
     ReduceOp op = ReduceOp::Sum;    ///< Allreduce combiner
@@ -249,8 +169,8 @@ class MpiContext {
     std::uint32_t line = 0;
   };
 
-  /// Mint a request id for `op` and register it. Used by isend/irecv and
-  /// by Communicator for comm-scoped and collective requests.
+  /// Mint a request id for `op` and register it (Communicator's isend,
+  /// irecv and non-blocking collectives).
   Request pushPending(PendingOp&& op) {
     op.request = nextRequest_++;
     pending_.push_back(std::move(op));
@@ -297,11 +217,10 @@ class MpiContext {
 
   MpiWorld& world_;
   sim::Process& process_;
-  int rank_;
   int node_;
   /// Running critical-path chain ending at this rank's current sim time.
   obs::PathSnapshot path_;
-  // Stall-watchdog state: set while the rank is blocked in a rendezvous
+  // Stall-report state: set while the rank is blocked in a rendezvous
   // send (recv-side waits live in the mailbox).
   bool sendBlocked_ = false;
   int sendPeer_ = -1;
@@ -352,10 +271,12 @@ class MpiWorld {
   /// bounded in sampled/aggregate modes.
   void enableTracing() {
     tracing_ = true;
-    tracer_.configure({config_.traceMode, config_.traceReservoirPerRank,
-                       config_.traceSeed});
+    tracer_ = obs::TraceSink(config_.traceMode, config_.traceReservoirPerRank,
+                             config_.traceSeed);
   }
-  const Tracer& tracer() const { return tracer_; }
+  /// The spans of traced runs; empty until enableTracing(). Timelines
+  /// export through obs/exporters.hpp on retainedSpans().
+  const obs::TraceSink& tracer() const { return tracer_; }
   int nodes() const { return nodes_; }
   const WorldConfig& config() const { return config_; }
   double frequencyHz() const { return frequencyHz_; }
@@ -422,7 +343,7 @@ class MpiWorld {
     int waitSrc = 0;
     int waitTag = 0;
     sim::Process* waiter = nullptr;
-    /// Sim time the rank entered the wait (stall-watchdog bookkeeping).
+    /// Sim time the rank entered the wait (stall-report bookkeeping).
     double blockedSince = 0.0;
   };
 
@@ -453,15 +374,14 @@ class MpiWorld {
   /// Hand the slot's payload to the application and recycle the slot.
   std::vector<std::byte> consumeSlot(std::uint32_t slot);
   void chargeCpu(int node, double seconds);
-  void traceSpan(int rank, SpanKind kind, double begin, double end,
+  void traceSpan(int rank, obs::SpanKind kind, double begin, double end,
                  int peer = -1, std::size_t bytes = 0,
                  std::uint64_t comm = 0);
   /// Fold fabric link telemetry and the end rank's chain into stats_
   /// (called at the end of run() before teardown).
   void harvestPathAndLinks();
-  /// The ContractError text for an all-ranks-blocked world: the bare
-  /// deadlock line, plus the per-rank wait-state report when
-  /// config_.stallReport is set.
+  /// The ContractError text for an all-ranks-blocked world: the deadlock
+  /// line and the per-rank wait-state report (obs/stall_report.hpp).
   std::string deadlockMessage(double now);
 
   WorldConfig config_;
@@ -480,7 +400,7 @@ class MpiWorld {
   WorldStats stats_;
   std::uint64_t nextMessageId_ = 0;
   bool tracing_ = false;
-  Tracer tracer_;
+  obs::TraceSink tracer_;
   // Payload buffers survive across run() calls (stats are reset per run),
   // so repeated runs on one world start with a warm pool.
   PayloadPool pool_;

@@ -12,8 +12,7 @@
 
 namespace tibsim::obs {
 
-/// One line per span: rank,kind,begin,end,peer,bytes — the historical
-/// Tracer CSV, header included.
+/// One line per span: rank,kind,begin,end,peer,bytes, header included.
 std::string exportCsv(std::span<const TraceSpan> spans);
 
 /// Chrome trace_event JSON ("X" complete events, ts/dur in microseconds,

@@ -2,8 +2,7 @@
 // The span vocabulary of the observability layer: what a Paraver-style
 // timeline is made of. One TraceSpan is one contiguous interval of one
 // rank's simulated time attributed to a SpanKind. The types live here (not
-// in mpi/) so sinks and exporters need no dependency on the simMPI runtime;
-// mpi/trace.hpp aliases them back into tibsim::mpi for source compatibility.
+// in mpi/) so sinks and exporters need no dependency on the simMPI runtime.
 
 #include <cstddef>
 #include <cstdint>
@@ -45,8 +44,6 @@ struct RankSummary {
   double recvSeconds = 0.0;
   double waitSeconds = 0.0;
   double otherSeconds = 0.0;  ///< wallclock not covered by spans (>= 0)
-
-  double commSeconds() const { return sendSeconds + recvSeconds; }
 };
 
 }  // namespace tibsim::obs

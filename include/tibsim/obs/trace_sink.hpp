@@ -1,11 +1,11 @@
 #pragma once
-// Bounded-memory trace sinks — the observability layer's answer to "record
-// every span" not surviving 2048 ranks.
+// The bounded-memory trace sink — the observability layer's answer to
+// "record every span" not surviving 2048 ranks.
 //
-// A TraceSink consumes the span stream a traced run produces. Every sink
+// A TraceSink consumes the span stream a traced run produces. It always
 // keeps exact per-(rank, kind) duration totals (O(ranks) memory), so the
-// Paraver-style per-rank breakdown is always exact; the modes differ only
-// in which raw spans are retained for timeline export:
+// Paraver-style per-rank breakdown is exact in every mode; the modes differ
+// only in which raw spans are retained for timeline export:
 //
 //  * Full      — every span, today's behaviour. Memory grows with the
 //                span count (~32 B/span: the 2048-rank memory bottleneck).
@@ -16,20 +16,19 @@
 //                histograms + counters. O(ranks) memory, the only mode
 //                that is feasible and cheap at any scale.
 //
-// Sampling is seeded explicitly (SinkConfig::seed, fed from the campaign
+// Sampling is seeded explicitly (the sink's seed, fed from the campaign
 // RNG), never from global state, so artefacts are byte-identical across
 // runs and --jobs values.
 
 #include <array>
 #include <cstddef>
-#include <array>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "tibsim/common/assert.hpp"
+#include "tibsim/common/rng.hpp"
 #include "tibsim/obs/span.hpp"
 
 namespace tibsim::obs {
@@ -47,7 +46,8 @@ const char* toString(TraceMode mode);
 TraceMode parseTraceMode(const std::string& name);
 
 /// Process-wide default mode used by WorldConfig. Initialised once from the
-/// TIBSIM_TRACE_MODE environment variable; Full when unset or unrecognised
+/// TIBSIM_TRACE_MODE environment variable; Full when unset, and a
+/// ContractError naming the variable for any value parseTraceMode rejects
 /// (tracing itself stays opt-in per world — the mode only says how a traced
 /// world records).
 TraceMode defaultTraceMode();
@@ -65,12 +65,6 @@ class ScopedTraceMode {
 
  private:
   TraceMode previous_;
-};
-
-struct SinkConfig {
-  TraceMode mode = TraceMode::Full;
-  std::size_t reservoirPerRank = 512;  ///< sampled mode: K spans kept/rank
-  std::uint64_t seed = 0;  ///< sampled mode: reservoir RNG seed
 };
 
 /// Streaming histogram of span durations in power-of-two buckets from 1 ns
@@ -99,52 +93,62 @@ struct DurationHistogram {
   std::uint64_t total() const;
 };
 
+/// The one trace sink: after the exact totals, the mode decides what a span
+/// feeds — the span vector (full), the rank's reservoir (sampled) or its
+/// histogram row (aggregate). The other modes' containers stay empty.
 class TraceSink {
  public:
-  virtual ~TraceSink() = default;
-  TraceSink(const TraceSink&) = delete;
-  TraceSink& operator=(const TraceSink&) = delete;
+  explicit TraceSink(TraceMode mode = TraceMode::Full,
+                     std::size_t reservoirPerRank = 512,
+                     std::uint64_t seed = 0)
+      : mode_(mode),
+        perRank_(reservoirPerRank == 0 ? 1 : reservoirPerRank),
+        seed_(seed) {}
 
-  /// Consume one span. Exact totals are always updated; retention depends
-  /// on the mode. Inline: this is the one call every traced simMPI event
-  /// makes, and the base bookkeeping is a handful of adds. Aggregate mode —
-  /// the always-on campaign setting — is handled here too (the sink
-  /// installs its histogram grid via aggGrid_), so the per-span cost in
-  /// that mode is pure arithmetic with no virtual dispatch.
+  /// Consume one span. Inline: this is the one call every traced simMPI
+  /// event makes, and in aggregate mode (the always-on campaign setting)
+  /// it is a handful of adds.
   void record(const TraceSpan& span) {
     TIB_REQUIRE(span.end >= span.begin);
     ++recorded_;
-    if (span.rank >= 0) {
-      const auto r = static_cast<std::size_t>(span.rank);
-      if (r >= totals_.size()) totals_.resize(r + 1);
-      const auto k = static_cast<std::size_t>(span.kind);
-      const double duration = span.duration();
-      totals_[r].seconds[k] += duration;
-      if (aggGrid_ != nullptr) {
-        if (r >= aggGrid_->size()) aggGrid_->resize(r + 1);
-        (*aggGrid_)[r][k].record(duration);
-        return;  // aggregate retains no spans
-      }
-    } else if (aggGrid_ != nullptr) {
+    if (span.rank < 0) {
+      if (mode_ == TraceMode::Full) spans_.push_back(span);
       return;
     }
-    onRecord(span);
+    const auto r = static_cast<std::size_t>(span.rank);
+    if (r >= totals_.size()) totals_.resize(r + 1);
+    const auto k = static_cast<std::size_t>(span.kind);
+    const double duration = span.duration();
+    totals_[r][k] += duration;
+    switch (mode_) {
+      case TraceMode::Full:
+        spans_.push_back(span);
+        return;
+      case TraceMode::Sampled:
+        sample(r, span);
+        return;
+      case TraceMode::Aggregate:
+        if (r >= grid_.size()) grid_.resize(r + 1);
+        grid_[r][k].record(duration);
+        return;
+    }
   }
-  void clear();
+  /// Forget every span and total; the configuration stays.
+  void clear() { *this = TraceSink(mode_, perRank_, seed_); }
 
   TraceMode mode() const { return mode_; }
 
   /// Spans retained for timeline export: everything (full), the per-rank
   /// reservoirs in rank-major, arrival order (sampled), none (aggregate).
-  virtual std::vector<TraceSpan> retainedSpans() const = 0;
+  std::vector<TraceSpan> retainedSpans() const;
 
   /// Total spans seen — identical in every mode (exactness witness).
   std::uint64_t spansRecorded() const { return recorded_; }
-  virtual std::size_t spansRetained() const = 0;
+  std::size_t spansRetained() const;
 
   /// Approximate resident footprint of this sink, in bytes. Deterministic
   /// (derived from counts and capacities, not from the allocator).
-  std::size_t memoryBytes() const { return totalsBytes() + retainedBytes(); }
+  std::size_t memoryBytes() const;
 
   /// Exact per-rank time breakdown over [0, wallClock]; otherSeconds is
   /// clamped at zero when spans overlap or exceed the wall clock.
@@ -154,37 +158,30 @@ class TraceSink {
   double nonComputeFraction(int ranks, double wallClock) const;
 
   /// Per-(rank, kind) duration histogram; nullptr unless mode()==Aggregate
-  /// or the rank was never seen.
-  virtual const DurationHistogram* histogram(int rank, SpanKind kind) const {
-    (void)rank;
-    (void)kind;
-    return nullptr;
-  }
-
-  static std::unique_ptr<TraceSink> create(const SinkConfig& config);
-
- protected:
-  explicit TraceSink(TraceMode mode) : mode_(mode) {}
-  virtual void onRecord(const TraceSpan& span) = 0;
-  virtual void onClear() = 0;
-  virtual std::size_t retainedBytes() const = 0;
-
-  /// Per-(rank, kind) histogram grid, grown on demand by rank.
-  using HistogramGrid = std::vector<std::array<DurationHistogram, kSpanKinds>>;
-  /// Installed by the aggregate sink so record() can update the grid
-  /// inline; every other mode leaves it null and takes the virtual path.
-  HistogramGrid* aggGrid_ = nullptr;
+  /// and the rank was seen.
+  const DurationHistogram* histogram(int rank, SpanKind kind) const;
 
  private:
-  std::size_t totalsBytes() const;
+  /// Algorithm R for rank `r`'s reservoir (see trace_sink.cpp).
+  void sample(std::size_t r, const TraceSpan& span);
 
-  struct RankTotals {
-    std::array<double, kSpanKinds> seconds{};
+  struct Reservoir {
+    std::vector<TraceSpan> spans;
+    Rng rng{0};
+    std::uint64_t seen = 0;
+    bool primed = false;
   };
 
   TraceMode mode_;
+  std::size_t perRank_;  ///< sampled mode: K spans kept per rank
+  std::uint64_t seed_;   ///< sampled mode: reservoir RNG seed
   std::uint64_t recorded_ = 0;
-  std::vector<RankTotals> totals_;  ///< indexed by rank, grown on demand
+  /// Exact per-(rank, kind) seconds, grown on demand by rank.
+  std::vector<std::array<double, kSpanKinds>> totals_;
+  std::vector<TraceSpan> spans_;    ///< full mode
+  std::vector<Reservoir> reservoirs_;  ///< sampled mode, by rank
+  /// Aggregate mode: per-(rank, kind) histograms, grown on demand by rank.
+  std::vector<std::array<DurationHistogram, kSpanKinds>> grid_;
 };
 
 }  // namespace tibsim::obs

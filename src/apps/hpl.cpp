@@ -157,7 +157,7 @@ mpi::MpiWorld::RankBody HplBenchmark::rankBody(Params params) {
     const double nd = static_cast<double>(n);
     ctx.compute(WorkProfile{2.0 * nd * nd / ctx.size(), 8.0 * nd * nd / ctx.size(),
                             AccessPattern::Streaming, 0.8, 1.0, 0.0});
-    ctx.allreduceSum(1.0);
+    ctx.allreduce(1.0, mpi::ReduceOp::Sum);
     ctx.barrier();
   };
 }

@@ -214,7 +214,7 @@ mpi::MpiWorld::RankBody MdBenchmark::rankBody(Params params) {
 
       // Global energy/temperature reduction.
       const double e[2] = {1.0, 1.0};
-      ctx.allreduceSum(std::span<const double>(e, 2));
+      ctx.allreduce(std::span<const double>(e, 2), mpi::ReduceOp::Sum);
     }
     ctx.barrier();
   };

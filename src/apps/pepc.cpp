@@ -200,7 +200,7 @@ mpi::MpiWorld::RankBody PepcBenchmark::rankBody(Params params) {
       ctx.compute(WorkProfile{12.0 * local, 48.0 * local,
                               AccessPattern::Streaming, 0.8, 1.0, 0.0});
       const double energy[4] = {1.0, 1.0, 1.0, 1.0};
-      ctx.allreduceSum(std::span<const double>(energy, 4));
+      ctx.allreduce(std::span<const double>(energy, 4), mpi::ReduceOp::Sum);
     }
     ctx.barrier();
   };

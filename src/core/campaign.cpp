@@ -13,7 +13,6 @@
 #include "tibsim/common/table.hpp"
 #include "tibsim/core/result_cache.hpp"
 #include "tibsim/mpi/collective_verify.hpp"
-#include "tibsim/obs/stall_report.hpp"
 #include "tibsim/obs/trace_sink.hpp"
 
 namespace tibsim::core {
@@ -176,14 +175,9 @@ CampaignResult runCampaign(const CampaignOptions& options,
   if (!options.traceMode.empty())
     traceOverride.emplace(obs::parseTraceMode(options.traceMode));
 
-  // Stall-watchdog override (--stall-report): WorldConfig snapshots the
-  // default, so every world built below inherits it. Leaving the flag off
-  // keeps whatever TIBSIM_STALL_REPORT set process-wide.
-  std::optional<obs::ScopedStallReport> stallOverride;
-  if (options.stallReport) stallOverride.emplace(true);
-
-  // Collective-verifier override (--verify-collectives): same snapshot
-  // mechanism; off keeps whatever TIBSIM_VERIFY_COLLECTIVES set.
+  // Collective-verifier override (--verify-collectives): WorldConfig
+  // snapshots the default, so every world built below inherits it; off
+  // keeps whatever TIBSIM_VERIFY_COLLECTIVES set.
   std::optional<mpi::ScopedVerifyCollectives> verifyOverride;
   if (options.verifyCollectives) verifyOverride.emplace(true);
 
@@ -206,7 +200,6 @@ CampaignResult runCampaign(const CampaignOptions& options,
     CacheKeyInputs base;
     base.seed = options.seed;
     base.traceMode = obs::toString(obs::defaultTraceMode());
-    base.stallReport = obs::defaultStallReport();
     base.verifyCollectives = mpi::defaultVerifyCollectives();
     base.platformSpecHash = hashPlatformSpecs();
     base.binaryFingerprint = executableFingerprint();
@@ -537,15 +530,14 @@ void printUsage(std::ostream& out) {
          "  socbench run [glob...] [--json DIR] [--csv DIR] [--jobs N]\n"
          "               [--seed S] [--cache DIR]\n"
          "               [--trace-mode full|sampled|aggregate]\n"
-         "               [--trace-export DIR] [--stall-report]\n"
-         "               [--verify-collectives]\n"
+         "               [--trace-export DIR] [--verify-collectives]\n"
          "               [--compat] [--no-summary]\n\n"
          "Globs match experiment names ('fig0?', 'ablation_*'); no glob "
          "selects every experiment.\n"
          "Flags accept both '--flag value' and '--flag=value'.\n"
          "--cache DIR keys every experiment cell by a content hash "
          "(experiment + version tag, platform spec bytes, seed, resolved\n"
-         "trace/stall/verify options, binary fingerprint): hits "
+         "trace/verify options, binary fingerprint): hits "
          "replay their JSON/CSV byte-identically from DIR, misses are\n"
          "computed and stored atomically. Any ingredient change — a rebuilt "
          "binary, an edited Table-1 number — is an automatic miss.\n"
@@ -558,11 +550,9 @@ void printUsage(std::ostream& out) {
          "Perfetto, Paraver .prv, per-rank breakdown CSV). Timeline "
          "formats need retained spans (full/sampled mode); aggregate mode\n"
          "still exports the exact per-rank breakdown CSV.\n"
-         "--stall-report arms the deterministic stall watchdog: a world "
-         "whose event queue drains with ranks still blocked fails with a\n"
-         "per-rank wait-state report (rank, pending op, peer, blocked "
-         "since) instead of the bare deadlock error. TIBSIM_STALL_REPORT=1\n"
-         "sets the same default.\n"
+         "A world whose event queue drains with ranks still blocked fails "
+         "with a per-rank wait-state report (rank, pending op, peer,\n"
+         "blocked since, last retained spans).\n"
          "--verify-collectives arms the runtime collective-matching "
          "verifier: every collective entry stamps its traffic with a\n"
          "(communicator, kind, op, sequence, count) tuple and any rank "
@@ -649,8 +639,6 @@ int socbenchMain(int argc, const char* const* argv) {
       const std::string* v = flagValue("--trace-export");
       if (v == nullptr) return 2;
       options.traceExportDir = *v;
-    } else if (arg == "--stall-report") {
-      options.stallReport = true;
     } else if (arg == "--verify-collectives") {
       options.verifyCollectives = true;
     } else if (!arg.empty() && arg[0] == '-') {

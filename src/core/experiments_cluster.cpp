@@ -473,12 +473,14 @@ ResultSet runScaleBigCluster(ExperimentContext& ctx) {
         // formats only when the sink retained spans (full/sampled).
         ctx.exportArtefact("scale_bigcluster__hydro1024.breakdown.csv",
                            obs::exportBreakdownCsv(summaries));
-        if (world.tracer().spansRetained() > 0) {
+        const std::vector<obs::TraceSpan> spans =
+            world.tracer().retainedSpans();
+        if (!spans.empty()) {
           ctx.exportArtefact("scale_bigcluster__hydro1024.trace.json",
-                             world.tracer().exportChromeJson());
+                             obs::exportChromeJson(spans));
           ctx.exportArtefact(
               "scale_bigcluster__hydro1024.prv",
-              world.tracer().exportPrv(r.ranks, r.wallClockSeconds));
+              obs::exportPrv(spans, r.ranks, r.wallClockSeconds));
         }
       }
     };
@@ -511,7 +513,8 @@ ResultSet runScaleBigCluster(ExperimentContext& ctx) {
   const cluster::JobResult relJob =
       bigSim.runJob(1500, [](mpi::MpiContext& mctx) {
         mctx.barrier();
-        mctx.allreduceSum(static_cast<double>(mctx.rank()));
+        mctx.allreduce(static_cast<double>(mctx.rank()),
+                       mpi::ReduceOp::Sum);
       });
   ctx.recordWorldStats(relJob.stats);
   const reliability::DramErrorModel model;

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "tibsim/common/assert.hpp"
 #include "tibsim/common/json.hpp"
 
 namespace tibsim::mpi {
@@ -13,7 +14,11 @@ bool readVerifyCollectivesFromEnv() {
   const char* env = std::getenv("TIBSIM_VERIFY_COLLECTIVES");
   if (env == nullptr) return false;
   const std::string value(env);
-  return value == "1" || value == "on" || value == "true";
+  if (value == "1" || value == "on" || value == "true") return true;
+  TIB_REQUIRE_MSG(value == "0" || value == "off" || value == "false",
+                  "TIBSIM_VERIFY_COLLECTIVES must be 1/on/true or "
+                  "0/off/false, got \"" + value + "\"");
+  return false;
 }
 
 bool& verifyCollectivesSlot() {
@@ -86,7 +91,7 @@ std::string formatCollectiveMismatch(int rank, int node, int sender,
       << " entered: " << describeStamp(local) << "\n"
       << "  rank " << sender << " sent:    " << describeStamp(remote) << "\n"
       << "  every rank of a communicator must run the same collective "
-         "sequence; rerun with --stall-report for wait-state detail";
+         "sequence";
   return out.str();
 }
 

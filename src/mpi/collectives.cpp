@@ -4,14 +4,13 @@
 // allreduce, linear gather (the root NIC is the bottleneck either way),
 // ring all-to-all.
 //
-// The algorithms live on Communicator, operating on comm-local ranks; the
-// legacy MpiContext entry points delegate to the world communicator (id 0,
-// identity rank mapping), so world-scoped collective traffic — ranks, tags,
-// sizes, charges — is unchanged byte-for-byte from the pre-communicator
-// runtime. That identity is what keeps existing campaign artefacts stable.
+// The algorithms live on Communicator, operating on comm-local ranks.
+// MpiContext is the world communicator (id 0, identity rank mapping), so
+// world-scoped collective traffic — ranks, tags, sizes, charges — is
+// unchanged byte-for-byte from the pre-communicator runtime. That identity
+// is what keeps existing campaign artefacts stable.
 
 #include <algorithm>
-#include <cstring>
 
 #include "tibsim/common/assert.hpp"
 #include "tibsim/mpi/simmpi.hpp"
@@ -271,22 +270,8 @@ void Communicator::alltoallBytes(std::size_t bytesPerPeer,
 }
 
 // ---------------------------------------------------------------------------
-// Legacy MpiContext entry points: the world communicator's collectives
+// MpiContext's own world collectives
 // ---------------------------------------------------------------------------
-
-void MpiContext::barrier(std::source_location loc) {
-  commWorld().barrier(loc);
-}
-
-std::vector<double> MpiContext::bcast(std::vector<double> values, int root,
-                                      std::source_location loc) {
-  return commWorld().bcast(std::move(values), root, loc);
-}
-
-void MpiContext::bcastBytes(std::size_t bytes, int root,
-                            std::source_location loc) {
-  commWorld().bcastBytes(bytes, root, loc);
-}
 
 void MpiContext::neighborExchange(std::size_t bytes, int tag) {
   const int n = size();
@@ -297,26 +282,6 @@ void MpiContext::neighborExchange(std::size_t bytes, int tag) {
     const int peer = rank() + dir;
     if (peer >= 0 && peer < n) sendrecv(peer, tag + phase, bytes);
   }
-}
-
-void MpiContext::pipelinedBcastBytes(std::size_t bytes, int root,
-                                     std::source_location loc) {
-  commWorld().pipelinedBcastBytes(bytes, root, loc);
-}
-
-std::vector<double> MpiContext::reduceSum(std::span<const double> values,
-                                          int root,
-                                          std::source_location loc) {
-  return commWorld().reduce(values, ReduceOp::Sum, root, loc);
-}
-
-std::vector<double> MpiContext::allreduceSum(std::span<const double> values,
-                                             std::source_location loc) {
-  return commWorld().allreduce(values, ReduceOp::Sum, loc);
-}
-
-double MpiContext::allreduceSum(double value, std::source_location loc) {
-  return commWorld().allreduce(value, ReduceOp::Sum, loc);
 }
 
 double MpiContext::allreduceMax(double value, std::source_location loc) {
@@ -345,21 +310,6 @@ double MpiContext::allreduceMax(double value, std::source_location loc) {
   }
   std::vector<double> result(1, acc);
   return bcast(std::move(result), 0, loc)[0];
-}
-
-std::vector<double> MpiContext::gather(double value, int root,
-                                       std::source_location loc) {
-  return commWorld().gather(value, root, loc);
-}
-
-std::vector<double> MpiContext::allgather(double value,
-                                          std::source_location loc) {
-  return commWorld().allgather(value, loc);
-}
-
-void MpiContext::alltoallBytes(std::size_t bytesPerPeer,
-                               std::source_location loc) {
-  commWorld().alltoallBytes(bytesPerPeer, loc);
 }
 
 }  // namespace tibsim::mpi

@@ -1,7 +1,7 @@
 // Communicator implementation: rank translation, comm-scoped
 // point-to-point, split()/dup() derivation, and the request plumbing for
-// non-blocking operations. The collective algorithms themselves live in
-// collectives.cpp so they sit next to the legacy MpiContext delegations.
+// non-blocking operations. The collective algorithms live in
+// collectives.cpp.
 //
 // tibsim-lint: allowfile(wildcard-recv) — this file implements the wildcard
 // plumbing itself.
@@ -16,6 +16,31 @@
 #include "tibsim/mpi/simmpi.hpp"
 
 namespace tibsim::mpi {
+
+namespace {
+/// A received payload as doubles. `op` and `src` (comm-local, -1 when
+/// unknown) only label the error for a payload that is not whole doubles.
+std::vector<double> toDoubles(const std::vector<std::byte>& raw,
+                              const char* op, int src) {
+  TIB_REQUIRE_MSG(
+      raw.size() % sizeof(double) == 0,
+      std::string(op) + ": " + std::to_string(raw.size()) + "-byte payload" +
+          (src >= 0 ? " from rank " + std::to_string(src) : "") +
+          " is not a multiple of sizeof(double) — the sender did not use "
+          "sendDoubles");
+  std::vector<double> values(raw.size() / sizeof(double));
+  if (!values.empty()) std::memcpy(values.data(), raw.data(), raw.size());
+  return values;
+}
+
+std::vector<std::byte> toBytes(std::span<const double> values,
+                               std::size_t* receivedBytes) {
+  std::vector<std::byte> raw(values.size_bytes());
+  if (!raw.empty()) std::memcpy(raw.data(), values.data(), raw.size());
+  if (receivedBytes != nullptr) *receivedBytes = raw.size();
+  return raw;
+}
+}  // namespace
 
 void Communicator::requireMember() const {
   TIB_REQUIRE_MSG(ctx_ != nullptr,
@@ -75,18 +100,9 @@ std::vector<std::byte> Communicator::recv(int src, int tag,
 std::vector<double> Communicator::recvDoubles(int src, int tag,
                                               int* srcOut) const {
   int actualSrc = src;
-  std::size_t bytes = 0;
-  const std::vector<std::byte> raw = recv(src, tag, &bytes, &actualSrc);
-  TIB_REQUIRE_MSG(raw.size() % sizeof(double) == 0,
-                  "recvDoubles: " + std::to_string(raw.size()) +
-                      "-byte payload from rank " + std::to_string(actualSrc) +
-                      " is not a multiple of sizeof(double) — the sender "
-                      "did not use sendDoubles");
-  std::vector<double> values(raw.size() / sizeof(double));
-  if (!values.empty())
-    std::memcpy(values.data(), raw.data(), values.size() * sizeof(double));
+  const std::vector<std::byte> raw = recv(src, tag, nullptr, &actualSrc);
   if (srcOut != nullptr) *srcOut = actualSrc;
-  return values;
+  return toDoubles(raw, "recvDoubles", actualSrc);
 }
 
 void Communicator::sendrecv(int peer, int tag, std::size_t sendBytes,
@@ -94,7 +110,7 @@ void Communicator::sendrecv(int peer, int tag, std::size_t sendBytes,
   requireMember();
   TIB_REQUIRE(peer != rank_);
   // Rank-ordered exchange on comm-local ids: lower rank sends first, the
-  // classic deadlock-free pairing (same schedule as MpiContext::sendrecv).
+  // classic deadlock-free pairing, safe for eager and rendezvous sizes.
   if (rank_ < peer) {
     send(peer, tag, sendBytes);
     recv(peer, tag, recvBytes);
@@ -112,15 +128,13 @@ Communicator::Request Communicator::isend(
     int dst, int tag, std::size_t bytes,
     std::span<const std::byte> payload) const {
   requireMember();
-  // Same eager-buffered semantics as MpiContext::isend: charged and on the
-  // wire now, complete by construction, but must still be waited.
+  // Eager buffered send: charged and on the wire now, rendezvous
+  // suppressed so the caller never blocks; complete by construction, but
+  // must still be waited.
   ctx_->world_.doSend(*ctx_, id_, worldRank(dst), tag, bytes, payload,
                       /*allowRendezvous=*/false);
   MpiContext::PendingOp op;
   op.kind = MpiContext::PendingOp::Kind::Send;
-  op.peer = worldRank(dst);
-  op.tag = tag;
-  op.comm = *this;
   return ctx_->pushPending(std::move(op));
 }
 
@@ -137,24 +151,56 @@ Communicator::Request Communicator::irecv(int src, int tag) const {
 std::vector<std::byte> Communicator::wait(Request request,
                                           std::size_t* receivedBytes) const {
   requireMember();
-  return ctx_->wait(request, receivedBytes);
+  using Kind = MpiContext::PendingOp::Kind;
+  std::vector<MpiContext::PendingOp>& pending = ctx_->pending_;
+  auto it = pending.begin();
+  while (it != pending.end() && it->request != request) ++it;
+  TIB_REQUIRE_MSG(it != pending.end(), "unknown or already-waited request");
+  MpiContext::PendingOp op = std::move(*it);
+  *it = std::move(pending.back());
+  pending.pop_back();
+  switch (op.kind) {
+    case Kind::Send:
+      return {};  // isend completed at initiation
+    case Kind::Recv:
+      return ctx_->world_.doRecv(*ctx_, op.comm.id(), op.peer, op.tag,
+                                 receivedBytes);
+    case Kind::Barrier: {
+      // Lazy collectives replay the i-collective's recorded call site into
+      // the verifier stamp; the inner (blocking) collective's own guard
+      // nests beneath this one and inherits it.
+      MpiContext::CollectiveGuard guard(*ctx_, op.comm.id(),
+                                        CollectiveKind::Barrier, kNoReduceOp,
+                                        0, op.file, op.line);
+      op.comm.barrier();
+      if (receivedBytes != nullptr) *receivedBytes = 0;
+      return {};
+    }
+    case Kind::Bcast: {
+      MpiContext::CollectiveGuard guard(*ctx_, op.comm.id(),
+                                        CollectiveKind::Bcast, kNoReduceOp,
+                                        op.values.size(), op.file, op.line);
+      return toBytes(op.comm.bcast(std::move(op.values), op.root),
+                     receivedBytes);
+    }
+    case Kind::Allreduce: {
+      MpiContext::CollectiveGuard guard(
+          *ctx_, op.comm.id(), CollectiveKind::Allreduce,
+          static_cast<std::uint8_t>(op.op), op.values.size(), op.file,
+          op.line);
+      return toBytes(op.comm.allreduce(op.values, op.op), receivedBytes);
+    }
+  }
+  return {};
 }
 
 void Communicator::waitall(std::span<const Request> requests) const {
   requireMember();
-  ctx_->waitall(requests);
+  for (Request r : requests) wait(r);
 }
 
 std::vector<double> Communicator::waitDoubles(Request request) const {
-  requireMember();
-  const std::vector<std::byte> raw = ctx_->wait(request);
-  TIB_REQUIRE_MSG(raw.size() % sizeof(double) == 0,
-                  "waitDoubles: " + std::to_string(raw.size()) +
-                      "-byte payload is not a whole number of doubles");
-  std::vector<double> values(raw.size() / sizeof(double));
-  if (!values.empty())
-    std::memcpy(values.data(), raw.data(), values.size() * sizeof(double));
-  return values;
+  return toDoubles(wait(request), "waitDoubles", -1);
 }
 
 // ---------------------------------------------------------------------------

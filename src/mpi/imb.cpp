@@ -101,7 +101,8 @@ std::vector<Result> allreduce(const WorldConfig& config, int ranks,
     const WorldStats stats =
         world.run([elements, repetitions](MpiContext& ctx) {
           const std::vector<double> values(elements, 1.0);
-          for (int i = 0; i < repetitions; ++i) ctx.allreduceSum(values);
+          for (int i = 0; i < repetitions; ++i)
+            ctx.allreduce(values, ReduceOp::Sum);
         });
     if (hook) hook(stats);
     results.push_back(

@@ -4,7 +4,6 @@
 #include "tibsim/mpi/simmpi.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "tibsim/arch/registry.hpp"
 #include "tibsim/common/assert.hpp"
@@ -12,6 +11,8 @@
 
 namespace tibsim::mpi {
 
+using obs::SpanKind;
+using obs::TraceSpan;
 using perfmodel::AccessPattern;
 
 WorldConfig WorldConfig::tibidaboNode() {
@@ -32,7 +33,10 @@ WorldConfig WorldConfig::tibidaboNode() {
 
 MpiContext::MpiContext(MpiWorld& world, sim::Process& process, int rank,
                        int node)
-    : world_(world), process_(process), rank_(rank), node_(node) {}
+    : Communicator(this, 0, rank, nullptr),
+      world_(world),
+      process_(process),
+      node_(node) {}
 
 MpiContext::CollectiveGuard::CollectiveGuard(MpiContext& ctx,
                                              std::uint64_t comm,
@@ -62,20 +66,13 @@ MpiContext::CollectiveGuard::~CollectiveGuard() {
   if (engaged_) ctx_.activeCollective_ = CollectiveStamp{};
 }
 
-int MpiContext::size() const { return world_.ranks(); }
-
 double MpiContext::now() const { return process_.now(); }
 
 void MpiContext::compute(const perfmodel::WorkProfile& work) {
-  const double seconds = world_.execModel_.time(
-      world_.platform(), work, world_.frequencyHz(), /*cores=*/1);
   world_.stats_.totalFlops += work.flops;
   world_.stats_.totalDramBytes += work.bytes;
-  world_.stats_.nodeBusySeconds[static_cast<std::size_t>(node_)] += seconds;
-  path_.computeSeconds += seconds;
-  const double begin = now();
-  process_.delay(seconds);
-  world_.traceSpan(rank_, SpanKind::Compute, begin, now());
+  computeSeconds(world_.execModel_.time(world_.platform(), work,
+                                        world_.frequencyHz(), /*cores=*/1));
 }
 
 void MpiContext::computeSeconds(double seconds) {
@@ -84,131 +81,7 @@ void MpiContext::computeSeconds(double seconds) {
   path_.computeSeconds += seconds;
   const double begin = now();
   process_.delay(seconds);
-  world_.traceSpan(rank_, SpanKind::Compute, begin, now());
-}
-
-void MpiContext::send(int dst, int tag, std::size_t bytes,
-                      std::span<const std::byte> payload) {
-  world_.doSend(*this, /*comm=*/0, dst, tag, bytes, payload);
-}
-
-void MpiContext::sendDoubles(int dst, int tag,
-                             std::span<const double> values) {
-  send(dst, tag, values.size_bytes(),
-       std::as_bytes(values));
-}
-
-std::vector<std::byte> MpiContext::recv(int src, int tag,
-                                        std::size_t* receivedBytes) {
-  return world_.doRecv(*this, /*comm=*/0, src, tag, receivedBytes);
-}
-
-std::vector<double> MpiContext::recvDoubles(int src, int tag) {
-  std::size_t bytes = 0;
-  int actualSrc = src;
-  const std::vector<std::byte> raw =
-      world_.doRecv(*this, /*comm=*/0, src, tag, &bytes, &actualSrc);
-  TIB_REQUIRE_MSG(raw.size() % sizeof(double) == 0,
-                  "recvDoubles: " + std::to_string(raw.size()) +
-                      "-byte payload from rank " + std::to_string(actualSrc) +
-                      " is not a multiple of sizeof(double) — the sender "
-                      "did not use sendDoubles");
-  std::vector<double> values(raw.size() / sizeof(double));
-  if (!values.empty())
-    std::memcpy(values.data(), raw.data(), values.size() * sizeof(double));
-  return values;
-}
-
-MpiContext::Request MpiContext::isend(int dst, int tag, std::size_t bytes,
-                                      std::span<const std::byte> payload) {
-  // Eager buffered send: costs are charged now, delivery proceeds in the
-  // background; rendezvous is suppressed so the caller never blocks.
-  world_.doSend(*this, /*comm=*/0, dst, tag, bytes, payload,
-                /*allowRendezvous=*/false);
-  PendingOp op;
-  op.kind = PendingOp::Kind::Send;
-  op.peer = dst;
-  op.tag = tag;
-  return pushPending(std::move(op));
-}
-
-MpiContext::Request MpiContext::irecv(int src, int tag) {
-  PendingOp op;
-  op.kind = PendingOp::Kind::Recv;
-  op.peer = src;
-  op.tag = tag;
-  return pushPending(std::move(op));
-}
-
-namespace {
-std::vector<std::byte> doublesToBytes(std::span<const double> values,
-                                      std::size_t* receivedBytes) {
-  std::vector<std::byte> raw(values.size_bytes());
-  if (!raw.empty()) std::memcpy(raw.data(), values.data(), raw.size());
-  if (receivedBytes != nullptr) *receivedBytes = raw.size();
-  return raw;
-}
-}  // namespace
-
-std::vector<std::byte> MpiContext::wait(Request request,
-                                        std::size_t* receivedBytes) {
-  auto it = pending_.begin();
-  while (it != pending_.end() && it->request != request) ++it;
-  TIB_REQUIRE_MSG(it != pending_.end(), "unknown or already-waited request");
-  PendingOp op = std::move(*it);
-  *it = std::move(pending_.back());
-  pending_.pop_back();
-  switch (op.kind) {
-    case PendingOp::Kind::Send:
-      return {};  // isend completed at initiation
-    case PendingOp::Kind::Recv:
-      // op.comm is the null communicator for a legacy world irecv; its id()
-      // is 0 either way, which is all the match needs.
-      return world_.doRecv(*this, op.comm.id(), op.peer, op.tag,
-                           receivedBytes);
-    case PendingOp::Kind::Barrier: {
-      // Lazy collectives replay the i-collective's recorded call site into
-      // the verifier stamp; the inner (blocking) collective's own guard
-      // nests beneath this one and inherits it.
-      CollectiveGuard guard(*this, op.comm.id(), CollectiveKind::Barrier,
-                            kNoReduceOp, 0, op.file, op.line);
-      op.comm.barrier();
-      if (receivedBytes != nullptr) *receivedBytes = 0;
-      return {};
-    }
-    case PendingOp::Kind::Bcast: {
-      CollectiveGuard guard(*this, op.comm.id(), CollectiveKind::Bcast,
-                            kNoReduceOp, op.values.size(), op.file, op.line);
-      return doublesToBytes(op.comm.bcast(std::move(op.values), op.root),
-                            receivedBytes);
-    }
-    case PendingOp::Kind::Allreduce: {
-      CollectiveGuard guard(*this, op.comm.id(), CollectiveKind::Allreduce,
-                            static_cast<std::uint8_t>(op.op),
-                            op.values.size(), op.file, op.line);
-      return doublesToBytes(op.comm.allreduce(op.values, op.op),
-                            receivedBytes);
-    }
-  }
-  return {};
-}
-
-void MpiContext::waitall(std::span<const Request> requests) {
-  for (Request r : requests) wait(r);
-}
-
-void MpiContext::sendrecv(int peer, int tag, std::size_t sendBytes,
-                          std::size_t* recvBytes) {
-  TIB_REQUIRE(peer != rank_);
-  // Rank-ordered exchange: lower rank sends first. Safe for both eager and
-  // rendezvous messages (the classic deadlock-free pairing).
-  if (rank_ < peer) {
-    send(peer, tag, sendBytes);
-    recv(peer, tag, recvBytes);
-  } else {
-    recv(peer, tag, recvBytes);
-    send(peer, tag, sendBytes);
-  }
+  world_.traceSpan(rank(), SpanKind::Compute, begin, now());
 }
 
 // ---------------------------------------------------------------------------
@@ -330,7 +203,7 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
       fabric_->scheduleWire(srcNode, dstNode, 84.0, sim.now());
   const std::uint32_t slot = stashInflight(std::move(msg));
   sim.scheduleAt(rtsArrival, [this, dst, slot] { deliver(dst, slot); });
-  // Stall-watchdog bookkeeping: the rank is about to block outside any
+  // Stall-report bookkeeping: the rank is about to block outside any
   // mailbox wait, so record what it is blocked on here.
   ctx.sendBlocked_ = true;
   ctx.sendPeer_ = dst;
@@ -658,16 +531,16 @@ void MpiWorld::harvestPathAndLinks() {
 }
 
 std::string MpiWorld::deadlockMessage(double now) {
-  std::string message =
-      "simMPI deadlock: ranks still blocked after event queue drained";
-  if (!config_.stallReport) {
-    return message +
-           " (enable --stall-report / TIBSIM_STALL_REPORT=1 for the "
-           "per-rank wait-state report)";
-  }
-  const std::vector<TraceSpan> retained =
-      tracing_ ? tracer_.retainedSpans() : std::vector<TraceSpan>{};
+  // Every rank's last few retained spans, in one pass over the trace (a
+  // scan per blocked rank took tens of seconds at 2,048 ranks).
   constexpr std::size_t kSpansPerRank = 3;
+  std::vector<std::vector<TraceSpan>> recent(static_cast<std::size_t>(ranks_));
+  for (const TraceSpan& span : tracer_.retainedSpans()) {
+    if (span.rank < 0 || span.rank >= ranks_) continue;
+    std::vector<TraceSpan>& last = recent[static_cast<std::size_t>(span.rank)];
+    if (last.size() == kSpansPerRank) last.erase(last.begin());
+    last.push_back(span);
+  }
   std::vector<obs::StallEntry> entries;
   for (int r = 0; r < ranks_; ++r) {
     const Mailbox& box = mailboxes_[static_cast<std::size_t>(r)];
@@ -690,15 +563,11 @@ std::string MpiWorld::deadlockMessage(double now) {
     }
     entry.rank = r;
     entry.node = nodeOfRank(r);
-    for (const TraceSpan& span : retained) {
-      if (span.rank != r) continue;
-      entry.lastSpans.push_back(span);
-      if (entry.lastSpans.size() > kSpansPerRank)
-        entry.lastSpans.erase(entry.lastSpans.begin());
-    }
+    entry.lastSpans = std::move(recent[static_cast<std::size_t>(r)]);
     entries.push_back(std::move(entry));
   }
-  return message + "\n" + obs::formatStallReport(entries, now);
+  return "simMPI deadlock: ranks still blocked after event queue drained\n" +
+         obs::formatStallReport(entries, now);
 }
 
 }  // namespace tibsim::mpi

@@ -1,7 +1,6 @@
 #include "tibsim/obs/stall_report.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "tibsim/common/json.hpp"
@@ -10,29 +9,11 @@ namespace tibsim::obs {
 
 namespace {
 
-bool readStallReportFromEnv() {
-  const char* env = std::getenv("TIBSIM_STALL_REPORT");
-  if (env == nullptr) return false;
-  const std::string value(env);
-  return value == "1" || value == "on" || value == "true";
-}
-
-bool& stallReportSlot() {
-  // Process-wide default, mutated only from the host thread between runs
-  // (socbench flag parsing, ScopedStallReport in tests) — never from
-  // inside a running world. tibsim-lint: allow(sim-static)
-  static bool slot = readStallReportFromEnv();
-  return slot;
-}
-
 /// Shortest-round-trip decimal, shared with the JSON emitters so the
 /// report is byte-stable wherever it is rendered.
 std::string seconds(double value) { return json::formatNumber(value); }
 
 }  // namespace
-
-bool defaultStallReport() { return stallReportSlot(); }
-void setDefaultStallReport(bool on) { stallReportSlot() = on; }
 
 std::string formatStallReport(const std::vector<StallEntry>& entries,
                               double now) {

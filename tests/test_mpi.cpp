@@ -215,22 +215,9 @@ TEST_P(SimMpiTest, DeadlockIsDetected) {
                ContractError);
 }
 
-TEST_P(SimMpiTest, DeadlockWithoutWatchdogPointsAtTheFlag) {
-  MpiWorld world(testConfig(), 2);
-  try {
-    run(world, [](MpiContext& ctx) { ctx.recv(1 - ctx.rank(), 1); });
-    FAIL() << "deadlock not detected";
-  } catch (const ContractError& error) {
-    EXPECT_NE(std::string(error.what()).find("--stall-report"),
-              std::string::npos)
-        << error.what();
-  }
-}
-
 TEST_P(SimMpiTest, StallReportListsEveryBlockedRank) {
   // The report is derived from simulated state only, so the exact lines
   // can be pinned: identical on both hosts and on every run.
-  obs::ScopedStallReport scoped(true);
   MpiWorld world(testConfig(), 4);
   try {
     run(world, [](MpiContext& ctx) {
@@ -255,8 +242,7 @@ TEST_P(SimMpiTest, StallReportListsEveryBlockedRank) {
 
 TEST_P(SimMpiTest, StallReportCoversRendezvousSenders) {
   // A rendezvous send with no matching receive blocks on the CTS; the
-  // watchdog must attribute the stall to the send side, not the mailbox.
-  obs::ScopedStallReport scoped(true);
+  // report must attribute the stall to the send side, not the mailbox.
   MpiWorld world(testConfig(1, net::Protocol::OpenMx), 2);
   try {
     run(world, [](MpiContext& ctx) {
@@ -274,9 +260,41 @@ TEST_P(SimMpiTest, StallReportCoversRendezvousSenders) {
   }
 }
 
+TEST_P(SimMpiTest, StallReportShowsEachBlockedRanksLastSpans) {
+  // A traced world's report lists each blocked rank's last three retained
+  // spans, oldest first. Rank r computes five spans of 0.25 * (r + 1) s;
+  // ranks 0..2 then block in a 3-cycle while rank 3 finishes.
+  MpiWorld world(testConfig(), 4);
+  world.enableTracing();
+  try {
+    run(world, [](MpiContext& ctx) {
+      for (int i = 0; i < 5; ++i) ctx.computeSeconds(0.25 * (ctx.rank() + 1));
+      if (ctx.rank() < 3) ctx.recv((ctx.rank() + 1) % 3, 99);
+    });
+    FAIL() << "deadlock not detected";
+  } catch (const ContractError& error) {
+    const std::string what = error.what();
+    const std::size_t at = what.find("stall report:");
+    ASSERT_NE(at, std::string::npos) << what;
+    EXPECT_EQ(what.substr(at),
+              "stall report: 3 rank(s) blocked at t=5s\n"
+              "  rank 0 node 0: recv(peer=1, tag=99) comm=0 blocked 3.75s "
+              "since t=1.25s\n"
+              "    recent: compute[0.5s..0.75s] compute[0.75s..1s] "
+              "compute[1s..1.25s]\n"
+              "  rank 1 node 1: recv(peer=2, tag=99) comm=0 blocked 2.5s "
+              "since t=2.5s\n"
+              "    recent: compute[1s..1.5s] compute[1.5s..2s] "
+              "compute[2s..2.5s]\n"
+              "  rank 2 node 2: recv(peer=0, tag=99) comm=0 blocked 1.25s "
+              "since t=3.75s\n"
+              "    recent: compute[1.5s..2.25s] compute[2.25s..3s] "
+              "compute[3s..3.75s]\n");
+  }
+}
+
 TEST_P(SimMpiTest, StallReportIsByteIdenticalAcrossShards) {
   // The report must not change on a repeat run or with the host thread.
-  obs::ScopedStallReport scoped(true);
   const auto report = [](Host host) {
     WorldConfig cfg = testConfig();
     cfg.topology.nodesPerLeafSwitch = 2;
@@ -313,7 +331,7 @@ TEST_P(SimMpiCollectiveVerifyTest, CleanRunPassesAndCountsChecks) {
   cfg.verifyCollectives = true;
   MpiWorld world(cfg, 4);
   const WorldStats stats = run(world, [](MpiContext& ctx) {
-    ctx.allreduceSum(1.0);
+    ctx.allreduce(1.0, ReduceOp::Sum);
     ctx.barrier();
     ctx.bcastBytes(4096, 0);
   });
@@ -323,7 +341,7 @@ TEST_P(SimMpiCollectiveVerifyTest, CleanRunPassesAndCountsChecks) {
 TEST_P(SimMpiCollectiveVerifyTest, OffByDefaultPerformsNoChecks) {
   MpiWorld world(testConfig(), 4);
   const WorldStats stats = run(world, [](MpiContext& ctx) {
-    ctx.allreduceSum(1.0);
+    ctx.allreduce(1.0, ReduceOp::Sum);
     ctx.barrier();
   });
   EXPECT_EQ(stats.collectiveChecks, 0u);
@@ -484,7 +502,7 @@ TEST_P(CollectiveSizes, ReduceSumsContributions) {
   run(world, [&](MpiContext& ctx) {
     const std::vector<double> mine = {static_cast<double>(ctx.rank()),
                                       1.0};
-    const auto out = ctx.reduceSum(mine, 0);
+    const auto out = ctx.reduce(mine, ReduceOp::Sum, 0);
     if (ctx.rank() == 0) rootResult = out;
   });
   ASSERT_EQ(rootResult.size(), 2u);
@@ -498,7 +516,7 @@ TEST_P(CollectiveSizes, AllreduceGivesEveryoneTheSum) {
   std::vector<double> sums(static_cast<std::size_t>(n), 0.0);
   run(world, [&](MpiContext& ctx) {
     sums[static_cast<std::size_t>(ctx.rank())] =
-        ctx.allreduceSum(static_cast<double>(ctx.rank() + 1));
+        ctx.allreduce(static_cast<double>(ctx.rank() + 1), ReduceOp::Sum);
   });
   for (double s : sums) EXPECT_DOUBLE_EQ(s, n * (n + 1) / 2.0);
 }
@@ -1239,7 +1257,7 @@ TEST_P(SimMpiTest, DeterministicAcrossRuns) {
     MpiWorld world(testConfig(2, net::Protocol::OpenMx), 8);
     const auto stats = run(world, [](MpiContext& ctx) {
       ctx.computeSeconds(1e-4 * (ctx.rank() % 3));
-      ctx.allreduceSum(1.0);
+      ctx.allreduce(1.0, ReduceOp::Sum);
       ctx.alltoallBytes(10000);
       ctx.barrier();
     });

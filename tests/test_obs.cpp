@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -58,6 +60,45 @@ TEST(TraceMode, ScopedOverrideRestoresPrevious) {
   EXPECT_EQ(obs::defaultTraceMode(), before);
 }
 
+// The child of the death test below. Each process-wide default reads its
+// variable once, on first use, and a read that throws leaves it unread, so
+// one child can try every malformed value and then a valid one. Exits 0
+// only when every malformed value was a ContractError.
+[[noreturn]] void readMalformedEnvironmentKnobs() {
+  const auto rejects = [](const char* name, const char* value,
+                          const auto& read) {
+    setenv(name, value, 1);
+    try {
+      read();
+      std::fprintf(stderr, "%s accepted \"%s\"\n", name, value);
+      std::exit(1);
+    } catch (const ContractError& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+    }
+  };
+  for (const char* bad : {"agregate", "Full", " full", ""})
+    rejects("TIBSIM_TRACE_MODE", bad, [] { return obs::defaultTraceMode(); });
+  for (const char* bad : {"yes", "TRUE", "2", ""})
+    rejects("TIBSIM_VERIFY_COLLECTIVES", bad,
+            [] { return mpi::defaultVerifyCollectives(); });
+  setenv("TIBSIM_TRACE_MODE", "aggregate", 1);
+  setenv("TIBSIM_VERIFY_COLLECTIVES", "off", 1);
+  std::exit(obs::defaultTraceMode() == TraceMode::Aggregate &&
+                    !mpi::defaultVerifyCollectives()
+                ? 0
+                : 1);
+}
+
+TEST(EnvironmentKnobDeathTest, MalformedValueIsAContractError) {
+  // A misspelt mode must not fall back to full mode (unbounded span memory
+  // at scale), nor may "yes" leave the verifier off without a word.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(readMalformedEnvironmentKnobs(), ::testing::ExitedWithCode(0),
+              "TIBSIM_TRACE_MODE=\"agregate\": .*unknown trace mode .*"
+              "TIBSIM_VERIFY_COLLECTIVES must be 1/on/true or 0/off/false, "
+              "got \"yes\"");
+}
+
 // ---------------------------------------------------------------------------
 // DurationHistogram
 // ---------------------------------------------------------------------------
@@ -104,17 +145,17 @@ std::vector<TraceSpan> syntheticSpans(int ranks, int perRank) {
 
 TEST(TraceSink, SummariesAreExactInEveryMode) {
   const auto spans = syntheticSpans(4, 100);
-  const auto full = obs::TraceSink::create({TraceMode::Full, 512, 0});
-  const auto sampled = obs::TraceSink::create({TraceMode::Sampled, 8, 42});
-  const auto aggregate = obs::TraceSink::create({TraceMode::Aggregate, 0, 0});
+  obs::TraceSink full(TraceMode::Full, 512, 0);
+  obs::TraceSink sampled(TraceMode::Sampled, 8, 42);
+  obs::TraceSink aggregate(TraceMode::Aggregate, 0, 0);
   for (const auto& span : spans) {
-    full->record(span);
-    sampled->record(span);
-    aggregate->record(span);
+    full.record(span);
+    sampled.record(span);
+    aggregate.record(span);
   }
   const double wall = 0.2;
-  const auto expected = full->summarize(4, wall);
-  for (const obs::TraceSink* sink : {sampled.get(), aggregate.get()}) {
+  const auto expected = full.summarize(4, wall);
+  for (const obs::TraceSink* sink : {&sampled, &aggregate}) {
     EXPECT_EQ(sink->spansRecorded(), spans.size());
     const auto got = sink->summarize(4, wall);
     ASSERT_EQ(got.size(), expected.size());
@@ -126,25 +167,24 @@ TEST(TraceSink, SummariesAreExactInEveryMode) {
       EXPECT_DOUBLE_EQ(got[r].otherSeconds, expected[r].otherSeconds);
     }
     EXPECT_DOUBLE_EQ(sink->nonComputeFraction(4, wall),
-                     full->nonComputeFraction(4, wall));
+                     full.nonComputeFraction(4, wall));
   }
 }
 
 TEST(TraceSink, SampledReservoirIsDeterministicAndBounded) {
   const auto spans = syntheticSpans(4, 200);
-  const obs::SinkConfig cfg{TraceMode::Sampled, 8, 1234};
-  const auto a = obs::TraceSink::create(cfg);
-  const auto b = obs::TraceSink::create(cfg);
-  const auto other = obs::TraceSink::create({TraceMode::Sampled, 8, 99});
+  obs::TraceSink a(TraceMode::Sampled, 8, 1234);
+  obs::TraceSink b(TraceMode::Sampled, 8, 1234);
+  obs::TraceSink other(TraceMode::Sampled, 8, 99);
   for (const auto& span : spans) {
-    a->record(span);
-    b->record(span);
-    other->record(span);
+    a.record(span);
+    b.record(span);
+    other.record(span);
   }
-  EXPECT_EQ(a->spansRetained(), 4u * 8u);
-  EXPECT_LT(a->spansRetained(), a->spansRecorded());
-  const auto ra = a->retainedSpans();
-  const auto rb = b->retainedSpans();
+  EXPECT_EQ(a.spansRetained(), 4u * 8u);
+  EXPECT_LT(a.spansRetained(), a.spansRecorded());
+  const auto ra = a.retainedSpans();
+  const auto rb = b.retainedSpans();
   ASSERT_EQ(ra.size(), rb.size());
   for (std::size_t i = 0; i < ra.size(); ++i) {
     EXPECT_EQ(ra[i].rank, rb[i].rank);
@@ -153,7 +193,7 @@ TEST(TraceSink, SampledReservoirIsDeterministicAndBounded) {
     EXPECT_DOUBLE_EQ(ra[i].end, rb[i].end);
   }
   // A different seed keeps a different sample of the same stream.
-  const auto ro = other->retainedSpans();
+  const auto ro = other.retainedSpans();
   bool differs = false;
   for (std::size_t i = 0; i < ra.size() && !differs; ++i)
     differs = ra[i].begin != ro[i].begin || ra[i].kind != ro[i].kind;
@@ -162,62 +202,62 @@ TEST(TraceSink, SampledReservoirIsDeterministicAndBounded) {
 
 TEST(TraceSink, AggregateRetainsNoSpansButCountsEverything) {
   const auto spans = syntheticSpans(3, 50);
-  const auto sink = obs::TraceSink::create({TraceMode::Aggregate, 0, 0});
-  for (const auto& span : spans) sink->record(span);
-  EXPECT_EQ(sink->spansRetained(), 0u);
-  EXPECT_TRUE(sink->retainedSpans().empty());
-  EXPECT_EQ(sink->spansRecorded(), spans.size());
+  obs::TraceSink sink(TraceMode::Aggregate, 0, 0);
+  for (const auto& span : spans) sink.record(span);
+  EXPECT_EQ(sink.spansRetained(), 0u);
+  EXPECT_TRUE(sink.retainedSpans().empty());
+  EXPECT_EQ(sink.spansRecorded(), spans.size());
   std::uint64_t histogramTotal = 0;
   for (int r = 0; r < 3; ++r) {
     for (int k = 0; k < obs::kSpanKinds; ++k) {
-      const auto* h = sink->histogram(r, static_cast<SpanKind>(k));
+      const auto* h = sink.histogram(r, static_cast<SpanKind>(k));
       ASSERT_NE(h, nullptr);
       histogramTotal += h->total();
     }
   }
   EXPECT_EQ(histogramTotal, spans.size());
-  EXPECT_EQ(sink->histogram(99, SpanKind::Compute), nullptr);
+  EXPECT_EQ(sink.histogram(99, SpanKind::Compute), nullptr);
   // The other modes expose no histograms.
-  const auto full = obs::TraceSink::create({TraceMode::Full, 0, 0});
-  full->record(spans[0]);
-  EXPECT_EQ(full->histogram(0, SpanKind::Compute), nullptr);
+  obs::TraceSink full(TraceMode::Full, 0, 0);
+  full.record(spans[0]);
+  EXPECT_EQ(full.histogram(0, SpanKind::Compute), nullptr);
 }
 
 TEST(TraceSink, AggregateMemoryIsFarBelowFullOnLongStreams) {
   const auto spans = syntheticSpans(8, 2000);
-  const auto full = obs::TraceSink::create({TraceMode::Full, 0, 0});
-  const auto aggregate = obs::TraceSink::create({TraceMode::Aggregate, 0, 0});
+  obs::TraceSink full(TraceMode::Full, 0, 0);
+  obs::TraceSink aggregate(TraceMode::Aggregate, 0, 0);
   for (const auto& span : spans) {
-    full->record(span);
-    aggregate->record(span);
+    full.record(span);
+    aggregate.record(span);
   }
-  EXPECT_LT(aggregate->memoryBytes(), full->memoryBytes() / 10);
+  EXPECT_LT(aggregate.memoryBytes(), full.memoryBytes() / 10);
   // Aggregate memory depends on the rank count, not the span count.
-  const auto longer = obs::TraceSink::create({TraceMode::Aggregate, 0, 0});
+  obs::TraceSink longer(TraceMode::Aggregate, 0, 0);
   for (int rep = 0; rep < 3; ++rep)
-    for (const auto& span : spans) longer->record(span);
-  EXPECT_EQ(longer->memoryBytes(), aggregate->memoryBytes());
+    for (const auto& span : spans) longer.record(span);
+  EXPECT_EQ(longer.memoryBytes(), aggregate.memoryBytes());
 }
 
 TEST(TraceSink, OtherSecondsClampedWhenSpansOverlap) {
-  const auto sink = obs::TraceSink::create({TraceMode::Full, 0, 0});
-  sink->record(TraceSpan{0, SpanKind::Compute, 0.0, 1.0, -1, 0});
-  sink->record(TraceSpan{0, SpanKind::Wait, 0.0, 1.0, -1, 0});  // overlaps
-  const auto overlapped = sink->summarize(1, 1.5);
+  obs::TraceSink sink(TraceMode::Full, 0, 0);
+  sink.record(TraceSpan{0, SpanKind::Compute, 0.0, 1.0, -1, 0});
+  sink.record(TraceSpan{0, SpanKind::Wait, 0.0, 1.0, -1, 0});  // overlaps
+  const auto overlapped = sink.summarize(1, 1.5);
   EXPECT_DOUBLE_EQ(overlapped[0].otherSeconds, 0.0);  // 1.5 - 2.0 clamps
-  sink->clear();
-  sink->record(TraceSpan{0, SpanKind::Compute, 0.0, 1.0, -1, 0});
-  const auto disjoint = sink->summarize(1, 1.5);
+  sink.clear();
+  sink.record(TraceSpan{0, SpanKind::Compute, 0.0, 1.0, -1, 0});
+  const auto disjoint = sink.summarize(1, 1.5);
   EXPECT_DOUBLE_EQ(disjoint[0].otherSeconds, 0.5);
 }
 
 TEST(TraceSink, ClearResetsEverything) {
-  const auto sink = obs::TraceSink::create({TraceMode::Sampled, 4, 7});
-  for (const auto& span : syntheticSpans(2, 20)) sink->record(span);
-  sink->clear();
-  EXPECT_EQ(sink->spansRecorded(), 0u);
-  EXPECT_EQ(sink->spansRetained(), 0u);
-  const auto summaries = sink->summarize(2, 1.0);
+  obs::TraceSink sink(TraceMode::Sampled, 4, 7);
+  for (const auto& span : syntheticSpans(2, 20)) sink.record(span);
+  sink.clear();
+  EXPECT_EQ(sink.spansRecorded(), 0u);
+  EXPECT_EQ(sink.spansRetained(), 0u);
+  const auto summaries = sink.summarize(2, 1.0);
   EXPECT_DOUBLE_EQ(summaries[0].computeSeconds, 0.0);
   EXPECT_DOUBLE_EQ(summaries[1].otherSeconds, 1.0);
 }
@@ -467,8 +507,8 @@ std::pair<std::string, std::string> sampledArtefacts(Host host) {
   world.enableTracing();
   const auto stats =
       onHost(host, [&] { return world.run(commHeavyBody); });
-  const std::string prv =
-      world.tracer().exportPrv(8, stats.wallClockSeconds);
+  const std::string prv = obs::exportPrv(world.tracer().retainedSpans(), 8,
+                                         stats.wallClockSeconds);
   const std::string breakdown = obs::exportBreakdownCsv(
       world.tracer().summarize(8, stats.wallClockSeconds));
   return {prv, breakdown};
@@ -488,19 +528,8 @@ TEST(Exporters, ShardedRunsExportByteIdenticalArtefacts) {
 }
 
 // ---------------------------------------------------------------------------
-// Stall watchdog
+// Stall report
 // ---------------------------------------------------------------------------
-
-TEST(StallReport, ScopedOverrideRestoresPrevious) {
-  const bool before = obs::defaultStallReport();
-  {
-    obs::ScopedStallReport scoped(true);
-    EXPECT_TRUE(obs::defaultStallReport());
-    mpi::WorldConfig cfg;  // snapshots the default at construction
-    EXPECT_TRUE(cfg.stallReport);
-  }
-  EXPECT_EQ(obs::defaultStallReport(), before);
-}
 
 TEST(StallReport, FormatSortsByRankAndRendersWildcards) {
   obs::StallEntry late;
@@ -604,7 +633,7 @@ TEST(StackTelemetry, SubSixtyFourKiBStackChosenFromReportedHighWater) {
   const auto body = [](mpi::MpiContext& ctx) {
     ctx.computeSeconds(1e-3);
     ctx.neighborExchange(4096, 1);
-    ctx.allreduceSum(static_cast<double>(ctx.rank()));
+    ctx.allreduce(static_cast<double>(ctx.rank()), mpi::ReduceOp::Sum);
     ctx.barrier();
   };
   cluster::ClusterSimulation probeSim(spec);

@@ -30,7 +30,6 @@ core::CacheKeyInputs baseInputs() {
   inputs.versionTag = "1";
   inputs.seed = 42;
   inputs.traceMode = "full";
-  inputs.stallReport = false;
   inputs.verifyCollectives = false;
   inputs.platformSpecHash = 0x1234;
   inputs.binaryFingerprint = 0x5678;
@@ -55,7 +54,6 @@ TEST(CacheKey, EveryIngredientFlipsTheKeyIndependently) {
   EXPECT_NE(flipped([](auto& i) { i.versionTag = "2"; }), key);
   EXPECT_NE(flipped([](auto& i) { i.seed = 43; }), key);
   EXPECT_NE(flipped([](auto& i) { i.traceMode = "aggregate"; }), key);
-  EXPECT_NE(flipped([](auto& i) { i.stallReport = true; }), key);
   EXPECT_NE(flipped([](auto& i) { i.verifyCollectives = true; }), key);
   EXPECT_NE(flipped([](auto& i) { i.platformSpecHash ^= 1; }), key);
   EXPECT_NE(flipped([](auto& i) { i.binaryFingerprint ^= 1; }), key);

@@ -1,16 +1,19 @@
-// Tests for the Paraver-style tracer and the IMB benchmark suite.
+// Tests for the Paraver-style tracer (a world's obs::TraceSink) and the IMB
+// benchmark suite.
 
 #include <gtest/gtest.h>
 
 #include "tibsim/arch/registry.hpp"
 #include "tibsim/common/units.hpp"
 #include "tibsim/mpi/imb.hpp"
-#include "tibsim/mpi/trace.hpp"
+#include "tibsim/obs/exporters.hpp"
 
 namespace tibsim::mpi {
 namespace {
 
 using namespace units;
+using obs::SpanKind;
+using obs::TraceSpan;
 
 WorldConfig twoNodeConfig() {
   WorldConfig cfg;
@@ -26,7 +29,7 @@ WorldConfig twoNodeConfig() {
 TEST(Tracer, RecordsNothingWhenDisabled) {
   MpiWorld world(twoNodeConfig(), 2);
   world.run([](MpiContext& ctx) { ctx.computeSeconds(0.01); });
-  EXPECT_TRUE(world.tracer().empty());
+  EXPECT_EQ(world.tracer().spansRecorded(), 0u);
 }
 
 TEST(Tracer, ComputeSpansCoverComputeTime) {
@@ -87,10 +90,10 @@ TEST(Tracer, NonComputeFractionReflectsCommHeaviness) {
 }
 
 TEST(Tracer, CsvExportHasHeaderAndRows) {
-  Tracer tracer;
+  obs::TraceSink tracer;
   tracer.record(TraceSpan{0, SpanKind::Compute, 0.0, 1.0, -1, 0});
   tracer.record(TraceSpan{1, SpanKind::Send, 1.0, 1.5, 0, 64});
-  const std::string csv = tracer.exportCsv();
+  const std::string csv = obs::exportCsv(tracer.retainedSpans());
   EXPECT_NE(csv.find("rank,kind,begin,end,peer,bytes"), std::string::npos);
   EXPECT_NE(csv.find("1,send,1,1.5,0,64"), std::string::npos);
 }
