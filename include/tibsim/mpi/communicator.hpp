@@ -36,6 +36,7 @@
 
 namespace tibsim::mpi {
 
+class MessagePayload;
 class MpiContext;
 
 /// Match any sending rank (Communicator::recv / irecv).
@@ -184,6 +185,10 @@ class Communicator {
       : ctx_(ctx), id_(id), rank_(rank), group_(std::move(group)) {}
 
   void requireMember() const;
+  /// recv() up to the decode: the matched payload, still owning any pooled
+  /// buffer.
+  MessagePayload receive(int src, int tag, std::size_t* receivedBytes,
+                         int* srcOut, int* tagOut) const;
 
   MpiContext* ctx_ = nullptr;
   std::uint64_t id_ = 0;

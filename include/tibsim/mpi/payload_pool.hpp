@@ -15,7 +15,8 @@
 //    request.
 //
 // Only the send side stops allocating once the pool is warm: a receive
-// still hands the application a fresh vector (MessagePayload::intoVector).
+// still hands the application one fresh vector (MessagePayload::intoVector,
+// or the doubles recvDoubles/waitDoubles decode from view()).
 //
 // Every Stats counter is a function of the simulated acquire/release
 // sequence only, so WorldStats serialises them into the byte-identical

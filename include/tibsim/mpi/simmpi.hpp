@@ -24,7 +24,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <source_location>
@@ -176,6 +175,12 @@ class MpiContext : public Communicator {
     pending_.push_back(std::move(op));
     return pending_.back().request;
   }
+  /// Unregister and return the op of `request` (Communicator::wait and
+  /// waitDoubles).
+  PendingOp takePending(Request request);
+  /// Execute a lazy Barrier, Bcast or Allreduce op; its result as doubles
+  /// (empty for a barrier).
+  std::vector<double> runLazyCollective(PendingOp& op);
 
   /// RAII scope of one collective entry (collective_verify.hpp). Engages
   /// only at the outermost level, so building-block collectives (allreduce
@@ -267,15 +272,15 @@ class MpiWorld {
 
   /// Record per-rank compute/send/recv/wait spans during run() — the
   /// Paraver-style post-mortem view. Off by default. The sink is rebuilt
-  /// from the config's trace mode, so call before run(); memory cost is
-  /// bounded in sampled/aggregate modes.
+  /// from the config's trace mode, so call before run(); each run() starts
+  /// it empty. Memory cost is bounded in sampled/aggregate modes.
   void enableTracing() {
     tracing_ = true;
     tracer_ = obs::TraceSink(config_.traceMode, config_.traceReservoirPerRank,
                              config_.traceSeed);
   }
-  /// The spans of traced runs; empty until enableTracing(). Timelines
-  /// export through obs/exporters.hpp on retainedSpans().
+  /// The spans of the last traced run; empty until enableTracing().
+  /// Timelines export through obs/exporters.hpp on retainedSpans().
   const obs::TraceSink& tracer() const { return tracer_; }
   int nodes() const { return nodes_; }
   const WorldConfig& config() const { return config_; }
@@ -287,6 +292,9 @@ class MpiWorld {
   friend class Communicator;
 
   enum class Stage : std::uint8_t { Delivered, RtsPending, AwaitingData };
+
+  /// End marker of a mailbox's slot list.
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   struct Message {
     int src = 0;
@@ -300,6 +308,9 @@ class MpiWorld {
     /// True when delivery already charged receiverCost and folded it into
     /// the wake-up time, so doRecv must not delay again (see deliver()).
     bool receiverCharged = false;
+    /// The slot delivered after this one to the same mailbox (kNoSlot at
+    /// the tail); meaningful only while the message is in a mailbox.
+    std::uint32_t next = kNoSlot;
     /// Communicator the message was sent on; part of the match key. The
     /// world is id 0, so legacy world traffic is unchanged byte-for-byte.
     std::uint64_t comm = 0;
@@ -325,17 +336,13 @@ class MpiWorld {
   }
 
   struct Mailbox {
-    Mailbox() = default;
-    // Explicitly noexcept moves: libstdc++'s deque move is not noexcept,
-    // so vector growth would otherwise copy every mailbox.
-    Mailbox(Mailbox&&) noexcept = default;
-    Mailbox& operator=(Mailbox&&) noexcept = default;
-
     /// In-flight slab slots of messages delivered to this rank but not yet
-    /// consumed, in delivery order. Queueing slot indices (not Messages)
-    /// keeps mailbox traffic move-free, and slots stay valid across slab
-    /// growth where references would not.
-    std::deque<std::uint32_t> messages;
+    /// consumed, in delivery order: a list threaded through Message::next
+    /// from head to tail (kNoSlot when empty). Linking slot indices (not
+    /// Messages) keeps mailbox traffic move-free and allocation-free, and
+    /// slots stay valid across slab growth where references would not.
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
     // A rank blocked in recv(comm, src, tag); waitSrc/waitTag may be the
     // kAnySource/kAnyTag wildcards.
     bool waiting = false;
@@ -359,20 +366,25 @@ class MpiWorld {
               bool allowRendezvous = true);
   /// src is a world rank or kAnySource; tag may be kAnyTag. srcOut/tagOut
   /// (if non-null) receive the matched message's world source and tag.
-  std::vector<std::byte> doRecv(MpiContext& ctx, std::uint64_t comm, int src,
-                                int tag, std::size_t* receivedBytes,
-                                int* srcOut = nullptr, int* tagOut = nullptr);
+  /// Returns the matched payload; the caller decodes it and so returns any
+  /// pooled buffer (MessagePayload::intoVector or recycle).
+  MessagePayload doRecv(MpiContext& ctx, std::uint64_t comm, int src,
+                        int tag, std::size_t* receivedBytes,
+                        int* srcOut = nullptr, int* tagOut = nullptr);
   /// Collective verifier: compare the matched message's stamp against the
   /// receiver's active collective; throws ContractError on divergence.
   void verifyCollectiveMatch(MpiContext& ctx, const Message& message);
   void deliver(int dstRank, std::uint32_t slot);
+  /// Remove `slot` from `box`'s list; `prev` is the slot before it
+  /// (kNoSlot when `slot` is the head).
+  void unlink(Mailbox& box, std::uint32_t prev, std::uint32_t slot);
   // In-flight message slab: a scheduled delivery captures [this, dst, slot]
   // (16 bytes, inline in the event closure) instead of the Message itself,
   // so scheduling never heap-allocates. A message lives in its slot from
-  // send to consumption; slots are recycled LIFO by consumeSlot().
+  // send to consumption; slots are recycled LIFO by takeSlot().
   std::uint32_t stashInflight(Message&& message);
-  /// Hand the slot's payload to the application and recycle the slot.
-  std::vector<std::byte> consumeSlot(std::uint32_t slot);
+  /// Move the slot's payload out and recycle the slot.
+  MessagePayload takeSlot(std::uint32_t slot);
   void chargeCpu(int node, double seconds);
   void traceSpan(int rank, obs::SpanKind kind, double begin, double end,
                  int peer = -1, std::size_t bytes = 0,

@@ -17,11 +17,11 @@
 // so both tools follow the ranks across stacks.
 
 #include <setjmp.h>
-#include <ucontext.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 namespace tibsim::sim {
 
@@ -69,7 +69,8 @@ class ExecutionContext {
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
   /// Arm the context with its entry function. The entry does not run until
-  /// the first switchIn(). Must be called exactly once, before switchIn().
+  /// the first switchIn(), which builds its first frame on the stack. Must
+  /// be called exactly once, before switchIn().
   void start(Entry entry);
 
   /// Host -> context. Runs the context until it yields or its entry
@@ -112,6 +113,10 @@ class ExecutionContext {
   static std::size_t defaultStackBytes();
 
  private:
+  /// The host/fiber ucontext_t pair of sanitizer builds (defined in the
+  /// .cpp), which switch through swapcontext every time.
+  struct SwapContexts;
+
   static void run(unsigned selfHi, unsigned selfLo);
 
   Entry entry_;
@@ -121,16 +126,20 @@ class ExecutionContext {
   bool armed_ = false;
   bool entered_ = false;
   bool done_ = false;
-  ucontext_t fiberCtx_{};
-  ucontext_t hostCtx_{};
   jmp_buf hostJmp_{};
   jmp_buf fiberJmp_{};
   // Sanitizer fiber bookkeeping (left untouched in plain builds): the
-  // host stack ASan switches back to, and the TSan fiber handles.
+  // host stack ASan switches back to, the TSan fiber handles and the
+  // swapcontext pair.
   const void* hostStackBottom_ = nullptr;
   std::size_t hostStackSize_ = 0;
   void* tsanFiber_ = nullptr;
   void* tsanHost_ = nullptr;
+  std::unique_ptr<SwapContexts> swap_;
 };
+
+// One per rank: at 65,536 ranks every byte here is 64 KiB of host memory.
+static_assert(sizeof(ExecutionContext) <= 512,
+              "a context holds its jump buffers, not a ucontext_t pair");
 
 }  // namespace tibsim::sim

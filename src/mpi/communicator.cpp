@@ -18,18 +18,24 @@
 namespace tibsim::mpi {
 
 namespace {
-/// A received payload as doubles. `op` and `src` (comm-local, -1 when
-/// unknown) only label the error for a payload that is not whole doubles.
-std::vector<double> toDoubles(const std::vector<std::byte>& raw,
+/// A received payload as doubles, decoded straight from the message (one
+/// allocation, one copy), with any pooled buffer returned to `pool`. `op`
+/// and `src` (comm-local, -1 when unknown) only label the error for a
+/// payload that is not whole doubles.
+std::vector<double> toDoubles(MessagePayload payload, PayloadPool& pool,
                               const char* op, int src) {
+  const std::size_t bytes = payload.size();
+  std::vector<double> values(bytes / sizeof(double));
+  if (!values.empty())
+    std::memcpy(values.data(), payload.view().data(),
+                values.size() * sizeof(double));
+  payload.recycle(pool);
   TIB_REQUIRE_MSG(
-      raw.size() % sizeof(double) == 0,
-      std::string(op) + ": " + std::to_string(raw.size()) + "-byte payload" +
+      bytes % sizeof(double) == 0,
+      std::string(op) + ": " + std::to_string(bytes) + "-byte payload" +
           (src >= 0 ? " from rank " + std::to_string(src) : "") +
           " is not a multiple of sizeof(double) — the sender did not use "
           "sendDoubles");
-  std::vector<double> values(raw.size() / sizeof(double));
-  if (!values.empty()) std::memcpy(values.data(), raw.data(), raw.size());
   return values;
 }
 
@@ -85,24 +91,32 @@ void Communicator::sendDoubles(int dst, int tag,
   send(dst, tag, values.size_bytes(), std::as_bytes(values));
 }
 
-std::vector<std::byte> Communicator::recv(int src, int tag,
-                                          std::size_t* receivedBytes,
-                                          int* srcOut, int* tagOut) const {
+MessagePayload Communicator::receive(int src, int tag,
+                                     std::size_t* receivedBytes, int* srcOut,
+                                     int* tagOut) const {
   requireMember();
   const int worldSrc = src == kAnySource ? kAnySource : worldRank(src);
   int matchedWorldSrc = -1;
-  std::vector<std::byte> out = ctx_->world_.doRecv(
+  MessagePayload payload = ctx_->world_.doRecv(
       *ctx_, id_, worldSrc, tag, receivedBytes, &matchedWorldSrc, tagOut);
   if (srcOut != nullptr) *srcOut = commRankOf(matchedWorldSrc);
-  return out;
+  return payload;
+}
+
+std::vector<std::byte> Communicator::recv(int src, int tag,
+                                          std::size_t* receivedBytes,
+                                          int* srcOut, int* tagOut) const {
+  return receive(src, tag, receivedBytes, srcOut, tagOut)
+      .intoVector(ctx_->world_.pool_);
 }
 
 std::vector<double> Communicator::recvDoubles(int src, int tag,
                                               int* srcOut) const {
   int actualSrc = src;
-  const std::vector<std::byte> raw = recv(src, tag, nullptr, &actualSrc);
+  MessagePayload payload = receive(src, tag, nullptr, &actualSrc, nullptr);
   if (srcOut != nullptr) *srcOut = actualSrc;
-  return toDoubles(raw, "recvDoubles", actualSrc);
+  return toDoubles(std::move(payload), ctx_->world_.pool_, "recvDoubles",
+                   actualSrc);
 }
 
 void Communicator::sendrecv(int peer, int tag, std::size_t sendBytes,
@@ -148,48 +162,62 @@ Communicator::Request Communicator::irecv(int src, int tag) const {
   return ctx_->pushPending(std::move(op));
 }
 
+MpiContext::PendingOp MpiContext::takePending(Request request) {
+  auto it = pending_.begin();
+  while (it != pending_.end() && it->request != request) ++it;
+  TIB_REQUIRE_MSG(it != pending_.end(), "unknown or already-waited request");
+  PendingOp op = std::move(*it);
+  *it = std::move(pending_.back());
+  pending_.pop_back();
+  return op;
+}
+
+std::vector<double> MpiContext::runLazyCollective(PendingOp& op) {
+  // Lazy collectives replay the i-collective's recorded call site into the
+  // verifier stamp; the inner (blocking) collective's own guard nests
+  // beneath this one and inherits it.
+  switch (op.kind) {
+    case PendingOp::Kind::Barrier: {
+      CollectiveGuard guard(*this, op.comm.id(), CollectiveKind::Barrier,
+                            kNoReduceOp, 0, op.file, op.line);
+      op.comm.barrier();
+      return {};
+    }
+    case PendingOp::Kind::Bcast: {
+      CollectiveGuard guard(*this, op.comm.id(), CollectiveKind::Bcast,
+                            kNoReduceOp, op.values.size(), op.file, op.line);
+      return op.comm.bcast(std::move(op.values), op.root);
+    }
+    case PendingOp::Kind::Allreduce: {
+      CollectiveGuard guard(*this, op.comm.id(), CollectiveKind::Allreduce,
+                            static_cast<std::uint8_t>(op.op),
+                            op.values.size(), op.file, op.line);
+      return op.comm.allreduce(op.values, op.op);
+    }
+    case PendingOp::Kind::Send:
+    case PendingOp::Kind::Recv:
+      break;
+  }
+  TIB_ASSERT(false && "not a lazy collective");
+  return {};
+}
+
 std::vector<std::byte> Communicator::wait(Request request,
                                           std::size_t* receivedBytes) const {
   requireMember();
   using Kind = MpiContext::PendingOp::Kind;
-  std::vector<MpiContext::PendingOp>& pending = ctx_->pending_;
-  auto it = pending.begin();
-  while (it != pending.end() && it->request != request) ++it;
-  TIB_REQUIRE_MSG(it != pending.end(), "unknown or already-waited request");
-  MpiContext::PendingOp op = std::move(*it);
-  *it = std::move(pending.back());
-  pending.pop_back();
+  MpiContext::PendingOp op = ctx_->takePending(request);
   switch (op.kind) {
     case Kind::Send:
       return {};  // isend completed at initiation
     case Kind::Recv:
-      return ctx_->world_.doRecv(*ctx_, op.comm.id(), op.peer, op.tag,
-                                 receivedBytes);
-    case Kind::Barrier: {
-      // Lazy collectives replay the i-collective's recorded call site into
-      // the verifier stamp; the inner (blocking) collective's own guard
-      // nests beneath this one and inherits it.
-      MpiContext::CollectiveGuard guard(*ctx_, op.comm.id(),
-                                        CollectiveKind::Barrier, kNoReduceOp,
-                                        0, op.file, op.line);
-      op.comm.barrier();
-      if (receivedBytes != nullptr) *receivedBytes = 0;
-      return {};
-    }
-    case Kind::Bcast: {
-      MpiContext::CollectiveGuard guard(*ctx_, op.comm.id(),
-                                        CollectiveKind::Bcast, kNoReduceOp,
-                                        op.values.size(), op.file, op.line);
-      return toBytes(op.comm.bcast(std::move(op.values), op.root),
-                     receivedBytes);
-    }
-    case Kind::Allreduce: {
-      MpiContext::CollectiveGuard guard(
-          *ctx_, op.comm.id(), CollectiveKind::Allreduce,
-          static_cast<std::uint8_t>(op.op), op.values.size(), op.file,
-          op.line);
-      return toBytes(op.comm.allreduce(op.values, op.op), receivedBytes);
-    }
+      return ctx_->world_
+          .doRecv(*ctx_, op.comm.id(), op.peer, op.tag, receivedBytes)
+          .intoVector(ctx_->world_.pool_);
+    case Kind::Barrier:
+    case Kind::Bcast:
+    case Kind::Allreduce:
+      return toBytes(ctx_->runLazyCollective(op), receivedBytes);
   }
   return {};
 }
@@ -200,7 +228,23 @@ void Communicator::waitall(std::span<const Request> requests) const {
 }
 
 std::vector<double> Communicator::waitDoubles(Request request) const {
-  return toDoubles(wait(request), "waitDoubles", -1);
+  requireMember();
+  using Kind = MpiContext::PendingOp::Kind;
+  MpiContext::PendingOp op = ctx_->takePending(request);
+  switch (op.kind) {
+    case Kind::Send:
+      return {};
+    case Kind::Recv:
+      return toDoubles(
+          ctx_->world_.doRecv(*ctx_, op.comm.id(), op.peer, op.tag, nullptr),
+          ctx_->world_.pool_, "waitDoubles", -1);
+    case Kind::Barrier:
+    case Kind::Bcast:
+    case Kind::Allreduce:
+      // A lazy collective's result is already doubles: no byte round trip.
+      return ctx_->runLazyCollective(op);
+  }
+  return {};
 }
 
 // ---------------------------------------------------------------------------

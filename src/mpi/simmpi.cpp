@@ -134,8 +134,8 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
 
   // Small payloads ride inline in the Message; larger ones borrow a warm
   // buffer from the pool (recycled by doRecv/wait), so a steady-state send
-  // performs no heap allocation. The receive side still allocates the
-  // vector it hands the application (MessagePayload::intoVector).
+  // performs no heap allocation. The receive side still allocates the one
+  // vector it hands the application (bytes or doubles).
   MessagePayload copy(payload, pool_);
   const int srcNode = ctx.node();
   const int dstNode = nodeOfRank(dst);
@@ -235,7 +235,7 @@ void MpiWorld::dataArrived(int dstRank, std::uint64_t id,
                            const obs::PathSnapshot& path, double departTime) {
   Mailbox& box = mailboxes_[static_cast<std::size_t>(dstRank)];
   Message* arrived = nullptr;
-  for (const std::uint32_t s : box.messages) {
+  for (std::uint32_t s = box.head; s != kNoSlot; s = inflight_[s].next) {
     Message& m = inflight_[s];
     if (m.id == id) {
       arrived = &m;
@@ -254,7 +254,7 @@ void MpiWorld::dataArrived(int dstRank, std::uint64_t id,
   // consume exactly this message, i.e. it is the first (src, tag) match
   // in mailbox order; otherwise a plain wake and the receiver rescans.
   Message* firstMatch = nullptr;
-  for (const std::uint32_t s : box.messages) {
+  for (std::uint32_t s = box.head; s != kNoSlot; s = inflight_[s].next) {
     Message& m = inflight_[s];
     if (matches(m, box.waitComm, box.waitSrc, box.waitTag)) {
       firstMatch = &m;
@@ -281,16 +281,20 @@ std::uint32_t MpiWorld::stashInflight(Message&& message) {
   return slot;
 }
 
-std::vector<std::byte> MpiWorld::consumeSlot(std::uint32_t slot) {
-  std::vector<std::byte> out = inflight_[slot].payload.intoVector(pool_);
+MessagePayload MpiWorld::takeSlot(std::uint32_t slot) {
+  MessagePayload out = std::move(inflight_[slot].payload);
   freeSlots_.push_back(slot);
   return out;
 }
 
 void MpiWorld::deliver(int dstRank, std::uint32_t slot) {
   Mailbox& box = mailboxes_[static_cast<std::size_t>(dstRank)];
-  box.messages.push_back(slot);
   Message& msg = inflight_[slot];
+  if (box.tail == kNoSlot)
+    box.head = slot;
+  else
+    inflight_[box.tail].next = slot;
+  box.tail = slot;
   msg.arrivalTime = sim_->now();
   if (box.waiting && matches(msg, box.waitComm, box.waitSrc, box.waitTag)) {
     box.waiting = false;
@@ -308,10 +312,18 @@ void MpiWorld::deliver(int dstRank, std::uint32_t slot) {
   }
 }
 
-std::vector<std::byte> MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm,
-                                        int src, int tag,
-                                        std::size_t* receivedBytes,
-                                        int* srcOut, int* tagOut) {
+void MpiWorld::unlink(Mailbox& box, std::uint32_t prev, std::uint32_t slot) {
+  const std::uint32_t next = inflight_[slot].next;
+  if (prev == kNoSlot)
+    box.head = next;
+  else
+    inflight_[prev].next = next;
+  if (box.tail == slot) box.tail = prev;
+}
+
+MessagePayload MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm, int src,
+                                int tag, std::size_t* receivedBytes,
+                                int* srcOut, int* tagOut) {
   TIB_REQUIRE(src == kAnySource || (src >= 0 && src < ranks_));
   TIB_REQUIRE(src != ctx.rank());
   TIB_REQUIRE(tag == kAnyTag || tag >= 0);
@@ -320,8 +332,8 @@ std::vector<std::byte> MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm,
   const double recvEntry = sim.now();
 
   while (true) {
-    for (auto it = box.messages.begin(); it != box.messages.end(); ++it) {
-      const std::uint32_t slot = *it;
+    for (std::uint32_t prev = kNoSlot, slot = box.head; slot != kNoSlot;
+         prev = slot, slot = inflight_[slot].next) {
       Message& m = inflight_[slot];
       // Wildcards resolve here: the first match in mailbox order is the
       // canonical choice (the event queue fixes delivery order), so
@@ -356,18 +368,18 @@ std::vector<std::byte> MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm,
                           std::max(0.0, m.arrivalTime - m.departTime));
           ctx.path_.recvSeconds += m.receiverCost;
           if (receivedBytes != nullptr) *receivedBytes = m.bytes;
-          box.messages.erase(it);
-          return consumeSlot(slot);
+          unlink(box, prev, slot);
+          return takeSlot(slot);
         }
-        // Dequeue before delay(): deliveries during the yield push into
-        // this deque and invalidate iterators, and they can also grow the
-        // slab — so keep the slot index, not the Message reference.
+        // Unlink before delay(): deliveries during the yield append to this
+        // list, and they can also grow the slab — so keep the slot index,
+        // not the Message reference.
         const double cost = m.receiverCost;
         const std::size_t bytes = m.bytes;
         if (m.arrivalTime > recvEntry)
           ctx.adoptPath(m.path, std::max(0.0, m.arrivalTime - m.departTime));
         ctx.path_.recvSeconds += cost;
-        box.messages.erase(it);
+        unlink(box, prev, slot);
         traceSpan(ctx.rank(), SpanKind::Wait, recvEntry, sim.now(), msgSrc,
                   0, comm);
         const double cpuBegin = sim.now();
@@ -376,7 +388,7 @@ std::vector<std::byte> MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm,
         traceSpan(ctx.rank(), SpanKind::Recv, cpuBegin, sim.now(), msgSrc,
                   bytes, comm);
         if (receivedBytes != nullptr) *receivedBytes = bytes;
-        return consumeSlot(slot);
+        return takeSlot(slot);
       }
       if (m.stage == Stage::RtsPending) {
         // Matched a rendezvous request: return a CTS and wait for the data.
@@ -441,13 +453,12 @@ WorldStats MpiWorld::run(const RankBody& body) {
   net::TopologySpec topo = config_.topology;
   topo.nodes = nodes_;
   fabric_ = std::make_unique<net::Fabric>(topo, config_.linkTelemetry);
-  // clear + resize, not assign: Mailbox holds move-only Messages now.
-  mailboxes_.clear();
-  mailboxes_.resize(static_cast<std::size_t>(ranks_));
+  mailboxes_.assign(static_cast<std::size_t>(ranks_), Mailbox{});
   contexts_.clear();
   inflight_.clear();
   freeSlots_.clear();
   pool_.resetStats();  // parked buffers survive: repeat runs start warm
+  tracer_.clear();      // trace accounting is per run, like stats_
   stats_ = WorldStats{};
   stats_.nodes = nodes_;
   stats_.rankFinishSeconds.assign(static_cast<std::size_t>(ranks_), 0.0);

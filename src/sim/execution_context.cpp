@@ -1,6 +1,7 @@
 #include "tibsim/sim/execution_context.hpp"
 
 #include <sys/mman.h>
+#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -108,6 +109,21 @@ char* mapGuardedStackMemory(std::size_t bytes) {
   TIB_REQUIRE_MSG(mprotect(map, pageBytes(), PROT_NONE) == 0,
                   "fiber stack guard mprotect failed");
   return static_cast<char*>(map);
+}
+
+// Point `fiber` at a fresh frame on [stack, stack + bytes) that calls
+// main(self). makecontext passes ints only; smuggle `self` as two 32-bit
+// halves.
+void makeFiberContext(ucontext_t& fiber, char* stack, std::size_t bytes,
+                      void (*main)(unsigned, unsigned), const void* self) {
+  TIB_REQUIRE(getcontext(&fiber) == 0);
+  fiber.uc_stack.ss_sp = stack;
+  fiber.uc_stack.ss_size = bytes;
+  fiber.uc_link = nullptr;  // exit is an explicit transfer in run()
+  const auto bits = reinterpret_cast<std::uintptr_t>(self);
+  makecontext(&fiber, reinterpret_cast<void (*)()>(main), 2,
+              static_cast<unsigned>(bits >> 32),
+              static_cast<unsigned>(bits & 0xffffffffu));
 }
 
 // ---------------------------------------------------------------------------
@@ -226,10 +242,17 @@ std::size_t ExecutionContext::defaultStackBytes() {
 // first entry; steady-state switches use _setjmp/_longjmp, which save and
 // restore only the register file — glibc's swapcontext issues a
 // rt_sigprocmask syscall on every call, and that syscall is the bulk of its
-// cost (the libtask/libaco technique). Sanitizer builds take the
-// swapcontext path for every switch instead; the perf budget does not
-// apply to them.
+// cost (the libtask/libaco technique). The first entry's ucontext_t pair
+// (~1.9 KiB) lives on the host stack for that one call, so a context holds
+// only its jump buffers. Sanitizer builds take the swapcontext path for
+// every switch instead and keep their pair in SwapContexts; the perf budget
+// does not apply to them.
 // ---------------------------------------------------------------------------
+
+struct ExecutionContext::SwapContexts {
+  ucontext_t fiber{};
+  ucontext_t host{};
+};
 
 ExecutionContext::ExecutionContext(bool pooledStack)
     : stackBytes_(defaultStackBytes()), pooled_(pooledStack) {
@@ -257,15 +280,11 @@ ExecutionContext::~ExecutionContext() {
 void ExecutionContext::start(Entry entry) {
   TIB_ASSERT(!armed_);
   entry_ = std::move(entry);
-  TIB_REQUIRE(getcontext(&fiberCtx_) == 0);
-  fiberCtx_.uc_stack.ss_sp = stack_;
-  fiberCtx_.uc_stack.ss_size = stackBytes_;
-  fiberCtx_.uc_link = nullptr;  // exit is an explicit transfer in run()
-  // makecontext passes ints only; smuggle `this` as two 32-bit halves.
-  const auto self = reinterpret_cast<std::uintptr_t>(this);
-  makecontext(&fiberCtx_, reinterpret_cast<void (*)()>(&ExecutionContext::run),
-              2, static_cast<unsigned>(self >> 32),
-              static_cast<unsigned>(self & 0xffffffffu));
+#if TIBSIM_ASAN || TIBSIM_TSAN
+  swap_ = std::make_unique<SwapContexts>();
+  makeFiberContext(swap_->fiber, stack_, stackBytes_, &ExecutionContext::run,
+                   this);
+#endif
   armed_ = true;
 }
 
@@ -284,7 +303,7 @@ void ExecutionContext::switchIn() {
   // So the host fiber is looked up every time.
   tsanHost_ = tsanCurrentFiber();
   tsanSwitchTo(tsanFiber_);
-  TIB_REQUIRE(swapcontext(&hostCtx_, &fiberCtx_) == 0);
+  TIB_REQUIRE(swapcontext(&swap_->host, &swap_->fiber) == 0);
   // Back on the host stack; tell ASan and remember where the host stack
   // lives so yieldToHost() can announce the reverse switch.
   asanFinishSwitch(fakeStack, &hostStackBottom_, &hostStackSize_);
@@ -294,21 +313,33 @@ void ExecutionContext::yieldToHost() {
   void* fakeStack = nullptr;
   asanStartSwitch(&fakeStack, hostStackBottom_, hostStackSize_);
   tsanSwitchTo(tsanHost_);
-  TIB_REQUIRE(swapcontext(&fiberCtx_, &hostCtx_) == 0);
+  TIB_REQUIRE(swapcontext(&swap_->fiber, &swap_->host) == 0);
   asanFinishSwitch(fakeStack, &hostStackBottom_, &hostStackSize_);
 }
 
 #else
 
+namespace {
+// First entry: only makecontext can start a frame on the new stack. The
+// fiber returns by _longjmp to the caller's jump buffer, never through this
+// swapcontext call, so neither ucontext_t is read again and both live on
+// the host stack. Out of line, so switchIn()'s own frame stays small.
+[[gnu::noinline]] void enterFiber(char* stack, std::size_t bytes,
+                                  void (*main)(unsigned, unsigned),
+                                  const void* self) {
+  ucontext_t fiber{};
+  ucontext_t host{};
+  makeFiberContext(fiber, stack, bytes, main, self);
+  TIB_REQUIRE(swapcontext(&host, &fiber) == 0);
+}
+}  // namespace
+
 void ExecutionContext::switchIn() {
   TIB_ASSERT(armed_ && !done_);
   if (_setjmp(hostJmp_) == 0) {
     if (!entered_) {
-      // First entry: only makecontext can start a frame on the new stack.
-      // Control returns via _longjmp(hostJmp_), never through this
-      // swapcontext call.
       entered_ = true;
-      TIB_REQUIRE(swapcontext(&hostCtx_, &fiberCtx_) == 0);
+      enterFiber(stack_, stackBytes_, &ExecutionContext::run, this);
     } else {
       _longjmp(fiberJmp_, 1);
     }
@@ -333,7 +364,7 @@ void ExecutionContext::run(unsigned selfHi, unsigned selfLo) {
   // Final exit: a nullptr fake-stack save tells ASan this fiber is dying.
   asanStartSwitch(nullptr, self->hostStackBottom_, self->hostStackSize_);
   tsanSwitchTo(self->tsanHost_);
-  swapcontext(&self->fiberCtx_, &self->hostCtx_);
+  swapcontext(&self->swap_->fiber, &self->swap_->host);
 #else
   _longjmp(self->hostJmp_, 1);
 #endif

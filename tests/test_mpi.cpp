@@ -144,6 +144,33 @@ TEST_P(SimMpiTest, FifoPerSourceAndTag) {
   EXPECT_EQ(order, (std::vector<double>{0, 1, 2, 3, 4}));
 }
 
+TEST_P(SimMpiTest, MailboxKeepsDeliveryOrderAcrossOutOfOrderReceives) {
+  // Rank 1's mailbox holds five delivered messages (payload = tag). It
+  // takes the middle, the tail and the head out of order, then lets one
+  // more message append behind the new tail; a kAnyTag drain must still
+  // see the survivors oldest first.
+  MpiWorld world(testConfig(), 2);
+  std::vector<double> taken;
+  std::vector<double> drained;
+  run(world, [&](MpiContext& ctx) {
+    if (ctx.rank() == 0) {
+      for (int tag = 0; tag < 5; ++tag)
+        ctx.sendDoubles(1, tag, std::vector<double>{static_cast<double>(tag)});
+      ctx.recv(1, 9);  // rank 1 has unlinked its tail
+      ctx.sendDoubles(1, 5, std::vector<double>{5.0});
+    } else {
+      ctx.computeSeconds(1.0);  // all five arrive while rank 1 computes
+      for (int tag : {2, 4, 0}) taken.push_back(ctx.recvDoubles(0, tag)[0]);
+      ctx.send(0, 9, 0);
+      for (int i = 0; i < 3; ++i)
+        drained.push_back(  // tibsim-lint: allow(wildcard-recv)
+            ctx.recvDoubles(0, kAnyTag)[0]);
+    }
+  });
+  EXPECT_EQ(taken, (std::vector<double>{2, 4, 0}));
+  EXPECT_EQ(drained, (std::vector<double>{1, 3, 5}));
+}
+
 TEST_P(SimMpiTest, MessagesTakeSimulatedTime) {
   MpiWorld world(testConfig(), 2);
   double recvDone = 0.0;
@@ -291,6 +318,28 @@ TEST_P(SimMpiTest, StallReportShowsEachBlockedRanksLastSpans) {
               "    recent: compute[1.5s..2.25s] compute[2.25s..3s] "
               "compute[3s..3.75s]\n");
   }
+}
+
+TEST_P(SimMpiTest, TracedRerunReportsPerRunTraceAccounting) {
+  // A traced world run twice traces each run from an empty sink, so its
+  // trace accounting matches its per-run counters.
+  MpiWorld world(WorldConfig::tibidaboNode(), 4);
+  world.enableTracing();
+  const auto body = [](MpiContext& ctx) {
+    ctx.computeSeconds(1e-3);
+    ctx.barrier();
+  };
+  const WorldStats first = run(world, body);
+  const WorldStats second = run(world, body);
+  EXPECT_EQ(second.messageCount, first.messageCount);
+  EXPECT_GT(first.traceSpansRecorded, 0u);
+  EXPECT_EQ(second.traceSpansRecorded, first.traceSpansRecorded);
+  EXPECT_EQ(second.traceSpansRetained, first.traceSpansRetained);
+  EXPECT_EQ(second.traceMemoryBytes, first.traceMemoryBytes);
+  const std::vector<obs::RankSummary> summary =
+      world.tracer().summarize(4, second.wallClockSeconds);
+  ASSERT_EQ(summary.size(), 4u);
+  EXPECT_DOUBLE_EQ(summary[0].computeSeconds, 1e-3);
 }
 
 TEST_P(SimMpiTest, StallReportIsByteIdenticalAcrossShards) {
