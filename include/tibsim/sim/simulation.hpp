@@ -13,8 +13,10 @@
 // Time is a double in seconds. Events with equal timestamps fire in the
 // order they were scheduled (FIFO tie-break via a sequence number).
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -180,41 +182,72 @@ class Simulation {
   };
   static_assert(sizeof(Event) == 32,
                 "the queue entry stays 32 bytes: the heap sift copies it");
+  static_assert(2 * sizeof(Event) == kCacheLineBytes,
+                "two sibling heap slots fill one cache line");
 
-  /// Explicit binary min-heap over a reserved vector, ordered by (t, seq).
-  /// Unlike std::priority_queue it hands out the popped element by value
-  /// (no const_cast of top()) and exposes its size for high-water tracking.
+  /// Two-tier queue ordered by (t, seq). A small binary min-heap (the near
+  /// tier) holds exactly the events with t < bound_; an unsorted far tier
+  /// holds the rest. A push below the bound sifts into the heap, any other
+  /// push appends to the far tier. When the heap empties, a refill picks
+  /// the t of about the earliest quarter of the far tier as the new bound
+  /// and heapifies every far event below it. All events of one t sit in
+  /// one tier, so pops come out in exact (t, seq) order (DESIGN.md, "The
+  /// two-tier event queue").
+  ///
+  /// Both tiers share one buffer, so the queue touches no more memory than
+  /// one heap of the same size would. Slot 0 sits on a cache-line boundary
+  /// and is unused, the heap is 1-based in slots [1, near_] (the children
+  /// 2i and 2i+1 of slot i share one line), and the far tier follows it in
+  /// [near_ + 1, near_ + far_]. The heap is empty only when the whole
+  /// queue is.
   class EventQueue {
    public:
-    bool empty() const { return heap_.empty(); }
-    std::size_t size() const { return heap_.size(); }
-    void reserve(std::size_t n) { heap_.reserve(n); }
-    const Event& top() const { return heap_.front(); }
-    /// The entry at heap index i (< size()); 1 and 2 are the top's
+    bool empty() const { return near_ == 0; }
+    std::size_t size() const { return near_ + far_; }
+    void reserve(std::size_t n);
+    const Event& top() const { return slots_[1]; }
+    /// Heap slot i (2 <= i <= nearSize()); slots 2 and 3 are the top's
     /// children, one of which becomes the top after the next pop.
-    const Event& at(std::size_t i) const { return heap_[i]; }
-    void push(Event ev);
+    const Event& near(std::size_t i) const { return slots_[i]; }
+    std::size_t nearSize() const { return near_; }
+    void push(const Event& ev);
     Event pop();
 
    private:
+    /// (t, seq) order without a data-dependent branch, for the child pick.
     static bool before(const Event& a, const Event& b) {
-      if (a.t != b.t) return a.t < b.t;
-      return a.seq < b.seq;
+      return (a.t < b.t) | ((a.t == b.t) & (a.seq < b.seq));
     }
-    std::vector<Event> heap_;
+    /// The heap is empty and the far tier is not: heapify its earliest
+    /// quarter.
+    void refill();
+    void grow(std::size_t bytes);
+
+    /// The bound of a queue whose events all sit in the heap.
+    static constexpr double kNoBound = std::numeric_limits<double>::infinity();
+    /// A refill that finds at most this many far events takes them all and
+    /// lifts the bound, so a shallow queue runs as one heap with no refills.
+    static constexpr std::size_t kShallowEvents = 32;
+    /// A heap that grows past this with the bound lifted hands its events
+    /// back to the far tier and refills: the queue has become deep.
+    static constexpr std::size_t kDeepEvents = 64;
+
+    std::unique_ptr<std::byte[]> storage_;
+    Event* slots_ = nullptr;    ///< the first line boundary in storage_
+    std::size_t capacity_ = 0;  ///< slots, including the unused slot 0
+    std::size_t near_ = 0;
+    std::size_t far_ = 0;
+    double bound_ = kNoBound;
   };
 
   /// Latency-hiding dispatch: pop the queue top and, before the caller
   /// dispatches it, request the cache lines dispatching the new top will
   /// touch — its Process hot line, the ExecutionContext state switchIn()
   /// touches and a window of fiber-stack lines around resumeSp_, or its
-  /// closure slab slot — plus the hot lines of the processes at heap
-  /// indices 1..kProcessLookahead. The requests are hints only: nothing
+  /// closure slab slot — plus the hot lines of the processes in the top's
+  /// child slots of the near heap. The requests are hints only: nothing
   /// dispatch observes changes.
   Event popAndPrefetch();
-  /// Heap entries after the top whose Process hot line popAndPrefetch
-  /// requests: the top's two children, one of which is the next top.
-  static constexpr std::size_t kProcessLookahead = 2;
   /// Fiber-stack lines popAndPrefetch requests below and above resumeSp_.
   /// The stack grows down: below lie the yieldToHost frames the resumed
   /// fiber returns through first, above the body frames that

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "tibsim/common/assert.hpp"
 
@@ -19,6 +21,21 @@ using HostTimePoint = std::chrono::steady_clock::time_point;  // tibsim-lint: al
 double secondsSince(HostTimePoint start) {
   const auto now = std::chrono::steady_clock::now();  // tibsim-lint: allow(wall-clock)
   return std::chrono::duration<double>(now - start).count();
+}
+
+// An infinite or NaN time would order after (or beside) every finite event
+// and end the world at it; name the value so the caller can trace it. The
+// throw stays out of line: its string temporaries would otherwise widen the
+// frames of delay() and resumeAt(), which sit on a fiber's stack while it
+// blocks, and with them each rank's resident stack.
+[[noreturn, gnu::cold, gnu::noinline]] void throwNonFinite(const char* what,
+                                                           double value) {
+  throw ContractError(std::string(what) + " must be finite, got " +
+                      std::to_string(value));
+}
+
+void requireFinite(const char* what, double value) {
+  if (!std::isfinite(value)) throwNonFinite(what, value);
 }
 }  // namespace
 
@@ -79,6 +96,7 @@ std::uint64_t Process::beginSuspend() {
 }
 
 void Process::delay(double dt) {
+  requireFinite("delay", dt);
   TIB_REQUIRE_MSG(dt >= 0.0, "cannot delay by negative time");
   // The caller's stack pointer at this call (the CFA): unlike the frame
   // address it needs no frame pointer, so recording it is one store.
@@ -109,37 +127,123 @@ void Process::kill() {
 // Simulation::EventQueue
 // ---------------------------------------------------------------------------
 
-void Simulation::EventQueue::push(Event ev) {
-  heap_.push_back(std::move(ev));
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!before(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
+void Simulation::EventQueue::grow(std::size_t bytes) {
+  // Plain new[] of the bytes a vector of the same capacity would take, and
+  // the slots start at the first line boundary inside: an aligned or larger
+  // request takes a different path through malloc, and over a run of worlds
+  // that leaves ~0.3 MiB more resident. new[] aligns to 16 bytes, so up to
+  // 48 bytes go unused, and two lines always hold a boundary and a slot.
+  bytes = std::max(bytes, 2 * kCacheLineBytes);
+  auto storage = std::make_unique_for_overwrite<std::byte[]>(bytes);
+  void* base = storage.get();
+  std::size_t space = bytes;
+  auto* const slots = static_cast<Event*>(
+      std::align(kCacheLineBytes, sizeof(Event), base, space));
+  if (slots_ != nullptr) std::copy(slots_ + 1, slots_ + 1 + size(), slots + 1);
+  storage_ = std::move(storage);
+  slots_ = slots;
+  capacity_ = space / sizeof(Event);
+}
+
+void Simulation::EventQueue::reserve(std::size_t n) {
+  if (n > capacity_) grow(n * sizeof(Event));
+}
+
+void Simulation::EventQueue::push(const Event& ev) {
+  if (size() + 1 >= capacity_) grow(2 * (capacity_ + 2) * sizeof(Event));
+  Event* const h = slots_;
+  if (!(ev.t < bound_)) {
+    h[near_ + far_ + 1] = ev;
+    ++far_;
+    return;
   }
+  // The heap takes the far tier's first slot; that event moves to its end.
+  if (far_ > 0) h[near_ + far_ + 1] = h[near_ + 1];
+  std::size_t hole = ++near_;
+  while (hole > 1) {
+    const std::size_t parent = hole / 2;
+    if (!before(ev, h[parent])) break;
+    h[hole] = h[parent];
+    hole = parent;
+  }
+  h[hole] = ev;
 }
 
 Simulation::Event Simulation::EventQueue::pop() {
-  TIB_ASSERT(!heap_.empty());
-  Event out = std::move(heap_.front());
-  Event last = std::move(heap_.back());
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    // Sift the former tail down from the root without intermediate swaps.
-    std::size_t i = 0;
-    const std::size_t n = heap_.size();
-    for (;;) {
-      std::size_t child = 2 * i + 1;
-      if (child >= n) break;
-      if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
-      if (!before(heap_[child], last)) break;
-      heap_[i] = std::move(heap_[child]);
-      i = child;
-    }
-    heap_[i] = std::move(last);
+  TIB_ASSERT(!empty());
+  Event* const h = slots_;
+  const Event out = h[1];
+  const Event last = h[near_];
+  // The far tier's last event moves into the slot the heap gives up.
+  if (far_ > 0) h[near_] = h[near_ + far_];
+  const std::size_t n = --near_;
+  if (n == 0) {
+    if (far_ > 0)
+      refill();
+    else
+      bound_ = kNoBound;
+    return out;
+  }
+  // Floyd's pop: walk the hole from the root down to a leaf along the
+  // earlier child, then sift the former last entry up from there. It is
+  // rarely earlier than its new parent, so this saves the sift-down's
+  // second comparison per level.
+  std::size_t hole = 1;
+  for (std::size_t child = 2; child < n; child = 2 * hole) {
+    child += before(h[child + 1], h[child]);
+    h[hole] = h[child];
+    hole = child;
+  }
+  if (2 * hole == n) {
+    h[hole] = h[n];
+    hole = n;
+  }
+  while (hole > 1) {
+    const std::size_t parent = hole / 2;
+    if (!before(last, h[parent])) break;
+    h[hole] = h[parent];
+    hole = parent;
+  }
+  h[hole] = last;
+  if (n > kDeepEvents && bound_ == kNoBound) {
+    // The queue has become deep: its events go back to the far tier.
+    far_ += n;
+    near_ = 0;
+    refill();
   }
   return out;
+}
+
+void Simulation::EventQueue::refill() {
+  TIB_ASSERT(near_ == 0 && far_ > 0);
+  Event* const first = slots_ + 1;
+  Event* const end = first + far_;
+  Event* mid = end;
+  if (far_ <= kShallowEvents) {
+    bound_ = kNoBound;
+  } else {
+    // The new bound is the t of the far tier's earliest quarter. All of
+    // that quarter lies in [first, kth) after nth_element, and every event
+    // below the bound moves; events at the bound stay with the rest of
+    // their t in the far tier.
+    Event* const kth = first + far_ / 4;
+    std::nth_element(first, kth, end, [](const Event& a, const Event& b) {
+      return a.t < b.t;
+    });
+    bound_ = kth->t;
+    const auto belowBound = [this](const Event& e) { return e.t < bound_; };
+    mid = std::partition(first, kth, belowBound);
+    if (mid == first) {
+      // The whole quarter shares the earliest t: take all of that t.
+      bound_ = std::nextafter(bound_, kNoBound);
+      mid = std::partition(first, end, belowBound);
+    }
+  }
+  near_ = static_cast<std::size_t>(mid - first);
+  far_ -= near_;
+  // std::make_heap's 0-based layout from `first` is this 1-based heap.
+  std::make_heap(first, mid,
+                 [](const Event& a, const Event& b) { return before(b, a); });
 }
 
 // ---------------------------------------------------------------------------
@@ -169,6 +273,7 @@ void Simulation::pushQueue(double t, Process* proc, std::uint64_t aux) {
 }
 
 void Simulation::scheduleAt(double t, UniqueFunction fn) {
+  requireFinite("event time", t);
   TIB_REQUIRE_MSG(t >= now_, "cannot schedule an event in the past");
   pushQueue(t, nullptr, stashClosure(std::move(fn)));
 }
@@ -194,6 +299,7 @@ Process& Simulation::spawn(std::string name, Process::Body body) {
 }
 
 void Simulation::resumeAt(double t, Process& p) {
+  requireFinite("resume time", t);
   TIB_REQUIRE_MSG(t >= now_, "cannot resume a process in the past");
   // Tag the wake-up with the suspension it belongs to: a resume scheduled
   // against suspension N must not fire into suspension N+1 (e.g. a stale
@@ -255,9 +361,11 @@ Simulation::Event Simulation::popAndPrefetch() {
     __builtin_prefetch(slot, 1);
     __builtin_prefetch(slot + sizeof(UniqueFunction) - 1, 1);
   }
-  const std::size_t last = std::min(kProcessLookahead, queue_.size() - 1);
-  for (std::size_t i = 1; i <= last; ++i)
-    if (const Process* q = queue_.at(i).proc) __builtin_prefetch(q, 1);
+  // The top's children, one of which is the next top, sit in heap slots 2
+  // and 3, one line.
+  const std::size_t last = std::min<std::size_t>(3, queue_.nearSize());
+  for (std::size_t i = 2; i <= last; ++i)
+    if (const Process* q = queue_.near(i).proc) __builtin_prefetch(q, 1);
   return ev;
 }
 

@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -317,7 +320,7 @@ TEST_P(SimulationTest, ManyProcessesComplete) {
 TEST_P(SimulationTest, EngineStatsCountTheMachinery) {
   Simulation sim;
   for (int i = 0; i < 3; ++i) {
-    sim.spawn("p" + std::to_string(i), [](Process& p) {
+    sim.spawn(std::string("p").append(std::to_string(i)), [](Process& p) {
       p.delay(1.0);
       p.delay(1.0);
     });
@@ -459,6 +462,146 @@ TEST_P(SimulationTest, DeepQueueDispatchOrderFollowsPushOrder) {
   for (std::size_t k = 1; k < live.size(); ++k)
     if (live[k].t == live[k - 1].t) ++ties;
   EXPECT_GT(ties, live.size() / 2);
+}
+
+// The queue's contract, checked against a reference: callbacks fire in
+// (time, push index) order, and the high-water mark is the largest number
+// of events ever queued at once. The scenario covers what a two-tier queue
+// (a heap of the earliest events, an unsorted tier for the rest, refilled
+// by about a quarter at a time) could get wrong:
+//  - a burst of 3,000 equal timestamps, larger than one refill, whose time
+//    a refill's bound lands on while earlier events are still queued;
+//  - callbacks that push at their own time or just after it while
+//    thousands of later events are queued, and others that push far ahead,
+//    so the queue peaks while most of it waits in the later tier;
+//  - a queue that drains to one event and grows to a thousand again, and
+//    one that drains empty between two run() calls and grows again.
+TEST_P(SimulationTest, QueueMatchesAReferenceSortAcrossRefills) {
+  struct Push {
+    double t;
+    std::size_t index;
+  };
+  Simulation sim;
+  std::vector<Push> pushes;        // every scheduleAt, in push order
+  std::vector<std::size_t> fired;  // push index of each callback fired
+  std::size_t queued = 0;
+  std::size_t peak = 0;
+  std::uint64_t rng = 0x2545F4914F6CDD1Dull;
+  const auto draw = [&rng](std::uint64_t n) {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng % n;
+  };
+  // Times on a 1/256 grid, so many of them are equal.
+  const auto gridTime = [&draw](double from, std::uint64_t steps) {
+    return from + static_cast<double>(draw(steps)) / 256.0;
+  };
+  std::function<void(double, std::function<void()>)> pushAt =
+      [&](double t, std::function<void()> then) {
+        const std::size_t index = pushes.size();
+        pushes.push_back({t, index});
+        peak = std::max(peak, ++queued);
+        sim.scheduleAt(t, [&queued, &fired, index, then = std::move(then)] {
+          --queued;
+          fired.push_back(index);
+          if (then) then();
+        });
+      };
+
+  // Phase 1: 2,000 scattered events in [0, 1), each of which may push
+  // more, and a 3,000-event burst at t = 0.5.
+  for (int i = 0; i < 2000; ++i) {
+    pushAt(gridTime(0.0, 256), [&] {
+      const double now = sim.now();
+      const std::uint64_t pick = draw(8);
+      if (pick < 3) {
+        pushAt(now, nullptr);  // same time, behind what is queued there
+      } else if (pick < 5) {
+        pushAt(gridTime(now, 4), nullptr);  // just after now
+      } else if (pick == 5) {
+        for (int k = 0; k < 8; ++k) pushAt(gridTime(now + 1.0, 256), nullptr);
+      }
+    });
+  }
+  for (int i = 0; i < 3000; ++i) pushAt(0.5, nullptr);
+
+  // Phase 2: at t = 5 the queue holds one event (t = 6) and grows again.
+  pushAt(6.0, nullptr);
+  pushAt(5.0, [&] {
+    for (int i = 0; i < 1000; ++i) pushAt(gridTime(5.0, 512), nullptr);
+  });
+  run(sim);
+  EXPECT_EQ(queued, 0u);
+
+  // Phase 3: from empty, after the first run() drained the queue.
+  for (int i = 0; i < 500; ++i) pushAt(gridTime(sim.now(), 64), nullptr);
+  run(sim);
+
+  std::vector<Push> expected = pushes;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Push& a, const Push& b) { return a.t < b.t; });
+  ASSERT_EQ(fired.size(), expected.size());
+  std::size_t agree = 0;
+  while (agree < fired.size() && fired[agree] == expected[agree].index)
+    ++agree;
+  EXPECT_EQ(agree, fired.size())
+      << "first divergence at callback " << agree << ": expected push "
+      << expected[agree].index << " at t=" << expected[agree].t
+      << ", fired push " << fired[agree] << " at t="
+      << pushes[fired[agree]].t;
+  EXPECT_EQ(sim.engineStats().queueHighWater, peak);
+  // The queue peaked after the first dispatch, not at the 5,002 events
+  // queued before run().
+  EXPECT_GT(peak, 5002u);
+}
+
+// A non-finite time is the caller's bug: +inf would order after every
+// finite event and end the world at infinity, and NaN compares false with
+// everything. Each entry point rejects one with a ContractError naming it.
+TEST_P(SimulationTest, NonFiniteTimesAreRejected) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto rejection = [](const std::function<void()>& call) {
+    try {
+      call();
+    } catch (const ContractError& error) {
+      return std::string(error.what());
+    }
+    return std::string("accepted");
+  };
+  Simulation sim;
+  int fired = 0;
+  EXPECT_NE(rejection([&] { sim.scheduleAt(kInf, [&] { ++fired; }); })
+                .find("inf"),
+            std::string::npos);
+  EXPECT_NE(rejection([&] { sim.scheduleAt(-kInf, [&] { ++fired; }); })
+                .find("-inf"),
+            std::string::npos);
+  EXPECT_NE(rejection([&] { sim.scheduleAt(nan, [&] { ++fired; }); })
+                .find("nan"),
+            std::string::npos);
+  EXPECT_NE(rejection([&] { sim.scheduleIn(kInf, [&] { ++fired; }); })
+                .find("inf"),
+            std::string::npos);
+
+  // Inside a body the error is the process's exception.
+  Process& sleeper = sim.spawn("sleeper", [](Process& p) { p.delay(kInf); });
+  Process& napper = sim.spawn("napper", [&](Process& p) { p.delay(nan); });
+  Process& waiter = sim.spawn("waiter", [](Process& p) { p.suspend(); });
+  EXPECT_TRUE(std::isfinite(run(sim)));
+  EXPECT_EQ(fired, 0);
+  for (Process* p : {&sleeper, &napper}) {
+    ASSERT_NE(p->exception(), nullptr) << p->name();
+    EXPECT_NE(rejection([p] { std::rethrow_exception(p->exception()); })
+                  .find(p == &sleeper ? "inf" : "nan"),
+              std::string::npos)
+        << p->name();
+  }
+  ASSERT_TRUE(waiter.suspended());
+  EXPECT_NE(rejection([&] { sim.resumeAt(kInf, waiter); }).find("inf"),
+            std::string::npos);
+  EXPECT_EQ(sim.liveProcessCount(), 1u);
 }
 
 // The engine counters are part of the campaign artefacts, so they must be
