@@ -37,7 +37,7 @@ void BM_KernelSerial(benchmark::State& state, const std::string& tag) {
 }
 
 void BM_KernelParallel(benchmark::State& state, const std::string& tag) {
-  static tibsim::ThreadPool pool(0);
+  static tibsim::TaskPool pool(0);
   auto kernel = makeKernel(tag);
   kernel->setup(nativeSize(tag), 42);
   for (auto _ : state) {

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   std::cout << kernel->fullName() << " (" << kernel->properties() << ")\n"
             << "native serial run verifies: "
             << (kernel->verify() ? "yes" : "NO") << '\n';
-  ThreadPool pool(2);
+  TaskPool pool(2);
   kernel->runParallel(pool);
   std::cout << "native parallel run verifies: "
             << (kernel->verify() ? "yes" : "NO") << "\n\n";

@@ -1,7 +1,7 @@
 #pragma once
-// Minimal OpenMP-style fork-join thread pool for the native micro-kernel
-// implementations. parallelFor splits an index range into contiguous chunks
-// (static schedule), mirroring `#pragma omp parallel for`.
+// The one thread pool: a dynamic task scheduler for socbench campaigns and
+// tibsim_lint, which also runs the native micro-kernels' OpenMP-style
+// fork-join (the chunked parallelFor overload).
 
 #include <condition_variable>
 #include <cstddef>
@@ -14,57 +14,22 @@
 
 namespace tibsim {
 
-class ThreadPool {
- public:
-  /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
-  explicit ThreadPool(std::size_t threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  std::size_t threadCount() const { return workers_.size() + 1; }
-
-  /// Run body(begin, end, threadIndex) over [0, n) split into one contiguous
-  /// chunk per thread; the calling thread executes chunk 0. Blocks until all
-  /// chunks complete (fork-join barrier, like an OpenMP parallel-for).
-  void parallelFor(
-      std::size_t n,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
-
- private:
-  struct Task {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    std::size_t thread = 0;
-  };
-
-  void workerLoop(std::size_t index);
-
-  std::vector<std::thread> workers_;
-  std::mutex mutex_;
-  std::condition_variable wake_;
-  std::condition_variable done_;
-  const std::function<void(std::size_t, std::size_t, std::size_t)>* body_ =
-      nullptr;
-  std::vector<Task> tasks_;
-  std::size_t generation_ = 0;
-  std::size_t pending_ = 0;
-  bool stop_ = false;
-};
-
-/// Dynamic task scheduler for the socbench campaign driver. Unlike
-/// ThreadPool's static fork-join split, parallelFor hands out indices one
-/// at a time (experiments and sweep cells have wildly unequal runtimes),
-/// and it is safe to call from *inside* a running task: the nested caller
-/// claims its own batch's indices itself, so an experiment scheduled on the
-/// pool can parallelise its inner sweep over the same workers without
-/// deadlock. The first exception thrown by a task is rethrown to the
-/// caller after the batch drains.
+/// parallelFor hands out indices one at a time (experiments and sweep
+/// cells have wildly unequal runtimes), and it is safe to call from
+/// *inside* a running task: the nested caller claims its own batch's
+/// indices itself, so an experiment scheduled on the pool can parallelise
+/// its inner sweep over the same workers without deadlock. The first
+/// exception thrown by a task is rethrown to the caller after the batch
+/// drains.
 class TaskPool {
  public:
+  /// The most threads one pool may hold. Workers start eagerly, so a
+  /// larger request (a mistyped --jobs) is refused before any starts.
+  static constexpr std::size_t kMaxThreads = 1024;
+
   /// Creates `threads` workers total (including the calling thread);
-  /// 0 means std::thread::hardware_concurrency().
+  /// 0 means std::thread::hardware_concurrency(), capped at kMaxThreads.
+  /// Throws ContractError above kMaxThreads.
   explicit TaskPool(std::size_t threads = 0);
   ~TaskPool();
 
@@ -73,9 +38,19 @@ class TaskPool {
 
   std::size_t threadCount() const { return workers_.size() + 1; }
 
-  /// Run fn(i) for every i in [0, n), pulling indices dynamically. Blocks
-  /// until the whole batch has completed.
+  /// Run fn(i) for every i in [0, n), pulling indices dynamically; the
+  /// calling thread claims index 0 before any worker can, then helps with
+  /// the rest. Blocks until the whole batch has completed.
   void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
+
+  /// Static fork-join, like an OpenMP parallel-for: split [0, n) into
+  /// threadCount() contiguous chunks of ceil(n / threadCount()) indices
+  /// and run body(begin, end, chunk) for each non-empty one. The chunks
+  /// are the indices of the dynamic parallelFor above, so `chunk` can key
+  /// per-chunk partials, and exceptions and nesting behave the same.
+  void parallelFor(
+      std::size_t n,
+      const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
 
  private:
   struct Batch {
@@ -87,6 +62,8 @@ class TaskPool {
   };
 
   void workerLoop();
+  /// Stop and join every started worker.
+  void stopWorkers();
   /// Claim and run one index of `batch`; returns false if none were left.
   bool runOneIndex(std::unique_lock<std::mutex>& lock,
                    const std::shared_ptr<Batch>& batch);

@@ -6,19 +6,21 @@
 // version tag, the constexpr Table-1 platform-spec *bytes* (arch/table1.hpp
 // field values, not version strings), the campaign seed, the
 // trace/verify campaign options, and a fingerprint of the
-// running executable's bytes. On a hit the cell's JSON document, engine
-// counters and world accounting replay from disk byte-identically; on a
-// miss the freshly computed cell is stored atomically (write-temp +
-// rename) so campaigns sharing a cache directory never see torn entries. A
-// corrupt or truncated entry is indistinguishable from a miss: load()
-// validates the whole document and returns nothing rather than trusting
-// partial bytes.
+// running executable's bytes. An entry is {schema, experiment, key, cells,
+// resultJson}: the cell's result document, stored once and verbatim. On a
+// hit the document replays byte-identically, and the engine counters and
+// world accounting are read back from its own engine/worlds/links/
+// criticalPath objects. On a miss the freshly computed cell is stored
+// atomically (write-temp + rename) so campaigns sharing a cache directory
+// never see torn entries. A corrupt or truncated entry is
+// indistinguishable from a miss: load() validates the whole document and
+// returns nothing rather than trusting partial bytes.
 //
 // Everything here is host-side I/O running on the campaign driver thread
 // (never inside fiber-run simulation code), so host clocks/getpid are fine;
 // determinism obligations are only that replayed artefacts match a fresh
-// run byte-for-byte, which the cache guarantees by storing the result
-// document verbatim and the counters in exact round-trip JSON numbers.
+// run byte-for-byte, which holds because the document's numbers are exact
+// round-trip JSON numbers.
 
 #include <cstddef>
 #include <cstdint>
@@ -84,15 +86,16 @@ std::uint64_t executableFingerprint();
 std::string cacheKey(const CacheKeyInputs& inputs);
 
 /// Everything needed to replay one experiment cell byte-identically: the
-/// result document verbatim, the ResultSet (for CSV/compat rendering), the
-/// deterministic engine counters and the world accounting (for the
-/// __engine/__worlds/__links CSV artefacts and the run summary). Host-only
-/// measurements (wall clock, stack high-water) are deliberately absent — a
-/// replayed cell ran no engine.
+/// result document verbatim, and what load() reads back from it — the
+/// ResultSet (for CSV/compat rendering), the deterministic engine counters
+/// and the world accounting (for the __engine/__worlds/__links CSV
+/// artefacts and the run summary). store() writes only `cells` and
+/// `resultJson`. Host-only measurements (wall clock, stack high-water) are
+/// deliberately absent — a replayed cell ran no engine.
 struct CachedRun {
   std::size_t cells = 0;
   sim::EngineStats engine;    ///< deterministic fields only
-  obs::RunCounters counters;
+  obs::RunCounters counters;  ///< defaults where the document omits a record
   ResultSet results;
   std::string resultJson;     ///< the cold run's document, byte-exact
 };
@@ -108,12 +111,15 @@ class ResultCache {
                                    const std::string& key);
 
   /// Replay a cell. Returns nothing on a miss, on a truncated/corrupt
-  /// entry, or on any schema/field mismatch — a bad entry is never
-  /// trusted and the caller recomputes (and overwrites) it.
+  /// entry, or on any schema/field mismatch (including a counter that is
+  /// not a number, or a queueDelay edge that is no bucket's lower edge) —
+  /// a bad entry is never trusted and the caller recomputes (and
+  /// overwrites) it.
   std::optional<CachedRun> load(const std::string& experiment,
                                 const std::string& key) const;
 
-  /// Store a freshly computed cell atomically: the entry is written to a
+  /// Store a freshly computed cell's `cells` and `resultJson` (the
+  /// document carries the counters) atomically: the entry is written to a
   /// temp file in the cache directory and renamed into place, so a
   /// concurrent reader sees either the old bytes or the new bytes, never
   /// a prefix. Creates the directory on first use.

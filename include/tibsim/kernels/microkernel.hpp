@@ -34,7 +34,7 @@ class MicroKernel {
   virtual void runSerial() = 0;
 
   /// One iteration using all threads of the pool (OpenMP-style fork-join).
-  virtual void runParallel(ThreadPool& pool) = 0;
+  virtual void runParallel(TaskPool& pool) = 0;
 
   /// Validate the output of the most recent run. Requires a prior run.
   virtual bool verify() const = 0;

@@ -30,7 +30,7 @@ class StreamBenchmark {
   /// Execute one pass of the operation serially.
   void runSerial(StreamOp op);
   /// Execute one pass using all threads of the pool.
-  void runParallel(StreamOp op, ThreadPool& pool);
+  void runParallel(StreamOp op, TaskPool& pool);
 
   /// Check the output of the last run of `op` against the definition.
   bool verify(StreamOp op) const;

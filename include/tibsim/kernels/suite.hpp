@@ -20,7 +20,7 @@ class VecOp final : public MicroKernel {
   }
   void setup(std::size_t n, std::uint64_t seed) override;
   void runSerial() override;
-  void runParallel(ThreadPool& pool) override;
+  void runParallel(TaskPool& pool) override;
   bool verify() const override;
   perfmodel::WorkProfile currentProfile() const override;
 
@@ -41,7 +41,7 @@ class Dmmm final : public MicroKernel {
   }
   void setup(std::size_t n, std::uint64_t seed) override;
   void runSerial() override;
-  void runParallel(ThreadPool& pool) override;
+  void runParallel(TaskPool& pool) override;
   bool verify() const override;
   perfmodel::WorkProfile currentProfile() const override;
 
@@ -63,7 +63,7 @@ class Stencil3D final : public MicroKernel {
   }
   void setup(std::size_t n, std::uint64_t seed) override;
   void runSerial() override;
-  void runParallel(ThreadPool& pool) override;
+  void runParallel(TaskPool& pool) override;
   bool verify() const override;
   perfmodel::WorkProfile currentProfile() const override;
 
@@ -81,7 +81,7 @@ class Conv2D final : public MicroKernel {
   std::string properties() const override { return "Spatial locality"; }
   void setup(std::size_t n, std::uint64_t seed) override;
   void runSerial() override;
-  void runParallel(ThreadPool& pool) override;
+  void runParallel(TaskPool& pool) override;
   bool verify() const override;
   perfmodel::WorkProfile currentProfile() const override;
 
@@ -104,13 +104,13 @@ class Fft1D final : public MicroKernel {
   }
   void setup(std::size_t n, std::uint64_t seed) override;
   void runSerial() override;
-  void runParallel(ThreadPool& pool) override;
+  void runParallel(TaskPool& pool) override;
   bool verify() const override;
   perfmodel::WorkProfile currentProfile() const override;
 
  private:
   void bitReverse();
-  void stages(ThreadPool* pool);
+  void stages(TaskPool* pool);
   std::size_t n_ = 0;  ///< transform length (power of two)
   std::vector<std::complex<double>> data_, original_;
 };
@@ -125,7 +125,7 @@ class Reduction final : public MicroKernel {
   }
   void setup(std::size_t n, std::uint64_t seed) override;
   void runSerial() override;
-  void runParallel(ThreadPool& pool) override;
+  void runParallel(TaskPool& pool) override;
   bool verify() const override;
   perfmodel::WorkProfile currentProfile() const override;
 
@@ -146,7 +146,7 @@ class Histogram final : public MicroKernel {
   }
   void setup(std::size_t n, std::uint64_t seed) override;
   void runSerial() override;
-  void runParallel(ThreadPool& pool) override;
+  void runParallel(TaskPool& pool) override;
   bool verify() const override;
   perfmodel::WorkProfile currentProfile() const override;
 
@@ -164,7 +164,7 @@ class MergeSort final : public MicroKernel {
   std::string properties() const override { return "Barrier operations"; }
   void setup(std::size_t n, std::uint64_t seed) override;
   void runSerial() override;
-  void runParallel(ThreadPool& pool) override;
+  void runParallel(TaskPool& pool) override;
   bool verify() const override;
   perfmodel::WorkProfile currentProfile() const override;
 
@@ -182,7 +182,7 @@ class NBody final : public MicroKernel {
   }
   void setup(std::size_t n, std::uint64_t seed) override;
   void runSerial() override;
-  void runParallel(ThreadPool& pool) override;
+  void runParallel(TaskPool& pool) override;
   bool verify() const override;
   perfmodel::WorkProfile currentProfile() const override;
 
@@ -204,7 +204,7 @@ class Amcd final : public MicroKernel {
   }
   void setup(std::size_t n, std::uint64_t seed) override;
   void runSerial() override;
-  void runParallel(ThreadPool& pool) override;
+  void runParallel(TaskPool& pool) override;
   bool verify() const override;
   perfmodel::WorkProfile currentProfile() const override;
 
@@ -225,7 +225,7 @@ class Spvm final : public MicroKernel {
   std::string properties() const override { return "Load imbalance"; }
   void setup(std::size_t n, std::uint64_t seed) override;
   void runSerial() override;
-  void runParallel(ThreadPool& pool) override;
+  void runParallel(TaskPool& pool) override;
   bool verify() const override;
   perfmodel::WorkProfile currentProfile() const override;
 

@@ -1,101 +1,35 @@
 #include "tibsim/common/thread_pool.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "tibsim/common/assert.hpp"
 
 namespace tibsim {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  std::size_t total = threads;
-  if (total == 0) total = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  // The calling thread participates, so spawn total-1 workers.
-  workers_.reserve(total - 1);
-  for (std::size_t i = 1; i < total; ++i)
-    workers_.emplace_back([this, i] { workerLoop(i); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard lock(mutex_);
-    stop_ = true;
-  }
-  wake_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::parallelFor(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  const std::size_t threads = threadCount();
-  const std::size_t chunk = (n + threads - 1) / threads;
-
-  Task myTask{0, std::min(chunk, n), 0};
-  {
-    std::lock_guard lock(mutex_);
-    TIB_REQUIRE_MSG(body_ == nullptr, "parallelFor is not reentrant");
-    tasks_.clear();
-    for (std::size_t t = 1; t < threads; ++t) {
-      const std::size_t begin = std::min(t * chunk, n);
-      const std::size_t end = std::min(begin + chunk, n);
-      tasks_.push_back(Task{begin, end, t});
-    }
-    pending_ = tasks_.size();
-    body_ = &body;
-    ++generation_;
-  }
-  wake_.notify_all();
-
-  if (myTask.begin < myTask.end) body(myTask.begin, myTask.end, myTask.thread);
-
-  std::unique_lock lock(mutex_);
-  done_.wait(lock, [this] { return pending_ == 0; });
-  body_ = nullptr;
-}
-
-void ThreadPool::workerLoop(std::size_t index) {
-  std::size_t seen = 0;
-  while (true) {
-    Task task{};
-    const std::function<void(std::size_t, std::size_t, std::size_t)>* body =
-        nullptr;
-    {
-      std::unique_lock lock(mutex_);
-      wake_.wait(lock, [this, &seen] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
-      for (auto& t : tasks_) {
-        if (t.thread == index) {
-          task = t;
-          body = body_;
-          break;
-        }
-      }
-      if (body == nullptr) continue;  // no chunk for this worker
-    }
-    if (task.begin < task.end) (*body)(task.begin, task.end, task.thread);
-    {
-      std::lock_guard lock(mutex_);
-      --pending_;
-    }
-    done_.notify_one();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// TaskPool
-// ---------------------------------------------------------------------------
-
 TaskPool::TaskPool(std::size_t threads) {
   std::size_t total = threads;
   if (total == 0)
-    total = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    total = std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1,
+                                    kMaxThreads);
+  TIB_REQUIRE_MSG(total <= kMaxThreads,
+                  "a TaskPool holds at most " + std::to_string(kMaxThreads) +
+                      " threads, asked for " + std::to_string(total));
   workers_.reserve(total - 1);
-  for (std::size_t i = 1; i < total; ++i)
-    workers_.emplace_back([this] { workerLoop(); });
+  try {
+    for (std::size_t i = 1; i < total; ++i)
+      workers_.emplace_back([this] { workerLoop(); });
+  } catch (...) {
+    // The workers already started are joinable: destroying them unjoined
+    // would terminate the process instead of reporting the failure.
+    stopWorkers();
+    throw;
+  }
 }
 
-TaskPool::~TaskPool() {
+TaskPool::~TaskPool() { stopWorkers(); }
+
+void TaskPool::stopWorkers() {
   {
     std::lock_guard lock(mutex_);
     stop_ = true;
@@ -142,6 +76,17 @@ void TaskPool::parallelFor(std::size_t n,
   }
   done_.wait(lock, [&batch] { return batch->done == batch->n; });
   if (batch->error) std::rethrow_exception(batch->error);
+}
+
+void TaskPool::parallelFor(
+    std::size_t n,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+  const std::size_t chunk = (n + threadCount() - 1) / threadCount();
+  parallelFor(threadCount(), [&](std::size_t c) {
+    const std::size_t begin = std::min(c * chunk, n);
+    const std::size_t end = std::min(begin + chunk, n);
+    if (begin < end) body(begin, end, c);
+  });
 }
 
 void TaskPool::workerLoop() {

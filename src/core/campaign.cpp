@@ -8,7 +8,9 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <type_traits>
 
+#include "counter_fields.hpp"
 #include "tibsim/common/assert.hpp"
 #include "tibsim/common/table.hpp"
 #include "tibsim/core/result_cache.hpp"
@@ -41,26 +43,31 @@ double secondsSince(HostTimePoint start) {
   return std::chrono::duration<double>(now - start).count();
 }
 
-json::Value linkKindJson(const obs::LinkKindCounters& kind) {
+// One record's listed fields as a JSON object of numbers.
+template <typename Record, typename Fields>
+json::Value fieldsJson(const Record& record, Fields fields) {
   json::Value out = json::Value::object();
-  out["busySeconds"] = kind.busySeconds;
-  out["bytes"] = kind.bytes;
-  out["transfers"] = static_cast<double>(kind.transfers);
-  out["queueSeconds"] = kind.queueSeconds;
-  out["maxLinkBusySeconds"] = kind.maxLinkBusySeconds;
-  // Queueing-delay histogram, nonzero buckets only as [lowerSeconds, count]
-  // pairs — O(occupied buckets), independent of kBuckets growth.
-  json::Value delay = json::Value::array();
-  for (int b = 0; b < obs::DurationHistogram::kBuckets; ++b) {
-    if (kind.queueDelay.counts[static_cast<std::size_t>(b)] == 0) continue;
-    json::Value bucket = json::Value::array();
-    bucket.push(obs::DurationHistogram::bucketLowerSeconds(b));
-    bucket.push(static_cast<double>(
-        kind.queueDelay.counts[static_cast<std::size_t>(b)]));
-    delay.push(std::move(bucket));
-  }
-  out["queueDelay"] = std::move(delay);
+  fields(record, [&out](const char* name, auto value) {
+    out[name] = static_cast<double>(value);
+  });
   return out;
+}
+
+// One record as a two-line CSV: the listed names, then the values as an
+// ostream prints them.
+template <typename Record, typename Fields>
+std::string fieldsCsv(const Record& record, Fields fields) {
+  std::string header;
+  std::ostringstream values;
+  fields(record, [&](const char* name, auto value) {
+    if (!header.empty()) {
+      header += ',';
+      values << ',';
+    }
+    header += name;
+    values << value;
+  });
+  return header + '\n' + values.str() + '\n';
 }
 
 }  // namespace
@@ -78,49 +85,15 @@ std::string resultDocument(const Experiment& experiment, std::uint64_t seed,
   if (engine != nullptr) {
     // Deterministic counters only: hostSeconds is a wall-clock measurement
     // and would break byte-identical output across runs and --jobs.
-    json::Value stats = json::Value::object();
-    stats["eventsDispatched"] = static_cast<double>(engine->eventsDispatched);
-    stats["contextSwitches"] = static_cast<double>(engine->contextSwitches);
-    stats["processesSpawned"] = static_cast<double>(engine->processesSpawned);
-    stats["peakLiveProcesses"] =
-        static_cast<double>(engine->peakLiveProcesses);
-    stats["queueHighWater"] = static_cast<double>(engine->queueHighWater);
-    stats["simSeconds"] = engine->simSeconds;
-    doc["engine"] = std::move(stats);
+    doc["engine"] = fieldsJson(*engine, fields::engine);
   }
   if (counters != nullptr) {
     // World traffic + trace accounting. Everything here is a function of
     // the simulated runs (counts, modelled bytes, sink bookkeeping), so it
     // stays byte-identical across runs and --jobs.
-    json::Value worlds = json::Value::object();
-    worlds["worlds"] = static_cast<double>(counters->worlds);
-    worlds["messages"] = static_cast<double>(counters->messages);
-    worlds["payloadBytes"] = counters->payloadBytes;
-    worlds["wireBytes"] = counters->wireBytes;
-    worlds["traceSpansRecorded"] =
-        static_cast<double>(counters->spansRecorded);
-    worlds["traceSpansRetained"] =
-        static_cast<double>(counters->spansRetained);
-    worlds["traceMemoryPeakBytes"] =
-        static_cast<double>(counters->traceMemoryPeakBytes);
-    worlds["payloadInlineMessages"] =
-        static_cast<double>(counters->payloadInlineMessages);
-    worlds["payloadPooledMessages"] =
-        static_cast<double>(counters->payloadPooledMessages);
-    worlds["payloadPoolReuses"] =
-        static_cast<double>(counters->payloadPoolReuses);
-    worlds["payloadPoolAllocations"] =
-        static_cast<double>(counters->payloadPoolAllocations);
-    worlds["payloadPoolReturns"] =
-        static_cast<double>(counters->payloadPoolReturns);
-    worlds["payloadPoolTrimmedBuffers"] =
-        static_cast<double>(counters->payloadPoolTrimmedBuffers);
-    worlds["payloadPoolLiveHighWater"] =
-        static_cast<double>(counters->payloadPoolLiveHighWater);
-    // Present only on verified runs (--verify-collectives), so unverified
-    // campaign artefacts keep their exact historical bytes.
+    json::Value worlds = fieldsJson(*counters, fields::worlds);
     if (counters->collectiveChecks > 0)
-      worlds["collectiveChecks"] =
+      worlds[fields::collectiveChecks] =
           static_cast<double>(counters->collectiveChecks);
     doc["worlds"] = std::move(worlds);
     // Link-utilization telemetry (net/fabric.hpp): per-kind busy time,
@@ -129,26 +102,31 @@ std::string resultDocument(const Experiment& experiment, std::uint64_t seed,
     // byte-identical across runs and --jobs values.
     if (counters->links.any()) {
       json::Value links = json::Value::object();
-      links["uplink"] = linkKindJson(counters->links.uplink);
-      links["core"] = linkKindJson(counters->links.core);
-      links["downlink"] = linkKindJson(counters->links.downlink);
+      fields::linkKinds(counters->links,
+                        [&links](const char* name,
+                                 const obs::LinkKindCounters& kind) {
+        json::Value out = fieldsJson(kind, fields::linkKind);
+        json::Value delay = json::Value::array();
+        for (int b = 0; b < obs::DurationHistogram::kBuckets; ++b) {
+          const std::uint64_t count =
+              kind.queueDelay.counts[static_cast<std::size_t>(b)];
+          if (count == 0) continue;
+          json::Value bucket = json::Value::array();
+          bucket.push(obs::DurationHistogram::bucketLowerSeconds(b));
+          bucket.push(static_cast<double>(count));
+          delay.push(std::move(bucket));
+        }
+        out[fields::queueDelay] = std::move(delay);
+        links[name] = std::move(out);
+      });
       doc["links"] = std::move(links);
     }
     // Sim-time critical path (obs/critical_path.hpp): the dependency chain
     // bounding the slowest world, decomposed by segment. endRank is -1 when
     // the experiment ran more than one world.
     const obs::CriticalPath& path = counters->criticalPath;
-    if (path.edges > 0 || path.lengthSeconds() > 0.0) {
-      json::Value cp = json::Value::object();
-      cp["computeSeconds"] = path.computeSeconds;
-      cp["sendSeconds"] = path.sendSeconds;
-      cp["recvSeconds"] = path.recvSeconds;
-      cp["linkSeconds"] = path.linkSeconds;
-      cp["waitSeconds"] = path.waitSeconds;
-      cp["edges"] = static_cast<double>(path.edges);
-      cp["endRank"] = path.endRank;
-      doc["criticalPath"] = std::move(cp);
-    }
+    if (path.edges > 0 || path.lengthSeconds() > 0.0)
+      doc["criticalPath"] = fieldsJson(path, fields::criticalPath);
   }
   doc["results"] = ResultSet::toJson(results);
   return doc.dump(2) + "\n";
@@ -165,8 +143,8 @@ CampaignResult runCampaign(const CampaignOptions& options,
 
   int jobs = options.jobs;
   if (jobs < 1)
-    jobs = static_cast<int>(
-        std::max<unsigned>(1, std::thread::hardware_concurrency()));
+    jobs = static_cast<int>(std::clamp<std::size_t>(
+        std::thread::hardware_concurrency(), 1, TaskPool::kMaxThreads));
 
   // Trace-mode override for the whole campaign (restored on return): every
   // WorldConfig built below captures the default trace mode at
@@ -271,9 +249,7 @@ CampaignResult runCampaign(const CampaignOptions& options,
     if (cache) {
       CachedRun entry;
       entry.cells = run.cells;
-      entry.engine = run.engine;  // store() keeps deterministic fields only
-      entry.counters = run.counters;
-      entry.resultJson = run.json;
+      entry.resultJson = run.json;  // a hit reads the counters back from it
       cache->store(run.name, keys[i], entry);
     }
   });
@@ -292,71 +268,45 @@ CampaignResult runCampaign(const CampaignOptions& options,
     for (const ExperimentRun& run : campaign.runs) {
       for (const auto& [stem, csv] : run.results.toCsvFiles())
         writeFile(dir / (run.name + "__" + stem + ".csv"), csv);
-      if (run.engine.eventsDispatched > 0) {
-        // Deterministic counters only — no hostSeconds (see resultDocument).
-        std::ostringstream csv;
-        csv << "eventsDispatched,contextSwitches,processesSpawned,"
-               "peakLiveProcesses,queueHighWater,simSeconds\n"
-            << run.engine.eventsDispatched << ','
-            << run.engine.contextSwitches << ','
-            << run.engine.processesSpawned << ','
-            << run.engine.peakLiveProcesses << ','
-            << run.engine.queueHighWater << ',' << run.engine.simSeconds
-            << '\n';
-        writeFile(dir / (run.name + "__engine.csv"), csv.str());
-      }
-      if (run.counters.worlds > 0) {
-        std::ostringstream csv;
-        csv << "worlds,messages,payloadBytes,wireBytes,traceSpansRecorded,"
-               "traceSpansRetained,traceMemoryPeakBytes,"
-               "payloadInlineMessages,payloadPooledMessages,"
-               "payloadPoolReuses,payloadPoolAllocations,payloadPoolReturns,"
-               "payloadPoolTrimmedBuffers,payloadPoolLiveHighWater\n"
-            << run.counters.worlds << ',' << run.counters.messages << ','
-            << run.counters.payloadBytes << ',' << run.counters.wireBytes
-            << ',' << run.counters.spansRecorded << ','
-            << run.counters.spansRetained << ','
-            << run.counters.traceMemoryPeakBytes << ','
-            << run.counters.payloadInlineMessages << ','
-            << run.counters.payloadPooledMessages << ','
-            << run.counters.payloadPoolReuses << ','
-            << run.counters.payloadPoolAllocations << ','
-            << run.counters.payloadPoolReturns << ','
-            << run.counters.payloadPoolTrimmedBuffers << ','
-            << run.counters.payloadPoolLiveHighWater << '\n';
-        writeFile(dir / (run.name + "__worlds.csv"), csv.str());
-      }
+      // Deterministic counters only — no hostSeconds (see resultDocument).
+      if (run.engine.eventsDispatched > 0)
+        writeFile(dir / (run.name + "__engine.csv"),
+                  fieldsCsv(run.engine, fields::engine));
+      if (run.counters.worlds > 0)
+        writeFile(dir / (run.name + "__worlds.csv"),
+                  fieldsCsv(run.counters, fields::worlds));
       if (run.counters.links.any()) {
         // Link telemetry: per-kind scalar table, then (after a blank line)
-        // the nonzero queueing-delay buckets.
-        // Doubles go through json::formatNumber so the artefact is
-        // byte-identical across runs and --jobs values.
-        std::string csv =
-            "kind,busySeconds,bytes,transfers,queueSeconds,"
-            "maxLinkBusySeconds\n";
-        const std::pair<const char*, const obs::LinkKindCounters*> kinds[] =
-            {{"uplink", &run.counters.links.uplink},
-             {"core", &run.counters.links.core},
-             {"downlink", &run.counters.links.downlink}};
-        for (const auto& [name, kind] : kinds) {
+        // the nonzero queueing-delay buckets. Doubles go through
+        // json::formatNumber so the artefact is byte-identical across runs
+        // and --jobs values.
+        std::string csv = "kind";
+        fields::linkKind(run.counters.links.uplink,
+                         [&csv](const char* name, auto) {
+                           csv += ',';
+                           csv += name;
+                         });
+        csv += '\n';
+        fields::linkKinds(run.counters.links,
+                          [&csv](const char* name,
+                                 const obs::LinkKindCounters& kind) {
           csv += name;
-          csv += ',';
-          csv += json::formatNumber(kind->busySeconds);
-          csv += ',';
-          csv += json::formatNumber(kind->bytes);
-          csv += ',';
-          csv += std::to_string(kind->transfers);
-          csv += ',';
-          csv += json::formatNumber(kind->queueSeconds);
-          csv += ',';
-          csv += json::formatNumber(kind->maxLinkBusySeconds);
+          fields::linkKind(kind, [&csv](const char*, auto value) {
+            csv += ',';
+            if constexpr (std::is_floating_point_v<decltype(value)>)
+              csv += json::formatNumber(value);
+            else
+              csv += std::to_string(value);
+          });
           csv += '\n';
-        }
+        });
         bool delayHeader = false;
-        for (const auto& [name, kind] : kinds) {
+        fields::linkKinds(run.counters.links,
+                          [&](const char* name,
+                              const obs::LinkKindCounters& kind) {
           for (int b = 0; b < obs::DurationHistogram::kBuckets; ++b) {
             const std::uint64_t count =
-                kind->queueDelay.counts[static_cast<std::size_t>(b)];
+                kind.queueDelay.counts[static_cast<std::size_t>(b)];
             if (count == 0) continue;
             if (!delayHeader) {
               csv += "\nkind,bucketLowerSeconds,count\n";
@@ -370,7 +320,7 @@ CampaignResult runCampaign(const CampaignOptions& options,
             csv += std::to_string(count);
             csv += '\n';
           }
-        }
+        });
         writeFile(dir / (run.name + "__links.csv"), csv);
       }
     }
@@ -614,9 +564,10 @@ int socbenchMain(int argc, const char* const* argv) {
     } else if (arg == "--jobs") {
       const std::string* v = flagValue("--jobs");
       if (v == nullptr) return 2;
-      if (!parseNumber(*v, options.jobs)) {
-        std::cerr << "socbench: --jobs expects an integer, got \"" << *v
-                  << "\"\n";
+      if (!parseNumber(*v, options.jobs) ||
+          options.jobs > static_cast<int>(TaskPool::kMaxThreads)) {
+        std::cerr << "socbench: --jobs expects an integer up to "
+                  << TaskPool::kMaxThreads << ", got \"" << *v << "\"\n";
         return 2;
       }
     } else if (arg == "--seed") {

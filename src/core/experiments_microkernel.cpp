@@ -203,10 +203,10 @@ std::size_t verifySize(const std::string& tag) {
 }
 
 ResultSet runTab02(ExperimentContext& ctx) {
-  // The kernels themselves fork-join on a private two-thread ThreadPool,
-  // matching the original bench binary; the campaign-level TaskPool is not
-  // involved, so nesting is safe.
-  ThreadPool pool(2);
+  // The kernels fork-join on a private two-thread TaskPool, matching the
+  // original bench binary. It is not the campaign's pool, so the chunk
+  // count, and with it every per-chunk partial, stays two at any --jobs.
+  TaskPool pool(2);
   TextTable table({"tag", "full name", "properties", "MFLOP/iter", "MB/iter",
                    "pattern", "verified"});
   std::size_t verified = 0;

@@ -7,7 +7,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
+#include "counter_fields.hpp"
 #include "tibsim/arch/table1.hpp"
 #include "tibsim/common/assert.hpp"
 #include "tibsim/common/json.hpp"
@@ -82,23 +84,14 @@ std::uint64_t computeExecutableFingerprint() {
   return h.digest();
 }
 
-// --- entry (de)serialisation -------------------------------------------------
+// --- entry deserialisation ---------------------------------------------------
 //
-// Doubles are emitted through json::Value (shortest-round-trip) and parse
-// back to the exact bit pattern, so counters reconstructed from an entry
-// regenerate byte-identical CSV artefacts. Integer counters are stored as
-// JSON numbers; every counter in the artefacts is far below 2^53.
-
-json::Value engineToJson(const sim::EngineStats& e) {
-  json::Value v = json::Value::object();
-  v["eventsDispatched"] = static_cast<double>(e.eventsDispatched);
-  v["contextSwitches"] = static_cast<double>(e.contextSwitches);
-  v["processesSpawned"] = static_cast<double>(e.processesSpawned);
-  v["peakLiveProcesses"] = static_cast<double>(e.peakLiveProcesses);
-  v["queueHighWater"] = static_cast<double>(e.queueHighWater);
-  v["simSeconds"] = e.simSeconds;
-  return v;
-}
+// An entry stores only the cold run's result document. A hit reads the
+// engine and world counters back from the document's own objects through
+// the field lists the writers use (counter_fields.hpp). json::Value prints
+// shortest-round-trip numbers, so every double parses back to its exact
+// bit pattern, and every integer counter in the artefacts is far below
+// 2^53. Any defect throws, and load() turns that into a miss.
 
 double member(const json::Value& v, const char* key) {
   const json::Value* m = v.find(key);
@@ -107,150 +100,55 @@ double member(const json::Value& v, const char* key) {
   return m->asDouble();
 }
 
-sim::EngineStats engineFromJson(const json::Value& v) {
-  sim::EngineStats e;
-  e.eventsDispatched = static_cast<std::uint64_t>(member(v, "eventsDispatched"));
-  e.contextSwitches = static_cast<std::uint64_t>(member(v, "contextSwitches"));
-  e.processesSpawned = static_cast<std::uint64_t>(member(v, "processesSpawned"));
-  e.peakLiveProcesses =
-      static_cast<std::size_t>(member(v, "peakLiveProcesses"));
-  e.queueHighWater = static_cast<std::size_t>(member(v, "queueHighWater"));
-  e.simSeconds = member(v, "simSeconds");
-  return e;
+template <typename Record, typename Fields>
+void readFields(const json::Value& object, Record& record, Fields fields) {
+  fields(record, [&object](const char* name, auto& field) {
+    field = static_cast<std::remove_reference_t<decltype(field)>>(
+        member(object, name));
+  });
 }
 
-json::Value linkKindToJson(const obs::LinkKindCounters& kind) {
-  json::Value v = json::Value::object();
-  v["busySeconds"] = kind.busySeconds;
-  v["bytes"] = kind.bytes;
-  v["transfers"] = static_cast<double>(kind.transfers);
-  v["queueSeconds"] = kind.queueSeconds;
-  v["maxLinkBusySeconds"] = kind.maxLinkBusySeconds;
-  json::Value delay = json::Value::array();
-  for (int b = 0; b < obs::DurationHistogram::kBuckets; ++b) {
-    const std::uint64_t count =
-        kind.queueDelay.counts[static_cast<std::size_t>(b)];
-    if (count == 0) continue;
-    json::Value bucket = json::Value::array();
-    bucket.push(static_cast<double>(b));
-    bucket.push(static_cast<double>(count));
-    delay.push(std::move(bucket));
-  }
-  v["queueDelay"] = std::move(delay);
-  return v;
-}
-
-obs::LinkKindCounters linkKindFromJson(const json::Value& v) {
-  obs::LinkKindCounters kind;
-  kind.busySeconds = member(v, "busySeconds");
-  kind.bytes = member(v, "bytes");
-  kind.transfers = static_cast<std::uint64_t>(member(v, "transfers"));
-  kind.queueSeconds = member(v, "queueSeconds");
-  kind.maxLinkBusySeconds = member(v, "maxLinkBusySeconds");
-  const json::Value* delay = v.find("queueDelay");
-  TIB_REQUIRE_MSG(delay != nullptr && delay->isArray(),
-                  "cache entry missing queueDelay");
+void readLinkKind(const json::Value& object, obs::LinkKindCounters& kind) {
+  readFields(object, kind, fields::linkKind);
+  const json::Value* delay = object.find(fields::queueDelay);
+  TIB_REQUIRE_MSG(delay != nullptr, "cache entry missing queueDelay");
   for (const json::Value& bucket : delay->items()) {
-    TIB_REQUIRE_MSG(bucket.isArray() && bucket.size() == 2,
-                    "malformed queueDelay bucket");
-    const int b = static_cast<int>(bucket.at(0).asDouble());
-    TIB_REQUIRE_MSG(b >= 0 && b < obs::DurationHistogram::kBuckets,
-                    "queueDelay bucket out of range");
+    TIB_REQUIRE_MSG(bucket.size() == 2, "malformed queueDelay bucket");
+    const double lowerSeconds = bucket.at(0).asDouble();
+    int b = 0;
+    while (b < obs::DurationHistogram::kBuckets &&
+           obs::DurationHistogram::bucketLowerSeconds(b) != lowerSeconds)
+      ++b;
+    TIB_REQUIRE_MSG(b < obs::DurationHistogram::kBuckets,
+                    "queueDelay edge matches no bucket");
     kind.queueDelay.counts[static_cast<std::size_t>(b)] =
         static_cast<std::uint64_t>(bucket.at(1).asDouble());
   }
-  return kind;
 }
 
-json::Value countersToJson(const obs::RunCounters& c) {
-  json::Value v = json::Value::object();
-  v["worlds"] = static_cast<double>(c.worlds);
-  v["messages"] = static_cast<double>(c.messages);
-  v["collectiveChecks"] = static_cast<double>(c.collectiveChecks);
-  v["payloadBytes"] = c.payloadBytes;
-  v["wireBytes"] = c.wireBytes;
-  v["spansRecorded"] = static_cast<double>(c.spansRecorded);
-  v["spansRetained"] = static_cast<double>(c.spansRetained);
-  v["traceMemoryPeakBytes"] = static_cast<double>(c.traceMemoryPeakBytes);
-  v["payloadInlineMessages"] = static_cast<double>(c.payloadInlineMessages);
-  v["payloadPooledMessages"] = static_cast<double>(c.payloadPooledMessages);
-  v["payloadPoolReuses"] = static_cast<double>(c.payloadPoolReuses);
-  v["payloadPoolAllocations"] =
-      static_cast<double>(c.payloadPoolAllocations);
-  v["payloadPoolReturns"] = static_cast<double>(c.payloadPoolReturns);
-  v["payloadPoolTrimmedBuffers"] =
-      static_cast<double>(c.payloadPoolTrimmedBuffers);
-  v["payloadPoolLiveHighWater"] =
-      static_cast<double>(c.payloadPoolLiveHighWater);
-  json::Value links = json::Value::object();
-  links["uplink"] = linkKindToJson(c.links.uplink);
-  links["core"] = linkKindToJson(c.links.core);
-  links["downlink"] = linkKindToJson(c.links.downlink);
-  v["links"] = std::move(links);
-  json::Value path = json::Value::object();
-  path["computeSeconds"] = c.criticalPath.computeSeconds;
-  path["sendSeconds"] = c.criticalPath.sendSeconds;
-  path["recvSeconds"] = c.criticalPath.recvSeconds;
-  path["linkSeconds"] = c.criticalPath.linkSeconds;
-  path["waitSeconds"] = c.criticalPath.waitSeconds;
-  path["edges"] = static_cast<double>(c.criticalPath.edges);
-  path["endRank"] = c.criticalPath.endRank;
-  v["criticalPath"] = std::move(path);
-  return v;
-}
-
-obs::RunCounters countersFromJson(const json::Value& v) {
-  obs::RunCounters c;
-  c.worlds = static_cast<std::uint64_t>(member(v, "worlds"));
-  c.messages = static_cast<std::uint64_t>(member(v, "messages"));
-  // Optional: entries written before the collective verifier existed lack
-  // it (they can never hit the new key, but fail softly regardless).
-  const json::Value* checks = v.find("collectiveChecks");
-  c.collectiveChecks = checks != nullptr && checks->isNumber()
-                           ? static_cast<std::uint64_t>(checks->asDouble())
-                           : 0;
-  c.payloadBytes = member(v, "payloadBytes");
-  c.wireBytes = member(v, "wireBytes");
-  c.spansRecorded = static_cast<std::uint64_t>(member(v, "spansRecorded"));
-  c.spansRetained = static_cast<std::uint64_t>(member(v, "spansRetained"));
-  c.traceMemoryPeakBytes =
-      static_cast<std::uint64_t>(member(v, "traceMemoryPeakBytes"));
-  c.payloadInlineMessages =
-      static_cast<std::uint64_t>(member(v, "payloadInlineMessages"));
-  c.payloadPooledMessages =
-      static_cast<std::uint64_t>(member(v, "payloadPooledMessages"));
-  c.payloadPoolReuses =
-      static_cast<std::uint64_t>(member(v, "payloadPoolReuses"));
-  c.payloadPoolAllocations =
-      static_cast<std::uint64_t>(member(v, "payloadPoolAllocations"));
-  c.payloadPoolReturns =
-      static_cast<std::uint64_t>(member(v, "payloadPoolReturns"));
-  c.payloadPoolTrimmedBuffers =
-      static_cast<std::uint64_t>(member(v, "payloadPoolTrimmedBuffers"));
-  c.payloadPoolLiveHighWater =
-      static_cast<std::uint64_t>(member(v, "payloadPoolLiveHighWater"));
-  const json::Value* links = v.find("links");
-  TIB_REQUIRE_MSG(links != nullptr && links->isObject(),
-                  "cache entry missing links");
-  const auto kind = [&](const char* key) {
-    const json::Value* k = links->find(key);
-    TIB_REQUIRE_MSG(k != nullptr, std::string("missing link kind ") + key);
-    return linkKindFromJson(*k);
-  };
-  c.links.uplink = kind("uplink");
-  c.links.core = kind("core");
-  c.links.downlink = kind("downlink");
-  const json::Value* path = v.find("criticalPath");
-  TIB_REQUIRE_MSG(path != nullptr && path->isObject(),
-                  "cache entry missing criticalPath");
-  c.criticalPath.computeSeconds = member(*path, "computeSeconds");
-  c.criticalPath.sendSeconds = member(*path, "sendSeconds");
-  c.criticalPath.recvSeconds = member(*path, "recvSeconds");
-  c.criticalPath.linkSeconds = member(*path, "linkSeconds");
-  c.criticalPath.waitSeconds = member(*path, "waitSeconds");
-  c.criticalPath.edges = static_cast<std::uint64_t>(member(*path, "edges"));
-  c.criticalPath.endRank = static_cast<int>(member(*path, "endRank"));
-  return c;
+// The engine and counters a result document reports. A record the
+// document omits had nothing to report and reads as its defaults.
+void readCounters(const json::Value& doc, CachedRun& run) {
+  if (const json::Value* engine = doc.find("engine"))
+    readFields(*engine, run.engine, fields::engine);
+  obs::RunCounters& counters = run.counters;
+  if (const json::Value* worlds = doc.find("worlds")) {
+    readFields(*worlds, counters, fields::worlds);
+    if (worlds->find(fields::collectiveChecks) != nullptr)
+      counters.collectiveChecks = static_cast<std::uint64_t>(
+          member(*worlds, fields::collectiveChecks));
+  }
+  if (const json::Value* links = doc.find("links")) {
+    fields::linkKinds(counters.links, [links](const char* name,
+                                              obs::LinkKindCounters& kind) {
+      const json::Value* object = links->find(name);
+      TIB_REQUIRE_MSG(object != nullptr,
+                      std::string("cache entry missing link kind ") + name);
+      readLinkKind(*object, kind);
+    });
+  }
+  if (const json::Value* path = doc.find("criticalPath"))
+    readFields(*path, counters.criticalPath, fields::criticalPath);
 }
 
 void writeFileAtomic(const fs::path& finalPath, const std::string& text) {
@@ -360,18 +258,14 @@ std::optional<CachedRun> ResultCache::load(const std::string& experiment,
       return std::nullopt;
     CachedRun run;
     run.cells = static_cast<std::size_t>(member(doc, "cells"));
-    const json::Value* engine = doc.find("engine");
-    const json::Value* counters = doc.find("counters");
     const json::Value* resultJson = doc.find("resultJson");
-    if (engine == nullptr || counters == nullptr || resultJson == nullptr)
-      return std::nullopt;
-    run.engine = engineFromJson(*engine);
-    run.counters = countersFromJson(*counters);
+    if (resultJson == nullptr) return std::nullopt;
     run.resultJson = resultJson->asString();
     const json::Value resultDoc = json::Value::parse(run.resultJson);
     const json::Value* results = resultDoc.find("results");
     if (results == nullptr) return std::nullopt;
     run.results = ResultSet::fromJson(*results);
+    readCounters(resultDoc, run);
     return run;
   } catch (const std::exception&) {
     return std::nullopt;
@@ -386,8 +280,6 @@ void ResultCache::store(const std::string& experiment, const std::string& key,
   doc["experiment"] = experiment;
   doc["key"] = key;
   doc["cells"] = static_cast<double>(run.cells);
-  doc["engine"] = engineToJson(run.engine);
-  doc["counters"] = countersToJson(run.counters);
   doc["resultJson"] = run.resultJson;
   writeFileAtomic(fs::path(dir_) / entryFileName(experiment, key),
                   doc.dump(2) + "\n");

@@ -52,7 +52,7 @@ void Stencil3D::runSerial() {
   sweepPlanes(0, n_);
 }
 
-void Stencil3D::runParallel(ThreadPool& pool) {
+void Stencil3D::runParallel(TaskPool& pool) {
   TIB_REQUIRE(n_ > 0);
   pool.parallelFor(n_, [this](std::size_t b, std::size_t e, std::size_t) {
     sweepPlanes(b, e);
@@ -108,7 +108,7 @@ void Fft1D::bitReverse() {
   }
 }
 
-void Fft1D::stages(ThreadPool* pool) {
+void Fft1D::stages(TaskPool* pool) {
   const std::size_t n = n_;
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const double angle = -2.0 * std::numbers::pi / static_cast<double>(len);
@@ -143,7 +143,7 @@ void Fft1D::runSerial() {
   stages(nullptr);
 }
 
-void Fft1D::runParallel(ThreadPool& pool) {
+void Fft1D::runParallel(TaskPool& pool) {
   TIB_REQUIRE(n_ > 0);
   data_ = original_;
   bitReverse();
@@ -235,7 +235,7 @@ void MergeSort::runSerial() {
   sortRange(data_, scratch_, 0, data_.size());
 }
 
-void MergeSort::runParallel(ThreadPool& pool) {
+void MergeSort::runParallel(TaskPool& pool) {
   TIB_REQUIRE(!data_.empty());
   data_ = original_;
   const std::size_t n = data_.size();

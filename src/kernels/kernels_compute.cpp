@@ -50,7 +50,7 @@ void Dmmm::runSerial() {
   multiplyRows(0, n_);
 }
 
-void Dmmm::runParallel(ThreadPool& pool) {
+void Dmmm::runParallel(TaskPool& pool) {
   TIB_REQUIRE(n_ > 0);
   pool.parallelFor(n_, [this](std::size_t b, std::size_t e, std::size_t) {
     multiplyRows(b, e);
@@ -126,7 +126,7 @@ void Conv2D::runSerial() {
   convolveRows(0, n_);
 }
 
-void Conv2D::runParallel(ThreadPool& pool) {
+void Conv2D::runParallel(TaskPool& pool) {
   TIB_REQUIRE(n_ > 0);
   pool.parallelFor(n_, [this](std::size_t b, std::size_t e, std::size_t) {
     convolveRows(b, e);
@@ -201,7 +201,7 @@ void NBody::runSerial() {
   accelerate(0, px_.size());
 }
 
-void NBody::runParallel(ThreadPool& pool) {
+void NBody::runParallel(TaskPool& pool) {
   TIB_REQUIRE(!px_.empty());
   pool.parallelFor(px_.size(), [this](std::size_t b, std::size_t e,
                                       std::size_t) { accelerate(b, e); });
@@ -262,7 +262,7 @@ void Amcd::runSerial() {
   estimate_ = chain(seed_, samples_);
 }
 
-void Amcd::runParallel(ThreadPool& pool) {
+void Amcd::runParallel(TaskPool& pool) {
   TIB_REQUIRE(samples_ > 0);
   const std::size_t threads = pool.threadCount();
   const std::size_t perChain = samples_ / threads;

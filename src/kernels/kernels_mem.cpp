@@ -34,7 +34,7 @@ void VecOp::runSerial() {
   for (std::size_t i = 0; i < x_.size(); ++i) z_[i] = alpha_ * x_[i] + y_[i];
 }
 
-void VecOp::runParallel(ThreadPool& pool) {
+void VecOp::runParallel(TaskPool& pool) {
   TIB_REQUIRE(!x_.empty());
   pool.parallelFor(x_.size(), [this](std::size_t b, std::size_t e,
                                      std::size_t) {
@@ -77,7 +77,7 @@ void Reduction::runSerial() {
   sum_ = acc;
 }
 
-void Reduction::runParallel(ThreadPool& pool) {
+void Reduction::runParallel(TaskPool& pool) {
   TIB_REQUIRE(!data_.empty());
   std::vector<double> partial(pool.threadCount(), 0.0);
   pool.parallelFor(data_.size(), [this, &partial](std::size_t b, std::size_t e,
@@ -127,7 +127,7 @@ void Histogram::runSerial() {
   for (std::uint32_t k : keys_) ++bins_[k];
 }
 
-void Histogram::runParallel(ThreadPool& pool) {
+void Histogram::runParallel(TaskPool& pool) {
   TIB_REQUIRE(!keys_.empty());
   const std::size_t threads = pool.threadCount();
   std::vector<std::vector<std::uint64_t>> local(
@@ -200,7 +200,7 @@ void Spvm::runSerial() {
   multiplyRows(0, rows_);
 }
 
-void Spvm::runParallel(ThreadPool& pool) {
+void Spvm::runParallel(TaskPool& pool) {
   TIB_REQUIRE(rows_ > 0);
   pool.parallelFor(rows_, [this](std::size_t b, std::size_t e, std::size_t) {
     multiplyRows(b, e);

@@ -66,7 +66,7 @@ void StreamBenchmark::runSerial(StreamOp op) {
   }
 }
 
-void StreamBenchmark::runParallel(StreamOp op, ThreadPool& pool) {
+void StreamBenchmark::runParallel(StreamOp op, TaskPool& pool) {
   TIB_REQUIRE(!a_.empty());
   pool.parallelFor(a_.size(), [this, op](std::size_t lo, std::size_t hi,
                                          std::size_t) {

@@ -229,8 +229,10 @@ TEST(Chart, BarsRenderValues) {
   EXPECT_NE(bars.find('#'), std::string::npos);
 }
 
+// The ThreadPool cases keep their suite name: they drive TaskPool's chunked
+// (OpenMP-style) parallelFor, which the native kernels run on.
 TEST(ThreadPool, CoversFullRangeExactlyOnce) {
-  ThreadPool pool(4);
+  TaskPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
   pool.parallelFor(1000, [&](std::size_t b, std::size_t e, std::size_t) {
     for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
@@ -239,7 +241,7 @@ TEST(ThreadPool, CoversFullRangeExactlyOnce) {
 }
 
 TEST(ThreadPool, WorksWithSingleThread) {
-  ThreadPool pool(1);
+  TaskPool pool(1);
   EXPECT_EQ(pool.threadCount(), 1u);
   int sum = 0;
   pool.parallelFor(10, [&](std::size_t b, std::size_t e, std::size_t) {
@@ -249,7 +251,7 @@ TEST(ThreadPool, WorksWithSingleThread) {
 }
 
 TEST(ThreadPool, HandlesMoreThreadsThanWork) {
-  ThreadPool pool(8);
+  TaskPool pool(8);
   std::vector<std::atomic<int>> hits(3);
   pool.parallelFor(3, [&](std::size_t b, std::size_t e, std::size_t) {
     for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
@@ -258,7 +260,7 @@ TEST(ThreadPool, HandlesMoreThreadsThanWork) {
 }
 
 TEST(ThreadPool, ZeroIterationsIsNoop) {
-  ThreadPool pool(4);
+  TaskPool pool(4);
   bool touched = false;
   pool.parallelFor(0, [&](std::size_t, std::size_t, std::size_t) {
     touched = true;
@@ -267,7 +269,7 @@ TEST(ThreadPool, ZeroIterationsIsNoop) {
 }
 
 TEST(ThreadPool, ReusableAcrossManyInvocations) {
-  ThreadPool pool(3);
+  TaskPool pool(3);
   for (int round = 0; round < 50; ++round) {
     std::atomic<int> count{0};
     pool.parallelFor(100, [&](std::size_t b, std::size_t e, std::size_t) {

@@ -84,7 +84,7 @@ TEST_P(KernelCorrectness, RunsAndVerifies) {
   const auto kernel = makeKernel(tag);
   kernel->setup(sizeFor(tag, scale), /*seed=*/42 + scale);
   if (parallel) {
-    ThreadPool pool(3);
+    TaskPool pool(3);
     kernel->runParallel(pool);
   } else {
     kernel->runSerial();
@@ -108,7 +108,7 @@ TEST(KernelRepeatability, SerialAndParallelAgree) {
   // For deterministic kernels the two variants must produce identical
   // verifiable state (checked through verify(), already covered) and for
   // reduction-style kernels results must agree within FP reassociation.
-  ThreadPool pool(4);
+  TaskPool pool(4);
   auto serial = makeKernel("red");
   auto parallel = makeKernel("red");
   serial->setup(50000, 7);
@@ -120,7 +120,7 @@ TEST(KernelRepeatability, SerialAndParallelAgree) {
 }
 
 TEST(KernelRepeatability, ReRunningKeepsVerifying) {
-  ThreadPool pool(2);
+  TaskPool pool(2);
   auto kernel = makeKernel("msort");
   kernel->setup(5000, 3);
   for (int i = 0; i < 3; ++i) {
@@ -176,7 +176,7 @@ TEST(Histogram, CountsPreserved) {
   hist.setup(20000, 9);
   hist.runSerial();
   ASSERT_TRUE(hist.verify());
-  ThreadPool pool(4);
+  TaskPool pool(4);
   hist.runParallel(pool);
   EXPECT_TRUE(hist.verify());
 }

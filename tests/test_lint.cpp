@@ -7,11 +7,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "lint.hpp"
+#include "tibsim/common/thread_pool.hpp"
 
 namespace tibsim::lint {
 namespace {
@@ -324,6 +326,19 @@ TEST(LintTree, FindingsAreIdenticalAcrossJobCounts) {
     EXPECT_EQ(a[i].rule, b[i].rule);
     EXPECT_EQ(a[i].message, b[i].message);
   }
+}
+
+TEST(LintCli, JobsIsOneWholeNumberUpToTheCeiling) {
+  EXPECT_EQ(parseJobs("0"), std::optional<std::size_t>(0));
+  EXPECT_EQ(parseJobs("4"), std::optional<std::size_t>(4));
+  EXPECT_EQ(parseJobs(std::to_string(TaskPool::kMaxThreads)),
+            std::optional<std::size_t>(TaskPool::kMaxThreads));
+  // std::stoul read "2abc" as 2 and "-1" as SIZE_MAX.
+  EXPECT_FALSE(parseJobs("-1").has_value());
+  EXPECT_FALSE(parseJobs("2abc").has_value());
+  EXPECT_FALSE(parseJobs("").has_value());
+  EXPECT_FALSE(
+      parseJobs(std::to_string(TaskPool::kMaxThreads + 1)).has_value());
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "tibsim/common/assert.hpp"
 #include "tibsim/common/json.hpp"
@@ -130,12 +132,24 @@ core::CachedRun sampleRun() {
   run.counters.criticalPath.waitSeconds = 0.4;
   run.counters.criticalPath.edges = 6;
   run.counters.criticalPath.endRank = 2;
+  run.counters.collectiveChecks = 8;
   ResultSet results;
   results.addMetric("answer", 42.25, "x");
   run.results = results;
-  json::Value doc = json::Value::object();
-  doc["schema"] = "socbench-result-v1";
-  doc["results"] = ResultSet::toJson(results);
+  // An entry stores only the document: load() reads the engine and the
+  // counters back from it.
+  const core::LambdaExperiment experiment(
+      "tab01", "r", "t", [](core::ExperimentContext&) { return ResultSet(); });
+  run.resultJson = core::resultDocument(experiment, 42, results, &run.engine,
+                                        &run.counters);
+  return run;
+}
+
+// sampleRun() with its result document changed by `edit`.
+core::CachedRun editedRun(const std::function<void(json::Value&)>& edit) {
+  core::CachedRun run = sampleRun();
+  json::Value doc = json::Value::parse(run.resultJson);
+  edit(doc);
   run.resultJson = doc.dump(2) + "\n";
   return run;
 }
@@ -188,10 +202,22 @@ TEST(ResultCache, StoreLoadRoundTripsEveryField) {
   EXPECT_EQ(loaded->counters.links.core.transfers, 5u);
   EXPECT_EQ(loaded->counters.criticalPath.waitSeconds, 0.4);
   EXPECT_EQ(loaded->counters.criticalPath.endRank, 2);
+  EXPECT_EQ(loaded->counters.collectiveChecks, 8u);
   EXPECT_EQ(loaded->resultJson, stored.resultJson);
   ASSERT_EQ(loaded->results.metrics().size(), 1u);
   EXPECT_EQ(loaded->results.metrics()[0].name, "answer");
   EXPECT_EQ(loaded->results.metrics()[0].value, 42.25);
+  // The entry holds the counters once, inside the stored document.
+  std::ifstream in(dir / core::ResultCache::entryFileName("tab01",
+                                                         "00000000000000ab"));
+  std::stringstream entry;
+  entry << in.rdbuf();
+  const json::Value parsed = json::Value::parse(entry.str());
+  std::vector<std::string> members;
+  for (const json::Value::Member& member : parsed.members())
+    members.push_back(member.first);
+  EXPECT_EQ(members, (std::vector<std::string>{"schema", "experiment", "key",
+                                               "cells", "resultJson"}));
   fs::remove_all(dir);
 }
 
@@ -212,6 +238,23 @@ TEST(ResultCache, CorruptedEntryIsAMissAndGetsRewritten) {
   // Truncate to half: a torn write must read as a miss, never as data.
   const auto size = fs::file_size(entry);
   fs::resize_file(entry, size / 2);
+  EXPECT_FALSE(cache.load("tab01", "00000000000000ab").has_value());
+  // Well-formed JSON whose document holds a counter that is not a number.
+  cache.store("tab01", "00000000000000ab",
+              editedRun([](json::Value& doc) {
+                doc["worlds"]["messages"] = "456";
+              }));
+  EXPECT_FALSE(cache.load("tab01", "00000000000000ab").has_value());
+  // A queue-delay edge that is no bucket's lower edge.
+  cache.store("tab01", "00000000000000ab",
+              editedRun([](json::Value& doc) {
+                json::Value bucket = json::Value::array();
+                bucket.push(3e-9);  // between the 2 ns and 4 ns edges
+                bucket.push(11.0);
+                json::Value delay = json::Value::array();
+                delay.push(std::move(bucket));
+                doc["links"]["uplink"]["queueDelay"] = std::move(delay);
+              }));
   EXPECT_FALSE(cache.load("tab01", "00000000000000ab").has_value());
   // The caller's recompute path overwrites the bad bytes.
   cache.store("tab01", "00000000000000ab", sampleRun());
@@ -292,41 +335,127 @@ std::map<std::string, std::string> readDir(const fs::path& dir) {
   return files;
 }
 
+// tab01 and tab04 run no world; hydro_async and imb_suite cover pooled
+// payloads, a traced world, all three link classes and critical paths.
 core::CampaignResult cachedCampaign(const fs::path& cacheDir,
                                     const fs::path& jsonDir,
                                     const fs::path& csvDir,
-                                    std::uint64_t seed = 42) {
+                                    std::uint64_t seed = 42,
+                                    bool verifyCollectives = false) {
   core::CampaignOptions options;
-  options.patterns = {"tab01", "tab04"};
+  options.patterns = {"tab01", "tab04", "hydro_async", "imb_suite"};
   options.summary = false;
   options.cacheDir = cacheDir.string();
   options.jsonDir = jsonDir.string();
   options.csvDir = csvDir.string();
   options.seed = seed;
+  options.verifyCollectives = verifyCollectives;
   std::ostringstream sink;
   return core::runCampaign(options, sink);
+}
+
+void expectSameLinkKind(const obs::LinkKindCounters& warm,
+                        const obs::LinkKindCounters& cold) {
+  EXPECT_EQ(warm.busySeconds, cold.busySeconds);
+  EXPECT_EQ(warm.bytes, cold.bytes);
+  EXPECT_EQ(warm.transfers, cold.transfers);
+  EXPECT_EQ(warm.queueSeconds, cold.queueSeconds);
+  EXPECT_EQ(warm.maxLinkBusySeconds, cold.maxLinkBusySeconds);
+  EXPECT_EQ(warm.queueDelay.counts, cold.queueDelay.counts);
+}
+
+// Every warm run is a hit whose document, deterministic engine fields and
+// RunCounters, all read back from the cache, equal the cold run's.
+void expectWarmReplaysCold(const core::CampaignResult& cold,
+                           const core::CampaignResult& warm) {
+  EXPECT_EQ(cold.cacheHits, 0u);
+  EXPECT_EQ(cold.cacheMisses, 4u);
+  EXPECT_EQ(warm.cacheHits, 4u);  // 100% of cells replay
+  EXPECT_EQ(warm.cacheMisses, 0u);
+  ASSERT_EQ(cold.runs.size(), warm.runs.size());
+  for (std::size_t i = 0; i < cold.runs.size(); ++i) {
+    const core::ExperimentRun& c = cold.runs[i];
+    const core::ExperimentRun& w = warm.runs[i];
+    SCOPED_TRACE(c.name);
+    EXPECT_FALSE(c.fromCache);
+    EXPECT_TRUE(w.fromCache);
+    EXPECT_EQ(c.json, w.json);
+    EXPECT_EQ(c.cells, w.cells);
+    EXPECT_EQ(w.engine.eventsDispatched, c.engine.eventsDispatched);
+    EXPECT_EQ(w.engine.contextSwitches, c.engine.contextSwitches);
+    EXPECT_EQ(w.engine.processesSpawned, c.engine.processesSpawned);
+    EXPECT_EQ(w.engine.peakLiveProcesses, c.engine.peakLiveProcesses);
+    EXPECT_EQ(w.engine.queueHighWater, c.engine.queueHighWater);
+    EXPECT_EQ(w.engine.simSeconds, c.engine.simSeconds);
+    EXPECT_EQ(w.counters.worlds, c.counters.worlds);
+    EXPECT_EQ(w.counters.messages, c.counters.messages);
+    EXPECT_EQ(w.counters.collectiveChecks, c.counters.collectiveChecks);
+    EXPECT_EQ(w.counters.payloadBytes, c.counters.payloadBytes);
+    EXPECT_EQ(w.counters.wireBytes, c.counters.wireBytes);
+    EXPECT_EQ(w.counters.spansRecorded, c.counters.spansRecorded);
+    EXPECT_EQ(w.counters.spansRetained, c.counters.spansRetained);
+    EXPECT_EQ(w.counters.traceMemoryPeakBytes,
+              c.counters.traceMemoryPeakBytes);
+    EXPECT_EQ(w.counters.payloadInlineMessages,
+              c.counters.payloadInlineMessages);
+    EXPECT_EQ(w.counters.payloadPooledMessages,
+              c.counters.payloadPooledMessages);
+    EXPECT_EQ(w.counters.payloadPoolReuses, c.counters.payloadPoolReuses);
+    EXPECT_EQ(w.counters.payloadPoolAllocations,
+              c.counters.payloadPoolAllocations);
+    EXPECT_EQ(w.counters.payloadPoolReturns, c.counters.payloadPoolReturns);
+    EXPECT_EQ(w.counters.payloadPoolTrimmedBuffers,
+              c.counters.payloadPoolTrimmedBuffers);
+    EXPECT_EQ(w.counters.payloadPoolLiveHighWater,
+              c.counters.payloadPoolLiveHighWater);
+    expectSameLinkKind(w.counters.links.uplink, c.counters.links.uplink);
+    expectSameLinkKind(w.counters.links.core, c.counters.links.core);
+    expectSameLinkKind(w.counters.links.downlink, c.counters.links.downlink);
+    const obs::CriticalPath& wp = w.counters.criticalPath;
+    const obs::CriticalPath& cp = c.counters.criticalPath;
+    EXPECT_EQ(wp.computeSeconds, cp.computeSeconds);
+    EXPECT_EQ(wp.sendSeconds, cp.sendSeconds);
+    EXPECT_EQ(wp.recvSeconds, cp.recvSeconds);
+    EXPECT_EQ(wp.linkSeconds, cp.linkSeconds);
+    EXPECT_EQ(wp.waitSeconds, cp.waitSeconds);
+    EXPECT_EQ(wp.edges, cp.edges);
+    EXPECT_EQ(wp.endRank, cp.endRank);
+  }
 }
 
 TEST(CampaignCache, WarmRerunReplaysEveryCellByteIdentically) {
   const fs::path base = freshDir("tibsim_cache_campaign");
   const auto cold =
       cachedCampaign(base / "cache", base / "j1", base / "c1");
-  EXPECT_EQ(cold.cacheHits, 0u);
-  EXPECT_EQ(cold.cacheMisses, 2u);
   const auto warm =
       cachedCampaign(base / "cache", base / "j2", base / "c2");
-  EXPECT_EQ(warm.cacheHits, 2u);  // 100% of cells replay
-  EXPECT_EQ(warm.cacheMisses, 0u);
-  ASSERT_EQ(cold.runs.size(), warm.runs.size());
-  for (std::size_t i = 0; i < cold.runs.size(); ++i) {
-    EXPECT_FALSE(cold.runs[i].fromCache);
-    EXPECT_TRUE(warm.runs[i].fromCache);
-    EXPECT_EQ(cold.runs[i].json, warm.runs[i].json);
-    EXPECT_EQ(cold.runs[i].cells, warm.runs[i].cells);
-  }
+  expectWarmReplaysCold(cold, warm);
+  // The replayed counters are not all defaults: the worlds traced spans,
+  // pooled payloads, queued on links and formed critical paths.
+  obs::RunCounters total;
+  for (const core::ExperimentRun& run : cold.runs)
+    total.accumulate(run.counters);
+  EXPECT_GT(total.spansRecorded, 0u);
+  EXPECT_GT(total.payloadPoolReuses, 0u);
+  EXPECT_GT(total.links.core.transfers, 0u);
+  EXPECT_GT(total.links.downlink.queueDelay.total(), 0u);
+  EXPECT_GT(total.criticalPath.edges, 0u);
   EXPECT_EQ(readDir(base / "j1"), readDir(base / "j2"));
   EXPECT_EQ(readDir(base / "c1"), readDir(base / "c2"));
   EXPECT_TRUE(fs::exists(base / "cache" / "index.json"));
+  // A verified pair keys apart from the unverified one, and its
+  // collectiveChecks replay too.
+  const auto verifiedCold =
+      cachedCampaign(base / "cache", base / "j3", base / "c3", 42, true);
+  const auto verifiedWarm =
+      cachedCampaign(base / "cache", base / "j4", base / "c4", 42, true);
+  expectWarmReplaysCold(verifiedCold, verifiedWarm);
+  std::uint64_t checks = 0;
+  for (const core::ExperimentRun& run : verifiedWarm.runs)
+    checks += run.counters.collectiveChecks;
+  EXPECT_GT(checks, 0u);
+  EXPECT_EQ(readDir(base / "j3"), readDir(base / "j4"));
+  EXPECT_EQ(readDir(base / "c3"), readDir(base / "c4"));
   fs::remove_all(base);
 }
 
@@ -336,7 +465,7 @@ TEST(CampaignCache, SeedChangeInvalidatesEveryCell) {
   const auto reseeded =
       cachedCampaign(base / "cache", base / "j2", base / "c2", 43);
   EXPECT_EQ(reseeded.cacheHits, 0u);
-  EXPECT_EQ(reseeded.cacheMisses, 2u);
+  EXPECT_EQ(reseeded.cacheMisses, 4u);
   fs::remove_all(base);
 }
 

@@ -176,13 +176,22 @@ TEST_P(SimulationTest, StaleWakeupsAreDropped) {
 
 TEST_P(SimulationTest, NegativeDelayThrows) {
   Simulation sim;
-  sim.spawn("p", [&](Process& p) { p.delay(-1.0); });
+  auto& p = sim.spawn("p", [&](Process& self) { self.delay(-1.0); });
   run(sim);
-  // The exception is captured on the process and visible afterwards.
-  std::size_t withException = 0;
-  // run() drained; the process finished with a stored exception.
+  // run() drained; the process finished with delay()'s own contract error
+  // stored on it. Without that check, resuming in the past would raise a
+  // different one.
   EXPECT_EQ(sim.liveProcessCount(), 0u);
-  (void)withException;
+  ASSERT_NE(p.exception(), nullptr);
+  try {
+    std::rethrow_exception(p.exception());
+  } catch (const ContractError& error) {
+    EXPECT_NE(std::string(error.what()).find("cannot delay by negative time"),
+              std::string::npos)
+        << error.what();
+  } catch (...) {
+    ADD_FAILURE() << "expected a ContractError";
+  }
 }
 
 TEST_P(SimulationTest, ExceptionsAreCaptured) {

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "host_threads.hpp"
 #include "tibsim/common/assert.hpp"
@@ -283,6 +284,43 @@ TEST(TaskPool, PropagatesExceptions) {
                      if (i == 11) throw std::runtime_error("cell failed");
                    }),
                std::runtime_error);
+  // Fork-join chunks: the caller always claims chunk 0 first, and here it
+  // waits until chunk 1 has started, so chunk 1 throws on the worker.
+  std::atomic<bool> started{false};
+  EXPECT_THROW(
+      pool.parallelFor(2,
+                       [&](std::size_t, std::size_t, std::size_t chunk) {
+                         if (chunk == 0) {
+                           while (!started.load()) std::this_thread::yield();
+                           return;
+                         }
+                         started = true;
+                         throw std::runtime_error("worker chunk failed");
+                       }),
+      std::runtime_error);
+  // A throw from the caller's own chunk waits for the workers' chunks.
+  std::atomic<int> finished{0};
+  EXPECT_THROW(
+      pool.parallelFor(64,
+                       [&](std::size_t, std::size_t, std::size_t chunk) {
+                         if (chunk == 0)
+                           throw std::runtime_error("caller chunk failed");
+                         finished.fetch_add(1);
+                       }),
+      std::runtime_error);
+  EXPECT_EQ(finished.load(), 1);
+  // Neither failure leaves the pool unusable.
+  std::atomic<std::size_t> covered{0};
+  pool.parallelFor(100, [&](std::size_t b, std::size_t e, std::size_t) {
+    covered.fetch_add(e - b);
+  });
+  EXPECT_EQ(covered.load(), 100u);
+}
+
+TEST(TaskPool, RefusesMoreThreadsThanTheCeiling) {
+  // Exactly one over: a pool that started threads before checking would
+  // stay bounded. Nothing near the ceiling is ever constructed.
+  EXPECT_THROW(TaskPool pool(TaskPool::kMaxThreads + 1), ContractError);
 }
 
 TEST(TaskPool, ZeroAndSingleIteration) {
@@ -509,6 +547,12 @@ TEST(Cli, RejectsNonNumericIntegerFlags) {
   // No such flag (the sharded engine is gone): an unknown flag exits 2.
   EXPECT_EQ(cliExit({"run", "--sim-shards", "many"}), 2);
   EXPECT_EQ(cliExit({"run", "--jobs=banana"}), 2);  // --flag=value spelling
+}
+
+TEST(Cli, RejectsJobsAboveTheCeiling) {
+  // Exactly one over: refused at parse time, before any thread starts.
+  const std::string over = std::to_string(TaskPool::kMaxThreads + 1);
+  EXPECT_EQ(cliExit({"run", "tab01", "--jobs", over.c_str()}), 2);
 }
 
 TEST(Campaign, RejectsUnknownSimBackend) {

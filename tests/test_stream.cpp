@@ -22,7 +22,7 @@ TEST_P(StreamOps, RunsAndVerifies) {
   StreamBenchmark bench;
   bench.setup(10000);
   if (parallel) {
-    ThreadPool pool(3);
+    TaskPool pool(3);
     bench.runParallel(op, pool);
   } else {
     bench.runSerial(op);

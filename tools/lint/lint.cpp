@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -967,6 +968,15 @@ std::string readFile(const std::filesystem::path& path) {
 }
 
 }  // namespace
+
+std::optional<std::size_t> parseJobs(std::string_view text) {
+  std::size_t jobs = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, jobs);
+  if (ec != std::errc() || end != last || jobs > TaskPool::kMaxThreads)
+    return std::nullopt;
+  return jobs;
+}
 
 std::vector<RuleInfo> rules() {
   std::vector<RuleInfo> out;

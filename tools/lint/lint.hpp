@@ -21,7 +21,10 @@
 // Matching runs on comment- and string-stripped text, so rule patterns in
 // string literals (including this linter's own sources) never self-trigger.
 
+#include <cstddef>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tibsim::lint {
@@ -53,6 +56,11 @@ struct Options {
   /// every value.
   std::size_t jobs = 0;
 };
+
+/// The value of --jobs: one whole decimal token from 0 to
+/// TaskPool::kMaxThreads. Returns nothing for anything else ("-1", "2abc",
+/// an empty value, one above the ceiling).
+std::optional<std::size_t> parseJobs(std::string_view text);
 
 /// Every implemented rule, in canonical (report) order. At least eight.
 std::vector<RuleInfo> rules();

@@ -6,11 +6,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "lint.hpp"
+#include "tibsim/common/thread_pool.hpp"
 
 namespace {
 
@@ -32,8 +34,10 @@ void printUsage(std::ostream& out) {
          "anywhere in a file. --fix-suggestions prints a remediation hint "
          "under every finding.\n"
          "--jobs N lints files on N worker threads (0 = hardware "
-         "concurrency; findings are\n"
-         "identical for every value). --sarif OUT additionally writes a "
+         "concurrency, at most "
+      << tibsim::TaskPool::kMaxThreads
+      << "; findings\n"
+         "are identical for every value). --sarif OUT additionally writes a "
          "SARIF 2.1.0 document\n"
          "for code-scanning upload. --verbose reports wall-clock and "
          "thread count to stderr.\n";
@@ -81,13 +85,14 @@ int main(int argc, char** argv) try {
         std::cerr << "tibsim_lint: --jobs needs a value\n";
         return 2;
       }
-      try {
-        options.jobs = static_cast<std::size_t>(std::stoul(argv[i]));
-      } catch (const std::exception&) {
-        std::cerr << "tibsim_lint: --jobs needs a number, got '" << argv[i]
+      const std::optional<std::size_t> jobs = tibsim::lint::parseJobs(argv[i]);
+      if (!jobs) {
+        std::cerr << "tibsim_lint: --jobs needs a number from 0 to "
+                  << tibsim::TaskPool::kMaxThreads << ", got '" << argv[i]
                   << "'\n";
         return 2;
       }
+      options.jobs = *jobs;
     } else if (arg == "--sarif") {
       if (++i >= argc) {
         std::cerr << "tibsim_lint: --sarif needs a value\n";
