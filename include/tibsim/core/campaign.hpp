@@ -18,7 +18,7 @@ namespace tibsim::core {
 
 struct CampaignOptions {
   std::vector<std::string> patterns;  ///< globs over names; empty = all
-  int jobs = 1;                       ///< <1 means hardware concurrency
+  int jobs = 1;                       ///< 0 means hardware concurrency
   std::uint64_t seed = 42;
   std::string jsonDir;  ///< write <dir>/<name>.json when non-empty
   std::string csvDir;   ///< write <dir>/<name>__<artefact>.csv when non-empty

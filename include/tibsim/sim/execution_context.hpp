@@ -16,10 +16,7 @@
 // builds announce every switch through the sanitizers' fiber interfaces,
 // so both tools follow the ranks across stacks.
 
-#include <setjmp.h>
-
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 
@@ -34,22 +31,18 @@ inline constexpr std::size_t kMinFiberStackBytes = 16 * 1024;
 /// the common AArch64 cores).
 inline constexpr std::size_t kCacheLineBytes = 64;
 
-/// The bytes of a jump buffer that _setjmp writes and _longjmp reads: the
-/// register block and the signal-mask flag. The saved mask behind them is
-/// used only by sigsetjmp.
-inline constexpr std::size_t kJmpBufUsedBytes =
-    offsetof(__jmp_buf_tag, __saved_mask);
-
 /// The host's VM page size (sysconf(_SC_PAGESIZE); 4096 when unavailable).
 /// Fiber stacks and their guard pages are page-granular.
 std::size_t pageBytes();
 
 /// Worlds with at least this many ranks lease fiber stacks from the shared
 /// slab arena (2 kernel VMAs per multi-megabyte slab, sentinel page under
-/// each stack, stacks recycled across worlds) instead of mmap'ing a
-/// private guarded stack per fiber (2 VMAs each). A 65,536-rank world needs
-/// ~131k private mappings — past the kernel's default vm.max_map_count of
-/// 65530, so the per-fiber guard mprotect would fail mid-spawn.
+/// each stack) instead of a private guarded stack per fiber (2 VMAs each).
+/// A 65,536-rank world needs ~131k private mappings — past the kernel's
+/// default vm.max_map_count of 65530, so the per-fiber guard mprotect
+/// would fail mid-spawn. Stacks of both kinds are recycled across worlds;
+/// at most this many idle private stacks stay mapped (32,768 VMAs), so any
+/// one private world fits under the cap.
 inline constexpr int kPooledStacksMinRanks = 16384;
 
 /// One cooperative execution context (the "how" of a Process). Not
@@ -69,8 +62,8 @@ class ExecutionContext {
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
   /// Arm the context with its entry function. The entry does not run until
-  /// the first switchIn(), which builds its first frame on the stack. Must
-  /// be called exactly once, before switchIn().
+  /// the first switchIn(), which writes its first frame at the stack top.
+  /// Must be called exactly once, before switchIn().
   void start(Entry entry);
 
   /// Host -> context. Runs the context until it yields or its entry
@@ -80,21 +73,14 @@ class ExecutionContext {
   /// Context -> host. Callable only from inside the running entry.
   void yieldToHost();
 
-  /// Request the cache lines the next switchIn() touches first: the entry
-  /// flag it tests, the saved fiber registers it resumes from and the host
-  /// save area it writes (the kJmpBufUsedBytes of each jump buffer). A
-  /// hint only: it reads nothing, so it is safe on a context in any state.
-  /// Always inlined: GCC drops calls to a function that only prefetches.
+  /// Request the context line the next switchIn() touches: the one that
+  /// holds both saved stack pointers, the fiber's doubling as the entry
+  /// flag. The fiber's saved registers sit on its own stack, just below
+  /// the frame it blocked in. A hint only: it reads nothing, so it is safe
+  /// on a context in any state. Always inlined: GCC drops calls to a
+  /// function that only prefetches.
   [[gnu::always_inline]] void prefetchSwitchState() const {
-    __builtin_prefetch(&entered_);
-    const auto fiber = reinterpret_cast<std::uintptr_t>(&fiberJmp_);
-    for (std::uintptr_t line = fiber & ~(kCacheLineBytes - 1);
-         line < fiber + kJmpBufUsedBytes; line += kCacheLineBytes)
-      __builtin_prefetch(reinterpret_cast<const void*>(line));
-    const auto host = reinterpret_cast<std::uintptr_t>(&hostJmp_);
-    for (std::uintptr_t line = host & ~(kCacheLineBytes - 1);
-         line < host + kJmpBufUsedBytes; line += kCacheLineBytes)
-      __builtin_prefetch(reinterpret_cast<const void*>(line), 1);
+    __builtin_prefetch(&hostSp_, 1);
   }
 
   /// Size of the owned stack.
@@ -104,8 +90,9 @@ class ExecutionContext {
   /// from the lowest resident page (mincore) to the top of the stack. The
   /// kernel commits a stack page on its first touch, so untouched pages
   /// cost nothing and read as unused. A value equal to stackBytes() means
-  /// the whole stack was touched — treat the stack as undersized.
-  std::size_t stackHighWaterBytes() const;
+  /// the whole stack was touched — treat the stack as undersized. Once the
+  /// entry has returned, the scan also records which pages release drops.
+  std::size_t stackHighWaterBytes();
 
   /// The engine-wide fiber stack size, page-rounded:
   /// TIBSIM_FIBER_STACK_KB (a plain decimal KiB count >= 16) when set,
@@ -113,24 +100,32 @@ class ExecutionContext {
   static std::size_t defaultStackBytes();
 
  private:
-  /// The host/fiber ucontext_t pair of sanitizer builds (defined in the
-  /// .cpp), which switch through swapcontext every time.
+  /// The host/fiber ucontext_t pair of sanitizer builds and of ISAs without
+  /// the register-only switch (defined in the .cpp), which switch through
+  /// swapcontext every time.
   struct SwapContexts;
 
-  static void run(unsigned selfHi, unsigned selfLo);
+  static void run(ExecutionContext* self);
 
+  // The switch state, first in the object: operator new returns 16-byte
+  // aligned storage, so both pointers always share one cache line.
+  void* hostSp_ = nullptr;   ///< host stack pointer, saved by switchIn()
+  /// Fiber stack pointer, saved by yieldToHost(); nullptr until the first
+  /// switchIn() writes the entry frame.
+  void* fiberSp_ = nullptr;
   Entry entry_;
   char* stack_ = nullptr;       ///< lowest usable address (grows down)
   std::size_t stackBytes_ = 0;  ///< usable bytes, page-rounded
-  bool pooled_ = false;         ///< stack leased from the slab arena
+  /// Offset of the lowest resident stack page, found by the finish-time
+  /// stackHighWaterBytes() scan: release drops the pages from here up.
+  /// 0 (drop them all) until that scan.
+  std::size_t residentFrom_ = 0;
+  bool pooled_ = false;  ///< stack leased from the slab arena
   bool armed_ = false;
-  bool entered_ = false;
   bool done_ = false;
-  jmp_buf hostJmp_{};
-  jmp_buf fiberJmp_{};
-  // Sanitizer fiber bookkeeping (left untouched in plain builds): the
-  // host stack ASan switches back to, the TSan fiber handles and the
-  // swapcontext pair.
+  // Sanitizer fiber bookkeeping (left untouched by the register-only
+  // switch): the host stack ASan switches back to, the TSan fiber handles
+  // and the swapcontext pair.
   const void* hostStackBottom_ = nullptr;
   std::size_t hostStackSize_ = 0;
   void* tsanFiber_ = nullptr;
@@ -139,7 +134,10 @@ class ExecutionContext {
 };
 
 // One per rank: at 65,536 ranks every byte here is 64 KiB of host memory.
-static_assert(sizeof(ExecutionContext) <= 512,
-              "a context holds its jump buffers, not a ucontext_t pair");
+static_assert(sizeof(ExecutionContext) <= 128,
+              "a context holds two saved stack pointers; the registers they "
+              "resume sit on the stacks");
+static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= 2 * sizeof(void*),
+              "prefetchSwitchState() requests one line for both pointers");
 
 }  // namespace tibsim::sim

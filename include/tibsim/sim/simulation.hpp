@@ -249,9 +249,9 @@ class Simulation {
   /// dispatch observes changes.
   Event popAndPrefetch();
   /// Fiber-stack lines popAndPrefetch requests below and above resumeSp_.
-  /// The stack grows down: below lie the yieldToHost frames the resumed
-  /// fiber returns through first, above the body frames that
-  /// delay()/suspend() return into.
+  /// The stack grows down: below lie the registers the switch pops and the
+  /// yieldToHost frames the resumed fiber returns through first (72-136 B
+  /// on x86-64), above the body frames that delay()/suspend() return into.
   static constexpr int kStackLinesBelow = 4;
   static constexpr int kStackLinesAbove = 12;
 

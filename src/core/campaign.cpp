@@ -485,6 +485,9 @@ void printUsage(std::ostream& out) {
          "Globs match experiment names ('fig0?', 'ablation_*'); no glob "
          "selects every experiment.\n"
          "Flags accept both '--flag value' and '--flag=value'.\n"
+         "--jobs N runs experiments and their cells on N worker threads "
+         "(0 = hardware concurrency, at most "
+      << TaskPool::kMaxThreads << ").\n"
          "--cache DIR keys every experiment cell by a content hash "
          "(experiment + version tag, platform spec bytes, seed, resolved\n"
          "trace/verify options, binary fingerprint): hits "
@@ -564,7 +567,7 @@ int socbenchMain(int argc, const char* const* argv) {
     } else if (arg == "--jobs") {
       const std::string* v = flagValue("--jobs");
       if (v == nullptr) return 2;
-      if (!parseNumber(*v, options.jobs) ||
+      if (!parseNumber(*v, options.jobs) || options.jobs < 0 ||
           options.jobs > static_cast<int>(TaskPool::kMaxThreads)) {
         std::cerr << "socbench: --jobs expects an integer up to "
                   << TaskPool::kMaxThreads << ", got \"" << *v << "\"\n";

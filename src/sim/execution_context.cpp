@@ -17,10 +17,10 @@
 
 #include "tibsim/common/assert.hpp"
 
-// AddressSanitizer and ThreadSanitizer both intercept longjmp: ASan rejects
-// a jump onto a different stack and TSan loses track of which stack it is
-// on. Sanitizer builds therefore switch through swapcontext and announce
-// every switch through the sanitizer's fiber interface.
+// Sanitizer builds switch through swapcontext and announce every switch
+// through the sanitizer's fiber interface, so ASan and TSan follow each
+// rank onto its stack. So does any ISA the register-only switch below is
+// not written for.
 #if defined(__SANITIZE_THREAD__)
 #define TIBSIM_TSAN 1
 #elif defined(__has_feature)
@@ -41,6 +41,13 @@
 #endif
 #ifndef TIBSIM_ASAN
 #define TIBSIM_ASAN 0
+#endif
+
+#if TIBSIM_ASAN || TIBSIM_TSAN || !defined(__LP64__) || \
+    !(defined(__x86_64__) || defined(__aarch64__))
+#define TIBSIM_SWAPCONTEXT 1
+#else
+#define TIBSIM_SWAPCONTEXT 0
 #endif
 
 #if TIBSIM_ASAN
@@ -111,6 +118,7 @@ char* mapGuardedStackMemory(std::size_t bytes) {
   return static_cast<char*>(map);
 }
 
+#if TIBSIM_SWAPCONTEXT
 // Point `fiber` at a fresh frame on [stack, stack + bytes) that calls
 // main(self). makecontext passes ints only; smuggle `self` as two 32-bit
 // halves.
@@ -120,28 +128,39 @@ void makeFiberContext(ucontext_t& fiber, char* stack, std::size_t bytes,
   fiber.uc_stack.ss_sp = stack;
   fiber.uc_stack.ss_size = bytes;
   fiber.uc_link = nullptr;  // exit is an explicit transfer in run()
-  const auto bits = reinterpret_cast<std::uintptr_t>(self);
+  const std::uint64_t bits = reinterpret_cast<std::uintptr_t>(self);
   makecontext(&fiber, reinterpret_cast<void (*)()>(main), 2,
               static_cast<unsigned>(bits >> 32),
               static_cast<unsigned>(bits & 0xffffffffu));
 }
+#endif
 
 // ---------------------------------------------------------------------------
-// FiberStackArena — slab-allocated fiber stacks for huge worlds. Each kernel
-// VMA is a protection boundary, so the per-fiber layout (PROT_NONE guard +
-// RW stack) costs 2 VMAs per fiber and a 65,536-rank world blows through
-// vm.max_map_count (default 65530) before the last rank spawns. The arena
-// instead mmaps multi-megabyte slabs of [sentinel page][stack] units behind
-// a single PROT_NONE guard page: uniform RW protection keeps the whole unit
-// run in one VMA, so a slab costs 2 VMAs regardless of how many stacks it
-// carries. Nothing ever writes a sentinel page, so release checks that it
-// is still not resident and aborts with a report otherwise, converting a
-// silent overflow into a deterministic failure (detection moves from
-// fault-at-write to checked-at-release — the bottom stack of each slab
-// still faults on the slab guard). Released stacks are recycled across
-// worlds and their pages returned to the kernel with MADV_DONTNEED, so
-// campaign RSS tracks the largest live world, not the sum of worlds run,
-// and every tenant starts on a non-resident stack.
+// FiberStackArena — fiber stacks outlive their world. Mapping a guarded
+// stack (mmap + madvise + mprotect) and unmapping it cost about as much as
+// the rest of a rank's lifecycle, so released stacks park on a free list
+// and the next world's contexts take them from there. Two lists:
+//
+// - Private stacks: one mapping each, a PROT_NONE guard page below the
+//   stack, so an overflow faults at once. At most kPooledStacksMinRanks
+//   stay parked (2 VMAs each); release unmaps beyond that.
+// - Pooled stacks, for huge worlds. Each kernel VMA is a protection
+//   boundary, so the private layout costs 2 VMAs per fiber and a
+//   65,536-rank world blows through vm.max_map_count (default 65530)
+//   before the last rank spawns. The arena instead mmaps multi-megabyte
+//   slabs of [sentinel page][stack] units behind a single PROT_NONE guard
+//   page: uniform RW protection keeps the whole unit run in one VMA, so a
+//   slab costs 2 VMAs regardless of how many stacks it carries. Nothing
+//   ever writes a sentinel page, so release checks that it is still not
+//   resident and aborts with a report otherwise, converting a silent
+//   overflow into a deterministic failure (detection moves from
+//   fault-at-write to checked-at-release — the bottom stack of each slab
+//   still faults on the slab guard).
+//
+// Release hands the pages the tenant made resident back to the kernel with
+// MADV_DONTNEED, so a parked stack holds no resident page: campaign RSS
+// tracks the largest live world, not the sum of worlds run, and every
+// tenant starts on a non-resident stack and reports its own high water.
 // ---------------------------------------------------------------------------
 
 class FiberStackArena {
@@ -152,9 +171,42 @@ class FiberStackArena {
     return arena;
   }
 
-  /// Lowest usable address of a stack; its sentinel page sits directly
-  /// below.
-  char* acquire() {
+  /// Lowest usable address of a private stack; its guard page sits
+  /// directly below. A parked stack when there is one, else a fresh
+  /// mapping.
+  char* acquirePrivate() {
+    {
+      std::lock_guard lock(mutex_);
+      if (!parked_.empty()) {
+        char* stack = parked_.back();
+        parked_.pop_back();
+        return stack;
+      }
+    }
+    const std::size_t page = pageBytes();
+    return mapGuardedStackMemory(ExecutionContext::defaultStackBytes() +
+                                 page) +
+           page;
+  }
+
+  /// Park a private stack whose pages from `residentFrom` up may be
+  /// resident, or unmap it when the free list is full.
+  void releasePrivate(char* stack, std::size_t residentFrom) {
+    dropTenantPages(stack, residentFrom);
+    {
+      std::lock_guard lock(mutex_);
+      if (parked_.size() < static_cast<std::size_t>(kPooledStacksMinRanks)) {
+        parked_.push_back(stack);
+        return;
+      }
+    }
+    const std::size_t page = pageBytes();
+    munmap(stack - page, ExecutionContext::defaultStackBytes() + page);
+  }
+
+  /// Lowest usable address of a pooled stack; its sentinel page sits
+  /// directly below.
+  char* acquirePooled() {
     std::lock_guard lock(mutex_);
     if (free_.empty()) addSlab();
     char* stack = free_.back();
@@ -162,7 +214,7 @@ class FiberStackArena {
     return stack;
   }
 
-  void release(char* stack) {
+  void releasePooled(char* stack, std::size_t residentFrom) {
     const std::size_t page = pageBytes();
     if (firstResidentOffset(stack - page, page) != page) {
       // Release runs in a destructor, where a ContractError would terminate
@@ -173,15 +225,20 @@ class FiberStackArena {
           stderr);
       std::abort();
     }
-    // Hand the pages back to the kernel: the next tenant starts with no
-    // resident page, which keeps campaign RSS bounded by the largest
-    // concurrently-live world and its high-water mark its own.
-    madvise(stack, ExecutionContext::defaultStackBytes(), MADV_DONTNEED);
+    dropTenantPages(stack, residentFrom);
     std::lock_guard lock(mutex_);
     free_.push_back(stack);
   }
 
  private:
+  // Pages below residentFrom were never touched, so one madvise over the
+  // rest leaves the stack with no resident page.
+  static void dropTenantPages(char* stack, std::size_t residentFrom) {
+    const std::size_t bytes = ExecutionContext::defaultStackBytes();
+    if (residentFrom < bytes)
+      madvise(stack + residentFrom, bytes - residentFrom, MADV_DONTNEED);
+  }
+
   void addSlab() {
     const std::size_t page = pageBytes();
     const std::size_t unit =
@@ -198,7 +255,8 @@ class FiberStackArena {
   static constexpr std::size_t kSlabTargetBytes = std::size_t{4} << 20;
 
   std::mutex mutex_;
-  std::vector<char*> free_;
+  std::vector<char*> free_;    ///< pooled stacks
+  std::vector<char*> parked_;  ///< private stacks
 };
 
 }  // namespace
@@ -237,17 +295,158 @@ std::size_t ExecutionContext::defaultStackBytes() {
 // (stacks grow down), so an overflow faults immediately instead of silently
 // corrupting whatever the allocator placed next door. Stack pages are
 // committed lazily by the kernel, so a fiber costs only the pages it
-// touches, and those resident pages are the stack telemetry. ucontext
-// (getcontext/makecontext) builds the initial stack frame and performs the
-// first entry; steady-state switches use _setjmp/_longjmp, which save and
-// restore only the register file — glibc's swapcontext issues a
-// rt_sigprocmask syscall on every call, and that syscall is the bulk of its
-// cost (the libtask/libaco technique). The first entry's ucontext_t pair
-// (~1.9 KiB) lives on the host stack for that one call, so a context holds
-// only its jump buffers. Sanitizer builds take the swapcontext path for
-// every switch instead and keep their pair in SwapContexts; the perf budget
-// does not apply to them.
+// touches, and those resident pages are the stack telemetry.
+//
+// A switch is one call to tibsim_switch_stacks(save, load): it pushes the
+// callee-saved registers onto the current stack, stores the stack pointer
+// through `save`, loads `load` and pops the other side's registers from
+// there. Everything else a switch must preserve the compiler has already
+// spilled around the call, so a context holds only the two saved stack
+// pointers, and no switch makes a syscall (glibc's swapcontext pays an
+// rt_sigprocmask on every call). The first switchIn() writes a frame at the
+// stack top that the switch pops like any other, with tibsim_fiber_entry
+// as its return address and `self` and run() in two of its registers.
+//
+// Sanitizer builds, and ISAs without a routine below, switch through
+// swapcontext every time and keep their ucontext_t pair in SwapContexts;
+// the perf budget does not apply to them.
 // ---------------------------------------------------------------------------
+
+#if !TIBSIM_SWAPCONTEXT
+
+extern "C" {
+void tibsim_switch_stacks(void** save, void* load);
+void tibsim_fiber_entry();
+}
+
+namespace {
+
+#if defined(__x86_64__)
+// The SysV x86-64 callee-saved registers: rbx, rbp and r12-r15. A saved
+// stack pointer addresses r15, then r14, r13, r12, rbx, rbp and the return
+// address.
+asm(R"(
+    .pushsection .text
+    .p2align 4
+    .globl tibsim_switch_stacks
+    .hidden tibsim_switch_stacks
+    .type tibsim_switch_stacks, @function
+tibsim_switch_stacks:
+    pushq %rbp
+    pushq %rbx
+    pushq %r12
+    pushq %r13
+    pushq %r14
+    pushq %r15
+    movq %rsp, (%rdi)
+    movq %rsi, %rsp
+    popq %r15
+    popq %r14
+    popq %r13
+    popq %r12
+    popq %rbx
+    popq %rbp
+    ret
+    .size tibsim_switch_stacks, .-tibsim_switch_stacks
+
+    .p2align 4
+    .globl tibsim_fiber_entry
+    .hidden tibsim_fiber_entry
+    .type tibsim_fiber_entry, @function
+tibsim_fiber_entry:
+    .cfi_startproc
+    .cfi_undefined rip
+    movq %rbx, %rdi
+    call *%r12
+    ud2
+    .cfi_endproc
+    .size tibsim_fiber_entry, .-tibsim_fiber_entry
+    .popsection
+)");
+// The entry frame: r15 r14 r13 r12 rbx rbp and the return address, so the
+// trampoline starts with the stack pointer at the (16-byte aligned) top.
+constexpr std::size_t kEntryFrameWords = 7;
+constexpr std::size_t kEntrySelfWord = 4;  // rbx
+constexpr std::size_t kEntryRunWord = 3;   // r12
+constexpr std::size_t kEntryReturnWord = 6;
+#elif defined(__aarch64__)
+// The AAPCS64 callee-saved registers: x19-x28, the frame pointer x29, the
+// link register x30 and d8-d15, in one 160-byte block that a saved stack
+// pointer addresses.
+asm(R"(
+    .pushsection .text
+    .p2align 4
+    .globl tibsim_switch_stacks
+    .hidden tibsim_switch_stacks
+    .type tibsim_switch_stacks, %function
+tibsim_switch_stacks:
+    sub sp, sp, #160
+    stp x19, x20, [sp, #0]
+    stp x21, x22, [sp, #16]
+    stp x23, x24, [sp, #32]
+    stp x25, x26, [sp, #48]
+    stp x27, x28, [sp, #64]
+    stp x29, x30, [sp, #80]
+    stp d8, d9, [sp, #96]
+    stp d10, d11, [sp, #112]
+    stp d12, d13, [sp, #128]
+    stp d14, d15, [sp, #144]
+    mov x9, sp
+    str x9, [x0]
+    mov sp, x1
+    ldp x19, x20, [sp, #0]
+    ldp x21, x22, [sp, #16]
+    ldp x23, x24, [sp, #32]
+    ldp x25, x26, [sp, #48]
+    ldp x27, x28, [sp, #64]
+    ldp x29, x30, [sp, #80]
+    ldp d8, d9, [sp, #96]
+    ldp d10, d11, [sp, #112]
+    ldp d12, d13, [sp, #128]
+    ldp d14, d15, [sp, #144]
+    add sp, sp, #160
+    ret
+    .size tibsim_switch_stacks, .-tibsim_switch_stacks
+
+    .p2align 4
+    .globl tibsim_fiber_entry
+    .hidden tibsim_fiber_entry
+    .type tibsim_fiber_entry, %function
+tibsim_fiber_entry:
+    .cfi_startproc
+    .cfi_undefined x30
+    mov x0, x19
+    blr x20
+    brk #0
+    .cfi_endproc
+    .size tibsim_fiber_entry, .-tibsim_fiber_entry
+    .popsection
+)");
+// The entry frame is one register block, so the trampoline starts with the
+// stack pointer at the top.
+constexpr std::size_t kEntryFrameWords = 20;
+constexpr std::size_t kEntrySelfWord = 0;  // x19
+constexpr std::size_t kEntryRunWord = 1;   // x20
+constexpr std::size_t kEntryReturnWord = 11;  // x30
+#endif
+
+// The frame the first switch into a fiber pops: zeroed registers (a zero
+// frame pointer ends frame-pointer backtraces) except `self` and `run`,
+// and the trampoline as the return address.
+void* writeEntryFrame(char* top, void (*run)(ExecutionContext*),
+                      ExecutionContext* self) {
+  auto* frame = reinterpret_cast<std::uintptr_t*>(top) - kEntryFrameWords;
+  std::fill_n(frame, kEntryFrameWords, std::uintptr_t{0});
+  frame[kEntrySelfWord] = reinterpret_cast<std::uintptr_t>(self);
+  frame[kEntryRunWord] = reinterpret_cast<std::uintptr_t>(run);
+  frame[kEntryReturnWord] =
+      reinterpret_cast<std::uintptr_t>(&tibsim_fiber_entry);
+  return frame;
+}
+
+}  // namespace
+
+#endif  // !TIBSIM_SWAPCONTEXT
 
 struct ExecutionContext::SwapContexts {
   ucontext_t fiber{};
@@ -257,42 +456,50 @@ struct ExecutionContext::SwapContexts {
 ExecutionContext::ExecutionContext(bool pooledStack)
     : stackBytes_(defaultStackBytes()), pooled_(pooledStack) {
   if (pooled_) {
-    stack_ = FiberStackArena::instance().acquire();
+    stack_ = FiberStackArena::instance().acquirePooled();
   } else {
-    stack_ = mapGuardedStackMemory(stackBytes_ + pageBytes()) + pageBytes();
+    stack_ = FiberStackArena::instance().acquirePrivate();
   }
   tsanFiber_ = tsanCreateFiber();
 }
 
 // Process guarantees the entry has returned before destruction, so the
-// stack is quiescent here: release the lease (which checks the overflow
-// sentinel) or unmap the private mapping and its guard page.
+// stack is quiescent here: hand it back to its free list (a pooled release
+// also checks the overflow sentinel).
 ExecutionContext::~ExecutionContext() {
   tsanDestroyFiber(tsanFiber_);
   if (pooled_) {
-    FiberStackArena::instance().release(stack_);
+    FiberStackArena::instance().releasePooled(stack_, residentFrom_);
   } else {
-    const std::size_t page = pageBytes();
-    munmap(stack_ - page, stackBytes_ + page);
+    FiberStackArena::instance().releasePrivate(stack_, residentFrom_);
   }
 }
 
 void ExecutionContext::start(Entry entry) {
   TIB_ASSERT(!armed_);
   entry_ = std::move(entry);
-#if TIBSIM_ASAN || TIBSIM_TSAN
+#if TIBSIM_SWAPCONTEXT
   swap_ = std::make_unique<SwapContexts>();
-  makeFiberContext(swap_->fiber, stack_, stackBytes_, &ExecutionContext::run,
-                   this);
+  makeFiberContext(
+      swap_->fiber, stack_, stackBytes_,
+      [](unsigned selfHi, unsigned selfLo) {
+        run(reinterpret_cast<ExecutionContext*>(static_cast<std::uintptr_t>(
+            (std::uint64_t{selfHi} << 32) | selfLo)));
+      },
+      this);
 #endif
   armed_ = true;
 }
 
-std::size_t ExecutionContext::stackHighWaterBytes() const {
-  return stackBytes_ - firstResidentOffset(stack_, stackBytes_);
+std::size_t ExecutionContext::stackHighWaterBytes() {
+  const std::size_t offset = firstResidentOffset(stack_, stackBytes_);
+  // Once the entry has returned nothing touches the stack again, so these
+  // are exactly the pages release must drop.
+  if (done_) residentFrom_ = offset;
+  return stackBytes_ - offset;
 }
 
-#if TIBSIM_ASAN || TIBSIM_TSAN
+#if TIBSIM_SWAPCONTEXT
 
 void ExecutionContext::switchIn() {
   TIB_ASSERT(armed_ && !done_);
@@ -319,54 +526,31 @@ void ExecutionContext::yieldToHost() {
 
 #else
 
-namespace {
-// First entry: only makecontext can start a frame on the new stack. The
-// fiber returns by _longjmp to the caller's jump buffer, never through this
-// swapcontext call, so neither ucontext_t is read again and both live on
-// the host stack. Out of line, so switchIn()'s own frame stays small.
-[[gnu::noinline]] void enterFiber(char* stack, std::size_t bytes,
-                                  void (*main)(unsigned, unsigned),
-                                  const void* self) {
-  ucontext_t fiber{};
-  ucontext_t host{};
-  makeFiberContext(fiber, stack, bytes, main, self);
-  TIB_REQUIRE(swapcontext(&host, &fiber) == 0);
-}
-}  // namespace
-
 void ExecutionContext::switchIn() {
   TIB_ASSERT(armed_ && !done_);
-  if (_setjmp(hostJmp_) == 0) {
-    if (!entered_) {
-      entered_ = true;
-      enterFiber(stack_, stackBytes_, &ExecutionContext::run, this);
-    } else {
-      _longjmp(fiberJmp_, 1);
-    }
-  }
+  if (fiberSp_ == nullptr)
+    fiberSp_ = writeEntryFrame(stack_ + stackBytes_, &run, this);
+  tibsim_switch_stacks(&hostSp_, fiberSp_);
 }
 
 void ExecutionContext::yieldToHost() {
-  if (_setjmp(fiberJmp_) == 0) _longjmp(hostJmp_, 1);
+  tibsim_switch_stacks(&fiberSp_, hostSp_);
 }
 
-#endif  // TIBSIM_ASAN || TIBSIM_TSAN
+#endif  // TIBSIM_SWAPCONTEXT
 
-void ExecutionContext::run(unsigned selfHi, unsigned selfLo) {
-  auto* self = reinterpret_cast<ExecutionContext*>(
-      (static_cast<std::uintptr_t>(selfHi) << 32) |
-      static_cast<std::uintptr_t>(selfLo));
+void ExecutionContext::run(ExecutionContext* self) {
   // First time on the fiber stack: complete the switch the host started.
   asanFinishSwitch(nullptr, &self->hostStackBottom_, &self->hostStackSize_);
   self->entry_();
   self->done_ = true;
-#if TIBSIM_ASAN || TIBSIM_TSAN
+#if TIBSIM_SWAPCONTEXT
   // Final exit: a nullptr fake-stack save tells ASan this fiber is dying.
   asanStartSwitch(nullptr, self->hostStackBottom_, self->hostStackSize_);
   tsanSwitchTo(self->tsanHost_);
   swapcontext(&self->swap_->fiber, &self->swap_->host);
 #else
-  _longjmp(self->hostJmp_, 1);
+  tibsim_switch_stacks(&self->fiberSp_, self->hostSp_);
 #endif
   TIB_ASSERT(false && "resumed a finished fiber");
 }

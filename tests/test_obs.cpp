@@ -615,15 +615,18 @@ TEST(StackTelemetry, HighWaterGrowsWithRecursionDepth) {
 }
 
 TEST(StackTelemetry, RecycledPooledStackReportsItsOwnTenant) {
-  // The pooled world's one stack goes back to the arena's free list, and
-  // the next pooled world leases it again. Release hands its pages back to
-  // the kernel, so the deep tenant leaves no resident page behind for the
-  // shallow one to inherit.
-  const std::size_t fresh = highWaterAtDepth(4);
-  const std::size_t deep = highWaterAtDepth(96, true);
-  const std::size_t recycled = highWaterAtDepth(4, true);
-  EXPECT_GT(deep, fresh);
-  EXPECT_EQ(recycled, fresh);
+  // A world's one stack goes back to its free list, pooled or private, and
+  // the next world of the same kind takes it again. Release hands its pages
+  // back to the kernel, so the deep tenant leaves no resident page behind
+  // for the shallow one to inherit.
+  for (const bool pooled : {true, false}) {
+    SCOPED_TRACE(pooled ? "pooled" : "private");
+    const std::size_t fresh = highWaterAtDepth(4);
+    const std::size_t deep = highWaterAtDepth(96, pooled);
+    const std::size_t recycled = highWaterAtDepth(4, pooled);
+    EXPECT_GT(deep, fresh);
+    EXPECT_EQ(recycled, fresh);
+  }
 }
 
 TEST(StackTelemetry, SubSixtyFourKiBStackChosenFromReportedHighWater) {

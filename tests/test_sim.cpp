@@ -6,14 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -565,6 +568,67 @@ TEST_P(SimulationTest, QueueMatchesAReferenceSortAcrossRefills) {
   EXPECT_GT(peak, 5002u);
 }
 
+// Sixteen accumulators stay live across every switch: eight integers and
+// eight doubles, more than either ISA's callee-saved registers hold (x86-64:
+// six integer and no vector register; AArch64: ten integer and eight
+// vector), so the compiler keeps some of each kind in those registers
+// through the call. A switch that dropped one of them would hand a process
+// the other side's value.
+struct Accumulators {
+  std::array<std::uint64_t, 8> ints{};
+  std::array<double, 8> reals{};
+  bool operator==(const Accumulators&) const = default;
+};
+
+// One body for the run inside the engine and the reference outside it, so
+// both compute with the same instructions.
+[[gnu::noinline]] Accumulators accumulate(std::uint64_t seed, int rounds,
+                                          const std::function<void()>& pause) {
+  std::uint64_t i0 = seed, i1 = seed * 3, i2 = seed * 5, i3 = seed * 7;
+  std::uint64_t i4 = seed * 11, i5 = seed * 13, i6 = seed * 17,
+                i7 = seed * 19;
+  const double s = static_cast<double>(seed);
+  double d0 = s, d1 = s / 3, d2 = s / 5, d3 = s / 7;
+  double d4 = s / 11, d5 = s / 13, d6 = s / 17, d7 = s / 19;
+  for (int r = 0; r < rounds; ++r) {
+    i0 = i0 * 6364136223846793005u + 1442695040888963407u;
+    i1 = (i1 ^ (i0 >> 7)) * 3;
+    i2 += i1 ^ (i2 << 3);
+    i3 = (i3 + i2) * 5;
+    i4 ^= i3 + (i4 >> 11);
+    i5 = i5 * 7 + i4;
+    i6 += (i5 ^ i6) >> 5;
+    i7 = (i7 ^ i6) * 9 + 1;
+    d0 = d0 * 1.0000001 + 0.25;
+    d1 = d1 * 0.9999999 + d0 * 1e-3;
+    d2 = d2 + d1 * 0.5;
+    d3 = d3 * 1.0000003 - d2 * 1e-4;
+    d4 = d4 + d3 * 0.125;
+    d5 = d5 * 0.9999997 + d4 * 1e-5;
+    d6 = d6 + d5 * 0.0625;
+    d7 = d7 * 1.0000002 + d6 * 1e-6;
+    pause();
+  }
+  return {{i0, i1, i2, i3, i4, i5, i6, i7}, {d0, d1, d2, d3, d4, d5, d6, d7}};
+}
+
+TEST_P(SimulationTest, CalleeSavedRegistersSurviveASwitch) {
+  constexpr int kRounds = 64;
+  Simulation sim;
+  std::array<Accumulators, 2> got{};
+  // Process 1 starts half a step late, so the two alternate: every switch
+  // leaves one process's accumulators for the host loop's registers and
+  // enters the other's.
+  for (int i = 0; i < 2; ++i)
+    sim.spawn("p" + std::to_string(i), [&got, i](Process& p) {
+      if (i == 1) p.delay(0.5);
+      got[i] = accumulate(i + 1, kRounds, [&p] { p.delay(1.0); });
+    });
+  run(sim);
+  for (int i = 0; i < 2; ++i)
+    EXPECT_EQ(got[i], accumulate(i + 1, kRounds, [] {})) << "process " << i;
+}
+
 // A non-finite time is the caller's bug: +inf would order after every
 // finite event and end the world at infinity, and NaN compares false with
 // everything. Each entry point rejects one with a ContractError naming it.
@@ -666,7 +730,7 @@ TEST(ProcessKillDeathTest, SwallowedKillIsReportedNotAHang) {
 
 // Guard-page containment: a fiber that overruns its stack must fault on
 // the PROT_NONE guard page (killing the process) instead of silently
-// scribbling over a neighbouring fiber's stack.
+// scribbling over a neighbouring fiber's stack, on a recycled stack too.
 TEST(FiberGuardPageDeathTest, OverflowFaultsOnGuardPage) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
@@ -674,27 +738,85 @@ TEST(FiberGuardPageDeathTest, OverflowFaultsOnGuardPage) {
         struct Overflow {
           // Non-tail recursion (the frame is read after the recursive call)
           // so the compiler cannot collapse it into a loop; noinline keeps
-          // each level's 1 KiB frame on the fiber stack.
-          __attribute__((noinline)) static int recurse(int depth) {
+          // each level's 1 KiB frame on the fiber stack. It stops once a
+          // frame lies below `floor`.
+          __attribute__((noinline)) static int recurse(std::uintptr_t floor) {
             volatile char frame[1024];
-            frame[0] = static_cast<char>(depth);
-            if (depth <= 0) return frame[0];
-            const int below = recurse(depth - 1);
+            frame[0] = 1;
+            if (reinterpret_cast<std::uintptr_t>(&frame[0]) < floor)
+              return frame[0];
+            const int below = recurse(floor);
             frame[sizeof(frame) - 1] = static_cast<char>(below);
             return frame[0] + frame[sizeof(frame) - 1];
           }
         };
+        {
+          // A finished world parks its stack, so the overflow below runs
+          // on a recycled one, which must keep its guard page.
+          Simulation first;
+          first.spawn("first", [](Process& p) { p.delay(1.0); });
+          first.run();
+        }
         Simulation sim;
-        // Twice as many 1 KiB frames as the stack holds overrun it well
-        // before the recursion bottoms out.
         sim.spawn("overflow", [](Process&) {
-          const auto frames = 2 * ExecutionContext::defaultStackBytes() / 1024;
-          volatile int sink = Overflow::recurse(static_cast<int>(frames));
+          // The stack top is page-aligned and the fiber's first frames fit
+          // in its top page, so rounding this frame up finds the top. The
+          // recursion ends a quarter page into the guard page: only the
+          // guard itself can stop it.
+          const std::size_t page = pageBytes();
+          const auto frame =
+              reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+          const std::uintptr_t top = (frame + page - 1) / page * page;
+          volatile int sink = Overflow::recurse(
+              top - ExecutionContext::defaultStackBytes() - page / 4);
           (void)sink;
         });
         sim.run();
       },
       "");
+}
+
+// Private fiber stacks outlive their world: a second world of the same
+// size takes the stacks the first one parked, so it maps none, and the
+// first one unmapped none.
+TEST(FiberStacks, SecondWorldOfTheSameSizeMapsNoStack) {
+  // The lines of /proc/self/maps shaped like a private fiber stack:
+  // anonymous, read-write and exactly one stack long (its guard page is a
+  // line of its own). Other lines may come and go with the allocator: a
+  // sanitizer's quarantines freed memory, so the second world's objects
+  // land in fresh mappings.
+  const auto mappings = [] {
+    std::ifstream maps("/proc/self/maps");
+    std::size_t stacks = 0;
+    for (std::string line; std::getline(maps, line);) {
+      std::istringstream fields(line);
+      std::string range, perms, offset, device, inode, path;
+      fields >> range >> perms >> offset >> device >> inode >> path;
+      const std::size_t dash = range.find('-');
+      const auto begin = std::stoull(range.substr(0, dash), nullptr, 16);
+      const auto end = std::stoull(range.substr(dash + 1), nullptr, 16);
+      if (perms == "rw-p" && path.empty() &&
+          end - begin == ExecutionContext::defaultStackBytes())
+        ++stacks;
+    }
+    return stacks;
+  };
+  constexpr int kRanks = 8;
+  std::size_t inside = 0;
+  const auto runWorld = [&](bool probe) {
+    Simulation sim;
+    for (int i = 0; i < kRanks; ++i)
+      sim.spawn("p" + std::to_string(i), [&, probe, i](Process& p) {
+        p.delay(1.0);
+        if (probe && i == kRanks - 1) inside = mappings();
+      });
+    sim.run();
+  };
+  runWorld(false);
+  const std::size_t after = mappings();
+  runWorld(true);
+  EXPECT_GE(after, static_cast<std::size_t>(kRanks));
+  EXPECT_EQ(inside, after);
 }
 
 // Pooled stacks have no guard page between neighbours. Nothing ever

@@ -553,6 +553,9 @@ TEST(Cli, RejectsJobsAboveTheCeiling) {
   // Exactly one over: refused at parse time, before any thread starts.
   const std::string over = std::to_string(TaskPool::kMaxThreads + 1);
   EXPECT_EQ(cliExit({"run", "tab01", "--jobs", over.c_str()}), 2);
+  // So is a count below 0, the hardware-concurrency value.
+  EXPECT_EQ(cliExit({"run", "tab01", "--jobs", "-1"}), 2);
+  EXPECT_EQ(cliExit({"run", "tab01", "--jobs=-1"}), 2);
 }
 
 TEST(Campaign, RejectsUnknownSimBackend) {
