@@ -3,11 +3,10 @@
 //
 // A Process needs exactly three transfers of control: host -> process
 // (switchIn), process -> host (yieldToHost), and the initial entry into the
-// process body (start + first switchIn). ExecutionContext performs them
-// with a stackful user-space fiber on an owned, lazily committed stack: a
-// switch is a register-file swap in user space, with no kernel wake-up and
-// no OS thread per process. That is what makes 65,536-rank worlds
-// feasible.
+// process body (the first switchIn). ExecutionContext performs them with a
+// stackful user-space fiber on an owned, lazily committed stack: a switch
+// is a register-file swap in user space, with no kernel wake-up and no OS
+// thread per process. That is what makes 65,536-rank worlds feasible.
 //
 // Contract: exactly one party (host or process) runs at any moment,
 // transfers are synchronous, and the entry function runs to completion
@@ -17,8 +16,30 @@
 // so both tools follow the ranks across stacks.
 
 #include <cstddef>
-#include <functional>
-#include <memory>
+
+// The sanitizer a build runs under decides which switch announcements it
+// makes and which bookkeeping fields a context carries.
+#if defined(__SANITIZE_THREAD__)
+#define TIBSIM_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define TIBSIM_TSAN 1
+#endif
+#endif
+#ifndef TIBSIM_TSAN
+#define TIBSIM_TSAN 0
+#endif
+
+#if defined(__SANITIZE_ADDRESS__)
+#define TIBSIM_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define TIBSIM_ASAN 1
+#endif
+#endif
+#ifndef TIBSIM_ASAN
+#define TIBSIM_ASAN 0
+#endif
 
 namespace tibsim::sim {
 
@@ -40,31 +61,32 @@ std::size_t pageBytes();
 /// each stack) instead of a private guarded stack per fiber (2 VMAs each).
 /// A 65,536-rank world needs ~131k private mappings — past the kernel's
 /// default vm.max_map_count of 65530, so the per-fiber guard mprotect
-/// would fail mid-spawn. Stacks of both kinds are recycled across worlds;
-/// at most this many idle private stacks stay mapped (32,768 VMAs), so any
-/// one private world fits under the cap.
+/// would fail mid-spawn. It is also the cap on private stacks per host
+/// process, across all worlds, live or finished: at most this many are
+/// ever mapped (32,768 VMAs), and a private request past the cap takes a
+/// pooled stack instead, so concurrent worlds cannot exhaust the map
+/// count either. Stacks of both kinds are recycled across worlds.
 inline constexpr int kPooledStacksMinRanks = 16384;
 
 /// One cooperative execution context (the "how" of a Process). Not
-/// thread-safe: the host side drives start/switchIn from one thread.
+/// thread-safe: the host side drives switchIn from one thread at a time.
 class ExecutionContext {
  public:
-  using Entry = std::function<void()>;
+  /// The function the fiber runs, once, with the argument given at
+  /// construction.
+  using Entry = void (*)(void*);
 
   /// The stack is defaultStackBytes() long. When pooledStack is true it is
   /// leased from the process-wide slab arena (see kPooledStacksMinRanks)
   /// instead of a private guarded mapping; overflow detection then moves
   /// from an immediate guard-page fault to a sentinel-page check when the
-  /// stack is released.
-  explicit ExecutionContext(bool pooledStack = false);
+  /// stack is released. A private request takes a pooled stack too once
+  /// the private-stack cap is reached. `entry(arg)` does not run until the
+  /// first switchIn(), which writes its first frame at the stack top.
+  ExecutionContext(Entry entry, void* arg, bool pooledStack);
   ~ExecutionContext();
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
-
-  /// Arm the context with its entry function. The entry does not run until
-  /// the first switchIn(), which writes its first frame at the stack top.
-  /// Must be called exactly once, before switchIn().
-  void start(Entry entry);
 
   /// Host -> context. Runs the context until it yields or its entry
   /// returns; blocks the host for the duration.
@@ -72,16 +94,6 @@ class ExecutionContext {
 
   /// Context -> host. Callable only from inside the running entry.
   void yieldToHost();
-
-  /// Request the context line the next switchIn() touches: the one that
-  /// holds both saved stack pointers, the fiber's doubling as the entry
-  /// flag. The fiber's saved registers sit on its own stack, just below
-  /// the frame it blocked in. A hint only: it reads nothing, so it is safe
-  /// on a context in any state. Always inlined: GCC drops calls to a
-  /// function that only prefetches.
-  [[gnu::always_inline]] void prefetchSwitchState() const {
-    __builtin_prefetch(&hostSp_, 1);
-  }
 
   /// Size of the owned stack.
   std::size_t stackBytes() const { return stackBytes_; }
@@ -100,44 +112,38 @@ class ExecutionContext {
   static std::size_t defaultStackBytes();
 
  private:
-  /// The host/fiber ucontext_t pair of sanitizer builds and of ISAs without
-  /// the register-only switch (defined in the .cpp), which switch through
-  /// swapcontext every time.
-  struct SwapContexts;
-
   static void run(ExecutionContext* self);
 
-  // The switch state, first in the object: operator new returns 16-byte
-  // aligned storage, so both pointers always share one cache line.
-  void* hostSp_ = nullptr;   ///< host stack pointer, saved by switchIn()
+  // The switch state, first in the object, so that a Process holding its
+  // context right after its own hot fields keeps both in its first line.
+  void* hostSp_ = nullptr;  ///< host stack pointer, saved by switchIn()
   /// Fiber stack pointer, saved by yieldToHost(); nullptr until the first
   /// switchIn() writes the entry frame.
   void* fiberSp_ = nullptr;
   Entry entry_;
-  char* stack_ = nullptr;       ///< lowest usable address (grows down)
-  std::size_t stackBytes_ = 0;  ///< usable bytes, page-rounded
+  void* arg_;
+  char* stack_ = nullptr;  ///< lowest usable address (grows down)
+  std::size_t stackBytes_;  ///< usable bytes, page-rounded
   /// Offset of the lowest resident stack page, found by the finish-time
   /// stackHighWaterBytes() scan: release drops the pages from here up.
   /// 0 (drop them all) until that scan.
   std::size_t residentFrom_ = 0;
-  bool pooled_ = false;  ///< stack leased from the slab arena
-  bool armed_ = false;
+  bool pooled_;  ///< stack leased from the slab arena
   bool done_ = false;
-  // Sanitizer fiber bookkeeping (left untouched by the register-only
-  // switch): the host stack ASan switches back to, the TSan fiber handles
-  // and the swapcontext pair.
+#if TIBSIM_ASAN
+  // The host stack yieldToHost() announces, as ASan last reported it.
   const void* hostStackBottom_ = nullptr;
   std::size_t hostStackSize_ = 0;
-  void* tsanFiber_ = nullptr;
-  void* tsanHost_ = nullptr;
-  std::unique_ptr<SwapContexts> swap_;
+#endif
+#if TIBSIM_TSAN
+  void* tsanFiber_ = nullptr;  ///< this fiber's TSan handle
+  void* tsanHost_ = nullptr;   ///< the host fiber the last switchIn() left
+#endif
 };
 
 // One per rank: at 65,536 ranks every byte here is 64 KiB of host memory.
 static_assert(sizeof(ExecutionContext) <= 128,
               "a context holds two saved stack pointers; the registers they "
               "resume sit on the stacks");
-static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= 2 * sizeof(void*),
-              "prefetchSwitchState() requests one line for both pointers");
 
 }  // namespace tibsim::sim

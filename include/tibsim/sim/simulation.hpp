@@ -71,20 +71,20 @@ class alignas(kCacheLineBytes) Process {
 
  private:
   friend class Simulation;
-  Process(Simulation& sim, std::uint64_t id, std::string name, Body body);
+  Process(Simulation& sim, std::uint64_t id, std::string name, Body body,
+          bool pooledStack);
 
-  void start(bool pooledStack);
+  static void fiberMain(void* self);  // the context's entry: runs the body
   void switchIn();      // scheduler -> process; blocks scheduler until yield
   void yieldToHost();   // process -> scheduler
   void kill();          // request ProcessKilled unwind and run it to the end
   std::uint64_t beginSuspend();  // mark suspended, mint a suspension id
 
   // Hot line: everything Simulation::dispatch and switchIn() read or write
-  // to wake this process, in the object's first cache line. The event loop
-  // requests that line two dispatches ahead and reads context_ and
-  // resumeSp_ from it one dispatch ahead (see "Latency-hiding dispatch" in
-  // DESIGN.md).
-  std::unique_ptr<ExecutionContext> context_;
+  // to wake this process, in the object's first cache line, with the
+  // context's two saved stack pointers at its end. The event loop requests
+  // that line two dispatches ahead and reads resumeSp_ from it one dispatch
+  // ahead (see "Latency-hiding dispatch" in DESIGN.md).
   /// The fiber-stack address where the delay()/suspend() call the body
   /// last blocked in was made (the caller's stack pointer): the next
   /// switchIn() resumes in the frames around it. nullptr until the body
@@ -95,6 +95,7 @@ class alignas(kCacheLineBytes) Process {
   bool finished_ = false;
   bool suspended_ = false;
   bool killRequested_ = false;
+  ExecutionContext context_;  ///< the fiber; its switch state leads
 
   // Cold: identity, body and the escaped exception.
   std::uint64_t id_;
@@ -102,6 +103,10 @@ class alignas(kCacheLineBytes) Process {
   Body body_;
   std::exception_ptr exception_;
 };
+
+// One per rank, and line-aligned: 192 B on x86-64 with libstdc++.
+static_assert(sizeof(Process) <= 4 * kCacheLineBytes,
+              "a Process holds its fiber context and its body");
 
 /// The event loop: a time-ordered queue of callbacks plus the set of spawned
 /// processes. Not thread-safe: drive it from a single thread.
@@ -242,8 +247,8 @@ class Simulation {
 
   /// Latency-hiding dispatch: pop the queue top and, before the caller
   /// dispatches it, request the cache lines dispatching the new top will
-  /// touch — its Process hot line, the ExecutionContext state switchIn()
-  /// touches and a window of fiber-stack lines around resumeSp_, or its
+  /// touch — its Process hot line (which holds the context's saved stack
+  /// pointers) and a window of fiber-stack lines around resumeSp_, or its
   /// closure slab slot — plus the hot lines of the processes in the top's
   /// child slots of the near heap. The requests are hints only: nothing
   /// dispatch observes changes.

@@ -349,42 +349,30 @@ MessagePayload MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm, int src,
         // rides the canonical match order, so any report is byte-identical
         // across runs.
         verifyCollectiveMatch(ctx, m);
-        if (m.receiverCharged) {
-          // Delivery already charged receiverCost and folded it into the
-          // wake-up; reconstruct the span boundary and consume in place.
-          // The clamp covers the rare case where a pre-charged message is
-          // consumed by a later recv call (its cost was absorbed while we
-          // blocked elsewhere).
-          const double cpuBegin =
-              std::max(recvEntry, sim.now() - m.receiverCost);
-          traceSpan(ctx.rank(), SpanKind::Wait, recvEntry, cpuBegin, msgSrc,
-                    0, comm);
-          traceSpan(ctx.rank(), SpanKind::Recv, cpuBegin, sim.now(), msgSrc,
-                    m.bytes, comm);
-          // Critical path: the message arriving after we started waiting
-          // means the sender's chain (plus the hop) bounded this rank.
-          if (m.arrivalTime > recvEntry)
-            ctx.adoptPath(m.path,
-                          std::max(0.0, m.arrivalTime - m.departTime));
-          ctx.path_.recvSeconds += m.receiverCost;
-          if (receivedBytes != nullptr) *receivedBytes = m.bytes;
-          unlink(box, prev, slot);
-          return takeSlot(slot);
-        }
         // Unlink before delay(): deliveries during the yield append to this
         // list, and they can also grow the slab — so keep the slot index,
         // not the Message reference.
         const double cost = m.receiverCost;
         const std::size_t bytes = m.bytes;
+        const bool charged = m.receiverCharged;
+        // Critical path: the message arriving after we started waiting
+        // means the sender's chain (plus the hop) bounded this rank.
         if (m.arrivalTime > recvEntry)
           ctx.adoptPath(m.path, std::max(0.0, m.arrivalTime - m.departTime));
         ctx.path_.recvSeconds += cost;
         unlink(box, prev, slot);
-        traceSpan(ctx.rank(), SpanKind::Wait, recvEntry, sim.now(), msgSrc,
-                  0, comm);
-        const double cpuBegin = sim.now();
-        chargeCpu(ctx.node(), cost);
-        ctx.process_.delay(cost);
+        // A pre-charged delivery folded the receive cost into the wake-up,
+        // so the CPU span ends now and began `cost` earlier. The clamp
+        // covers the rare case where such a message is consumed by a later
+        // recv call (its cost was absorbed while we blocked elsewhere).
+        const double cpuBegin =
+            charged ? std::max(recvEntry, sim.now() - cost) : sim.now();
+        traceSpan(ctx.rank(), SpanKind::Wait, recvEntry, cpuBegin, msgSrc, 0,
+                  comm);
+        if (!charged) {
+          chargeCpu(ctx.node(), cost);
+          ctx.process_.delay(cost);
+        }
         traceSpan(ctx.rank(), SpanKind::Recv, cpuBegin, sim.now(), msgSrc,
                   bytes, comm);
         if (receivedBytes != nullptr) *receivedBytes = bytes;

@@ -1,7 +1,6 @@
 #include "tibsim/sim/execution_context.hpp"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -17,40 +16,15 @@
 
 #include "tibsim/common/assert.hpp"
 
-// Sanitizer builds switch through swapcontext and announce every switch
-// through the sanitizer's fiber interface, so ASan and TSan follow each
-// rank onto its stack. So does any ISA the register-only switch below is
-// not written for.
-#if defined(__SANITIZE_THREAD__)
-#define TIBSIM_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define TIBSIM_TSAN 1
-#endif
-#endif
-#ifndef TIBSIM_TSAN
-#define TIBSIM_TSAN 0
+#if !defined(__LP64__) || !(defined(__x86_64__) || defined(__aarch64__))
+#error "the fiber switch is written for LP64 x86-64 and AArch64 hosts only"
 #endif
 
-#if defined(__SANITIZE_ADDRESS__)
-#define TIBSIM_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define TIBSIM_ASAN 1
-#endif
-#endif
-#ifndef TIBSIM_ASAN
-#define TIBSIM_ASAN 0
-#endif
-
-#if TIBSIM_ASAN || TIBSIM_TSAN || !defined(__LP64__) || \
-    !(defined(__x86_64__) || defined(__aarch64__))
-#define TIBSIM_SWAPCONTEXT 1
-#else
-#define TIBSIM_SWAPCONTEXT 0
-#endif
-
+// Sanitizer builds switch through the same routine as every other build
+// and announce each switch through the sanitizer's fiber interface, so
+// ASan and TSan follow each rank onto its stack.
 #if TIBSIM_ASAN
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if TIBSIM_TSAN
@@ -60,32 +34,6 @@
 namespace tibsim::sim {
 
 namespace {
-
-#if TIBSIM_ASAN
-void asanStartSwitch(void** fakeStackSave, const void* bottom,
-                     std::size_t size) {
-  __sanitizer_start_switch_fiber(fakeStackSave, bottom, size);
-}
-void asanFinishSwitch(void* fakeStackSave, const void** bottomOld,
-                      std::size_t* sizeOld) {
-  __sanitizer_finish_switch_fiber(fakeStackSave, bottomOld, sizeOld);
-}
-#else
-[[maybe_unused]] void asanStartSwitch(void**, const void*, std::size_t) {}
-[[maybe_unused]] void asanFinishSwitch(void*, const void**, std::size_t*) {}
-#endif
-
-#if TIBSIM_TSAN
-void* tsanCreateFiber() { return __tsan_create_fiber(0); }
-void tsanDestroyFiber(void* fiber) { __tsan_destroy_fiber(fiber); }
-void* tsanCurrentFiber() { return __tsan_get_current_fiber(); }
-void tsanSwitchTo(void* fiber) { __tsan_switch_to_fiber(fiber, 0); }
-#else
-void* tsanCreateFiber() { return nullptr; }
-void tsanDestroyFiber(void*) {}
-[[maybe_unused]] void* tsanCurrentFiber() { return nullptr; }
-[[maybe_unused]] void tsanSwitchTo(void*) {}
-#endif
 
 // Offset of the lowest resident page in [base, base + bytes), or `bytes`
 // when none is. Both ends are page-aligned. An anonymous page becomes
@@ -113,37 +61,25 @@ char* mapGuardedStackMemory(std::size_t bytes) {
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   TIB_REQUIRE_MSG(map != MAP_FAILED, "fiber stack mmap failed");
   madvise(map, bytes, MADV_NOHUGEPAGE);
-  TIB_REQUIRE_MSG(mprotect(map, pageBytes(), PROT_NONE) == 0,
-                  "fiber stack guard mprotect failed");
+  // A refused mprotect (the map count is exhausted) leaves no mapping.
+  const bool guarded = mprotect(map, pageBytes(), PROT_NONE) == 0;
+  if (!guarded) munmap(map, bytes);
+  TIB_REQUIRE_MSG(guarded, "fiber stack guard mprotect failed");
   return static_cast<char*>(map);
 }
-
-#if TIBSIM_SWAPCONTEXT
-// Point `fiber` at a fresh frame on [stack, stack + bytes) that calls
-// main(self). makecontext passes ints only; smuggle `self` as two 32-bit
-// halves.
-void makeFiberContext(ucontext_t& fiber, char* stack, std::size_t bytes,
-                      void (*main)(unsigned, unsigned), const void* self) {
-  TIB_REQUIRE(getcontext(&fiber) == 0);
-  fiber.uc_stack.ss_sp = stack;
-  fiber.uc_stack.ss_size = bytes;
-  fiber.uc_link = nullptr;  // exit is an explicit transfer in run()
-  const std::uint64_t bits = reinterpret_cast<std::uintptr_t>(self);
-  makecontext(&fiber, reinterpret_cast<void (*)()>(main), 2,
-              static_cast<unsigned>(bits >> 32),
-              static_cast<unsigned>(bits & 0xffffffffu));
-}
-#endif
 
 // ---------------------------------------------------------------------------
 // FiberStackArena — fiber stacks outlive their world. Mapping a guarded
 // stack (mmap + madvise + mprotect) and unmapping it cost about as much as
-// the rest of a rank's lifecycle, so released stacks park on a free list
-// and the next world's contexts take them from there. Two lists:
+// the rest of a rank's lifecycle, so released stacks go back on a free
+// list and the next world's contexts take them from there. Two kinds:
 //
 // - Private stacks: one mapping each, a PROT_NONE guard page below the
 //   stack, so an overflow faults at once. At most kPooledStacksMinRanks
-//   stay parked (2 VMAs each); release unmaps beyond that.
+//   are ever mapped (2 VMAs each), whether leased or parked, so release
+//   always parks; a private request past the cap takes a pooled stack.
+//   Without the cap, concurrent worlds below kPooledStacksMinRanks ranks
+//   each (a campaign at --jobs 32) would together exhaust the map count.
 // - Pooled stacks, for huge worlds. Each kernel VMA is a protection
 //   boundary, so the private layout costs 2 VMAs per fiber and a
 //   65,536-rank world blows through vm.max_map_count (default 65530)
@@ -171,52 +107,39 @@ class FiberStackArena {
     return arena;
   }
 
-  /// Lowest usable address of a private stack; its guard page sits
-  /// directly below. A parked stack when there is one, else a fresh
-  /// mapping.
-  char* acquirePrivate() {
-    {
-      std::lock_guard lock(mutex_);
+  /// Lowest usable address of a stack; a private stack's guard page, or a
+  /// pooled stack's sentinel page, sits directly below. A private request
+  /// takes a parked stack, else a fresh mapping while the cap allows, else
+  /// a pooled stack, and then sets `pooled`.
+  char* acquire(bool& pooled) {
+    std::lock_guard lock(mutex_);
+    if (!pooled) {
       if (!parked_.empty()) {
         char* stack = parked_.back();
         parked_.pop_back();
         return stack;
       }
-    }
-    const std::size_t page = pageBytes();
-    return mapGuardedStackMemory(ExecutionContext::defaultStackBytes() +
-                                 page) +
-           page;
-  }
-
-  /// Park a private stack whose pages from `residentFrom` up may be
-  /// resident, or unmap it when the free list is full.
-  void releasePrivate(char* stack, std::size_t residentFrom) {
-    dropTenantPages(stack, residentFrom);
-    {
-      std::lock_guard lock(mutex_);
-      if (parked_.size() < static_cast<std::size_t>(kPooledStacksMinRanks)) {
-        parked_.push_back(stack);
-        return;
+      if (privateStacks_ < kPooledStacksMinRanks) {
+        const std::size_t page = pageBytes();
+        char* stack = mapGuardedStackMemory(
+                          ExecutionContext::defaultStackBytes() + page) +
+                      page;
+        ++privateStacks_;
+        return stack;
       }
+      pooled = true;
     }
-    const std::size_t page = pageBytes();
-    munmap(stack - page, ExecutionContext::defaultStackBytes() + page);
-  }
-
-  /// Lowest usable address of a pooled stack; its sentinel page sits
-  /// directly below.
-  char* acquirePooled() {
-    std::lock_guard lock(mutex_);
     if (free_.empty()) addSlab();
     char* stack = free_.back();
     free_.pop_back();
     return stack;
   }
 
-  void releasePooled(char* stack, std::size_t residentFrom) {
+  /// Return a stack whose pages from `residentFrom` up may be resident to
+  /// its free list.
+  void release(char* stack, bool pooled, std::size_t residentFrom) {
     const std::size_t page = pageBytes();
-    if (firstResidentOffset(stack - page, page) != page) {
+    if (pooled && firstResidentOffset(stack - page, page) != page) {
       // Release runs in a destructor, where a ContractError would terminate
       // without its message: report, then abort.
       std::fputs(
@@ -227,16 +150,23 @@ class FiberStackArena {
     }
     dropTenantPages(stack, residentFrom);
     std::lock_guard lock(mutex_);
-    free_.push_back(stack);
+    (pooled ? free_ : parked_).push_back(stack);
   }
 
  private:
   // Pages below residentFrom were never touched, so one madvise over the
-  // rest leaves the stack with no resident page.
+  // rest leaves the stack with no resident page. A fiber dies inside
+  // run(), so under ASan its last frames leave their redzones poisoned,
+  // and the next tenant's first switch writes its entry frame there: the
+  // same range is unpoisoned, never the whole stack, whose shadow would
+  // then cost 1/8 of its size per parked stack.
   static void dropTenantPages(char* stack, std::size_t residentFrom) {
     const std::size_t bytes = ExecutionContext::defaultStackBytes();
-    if (residentFrom < bytes)
-      madvise(stack + residentFrom, bytes - residentFrom, MADV_DONTNEED);
+    if (residentFrom >= bytes) return;
+    madvise(stack + residentFrom, bytes - residentFrom, MADV_DONTNEED);
+#if TIBSIM_ASAN
+    __asan_unpoison_memory_region(stack + residentFrom, bytes - residentFrom);
+#endif
   }
 
   void addSlab() {
@@ -257,6 +187,7 @@ class FiberStackArena {
   std::mutex mutex_;
   std::vector<char*> free_;    ///< pooled stacks
   std::vector<char*> parked_;  ///< private stacks
+  int privateStacks_ = 0;      ///< private stacks mapped, leased or parked
 };
 
 }  // namespace
@@ -302,17 +233,14 @@ std::size_t ExecutionContext::defaultStackBytes() {
 // through `save`, loads `load` and pops the other side's registers from
 // there. Everything else a switch must preserve the compiler has already
 // spilled around the call, so a context holds only the two saved stack
-// pointers, and no switch makes a syscall (glibc's swapcontext pays an
-// rt_sigprocmask on every call). The first switchIn() writes a frame at the
+// pointers, and no switch makes a syscall (the signal mask is the host
+// thread's and stays as it is). The first switchIn() writes a frame at the
 // stack top that the switch pops like any other, with tibsim_fiber_entry
 // as its return address and `self` and run() in two of its registers.
 //
-// Sanitizer builds, and ISAs without a routine below, switch through
-// swapcontext every time and keep their ucontext_t pair in SwapContexts;
-// the perf budget does not apply to them.
+// Sanitizer builds run the same routine, with each switch announced around
+// it: ASan's start/finish_switch_fiber pair and TSan's switch_to_fiber.
 // ---------------------------------------------------------------------------
-
-#if !TIBSIM_SWAPCONTEXT
 
 extern "C" {
 void tibsim_switch_stacks(void** save, void* load);
@@ -369,7 +297,7 @@ constexpr std::size_t kEntryFrameWords = 7;
 constexpr std::size_t kEntrySelfWord = 4;  // rbx
 constexpr std::size_t kEntryRunWord = 3;   // r12
 constexpr std::size_t kEntryReturnWord = 6;
-#elif defined(__aarch64__)
+#else
 // The AAPCS64 callee-saved registers: x19-x28, the frame pointer x29, the
 // link register x30 and d8-d15, in one 160-byte block that a saved stack
 // pointer addresses.
@@ -446,49 +374,25 @@ void* writeEntryFrame(char* top, void (*run)(ExecutionContext*),
 
 }  // namespace
 
-#endif  // !TIBSIM_SWAPCONTEXT
-
-struct ExecutionContext::SwapContexts {
-  ucontext_t fiber{};
-  ucontext_t host{};
-};
-
-ExecutionContext::ExecutionContext(bool pooledStack)
-    : stackBytes_(defaultStackBytes()), pooled_(pooledStack) {
-  if (pooled_) {
-    stack_ = FiberStackArena::instance().acquirePooled();
-  } else {
-    stack_ = FiberStackArena::instance().acquirePrivate();
-  }
-  tsanFiber_ = tsanCreateFiber();
+ExecutionContext::ExecutionContext(Entry entry, void* arg, bool pooledStack)
+    : entry_(entry),
+      arg_(arg),
+      stackBytes_(defaultStackBytes()),
+      pooled_(pooledStack) {
+  stack_ = FiberStackArena::instance().acquire(pooled_);
+#if TIBSIM_TSAN
+  tsanFiber_ = __tsan_create_fiber(0);
+#endif
 }
 
 // Process guarantees the entry has returned before destruction, so the
 // stack is quiescent here: hand it back to its free list (a pooled release
 // also checks the overflow sentinel).
 ExecutionContext::~ExecutionContext() {
-  tsanDestroyFiber(tsanFiber_);
-  if (pooled_) {
-    FiberStackArena::instance().releasePooled(stack_, residentFrom_);
-  } else {
-    FiberStackArena::instance().releasePrivate(stack_, residentFrom_);
-  }
-}
-
-void ExecutionContext::start(Entry entry) {
-  TIB_ASSERT(!armed_);
-  entry_ = std::move(entry);
-#if TIBSIM_SWAPCONTEXT
-  swap_ = std::make_unique<SwapContexts>();
-  makeFiberContext(
-      swap_->fiber, stack_, stackBytes_,
-      [](unsigned selfHi, unsigned selfLo) {
-        run(reinterpret_cast<ExecutionContext*>(static_cast<std::uintptr_t>(
-            (std::uint64_t{selfHi} << 32) | selfLo)));
-      },
-      this);
+#if TIBSIM_TSAN
+  __tsan_destroy_fiber(tsanFiber_);
 #endif
-  armed_ = true;
+  FiberStackArena::instance().release(stack_, pooled_, residentFrom_);
 }
 
 std::size_t ExecutionContext::stackHighWaterBytes() {
@@ -499,59 +403,62 @@ std::size_t ExecutionContext::stackHighWaterBytes() {
   return stackBytes_ - offset;
 }
 
-#if TIBSIM_SWAPCONTEXT
-
 void ExecutionContext::switchIn() {
-  TIB_ASSERT(armed_ && !done_);
+  TIB_ASSERT(!done_);
+  if (fiberSp_ == nullptr)
+    fiberSp_ = writeEntryFrame(stack_ + stackBytes_, &run, this);
+#if TIBSIM_ASAN
   void* fakeStack = nullptr;
-  asanStartSwitch(&fakeStack, stack_, stackBytes_);
+  __sanitizer_start_switch_fiber(&fakeStack, stack_, stackBytes_);
+#endif
+#if TIBSIM_TSAN
   // The resuming host thread may differ between switches: a world run on
   // one thread can be torn down, unwinding its blocked fibers, on another.
   // So the host fiber is looked up every time.
-  tsanHost_ = tsanCurrentFiber();
-  tsanSwitchTo(tsanFiber_);
-  TIB_REQUIRE(swapcontext(&swap_->host, &swap_->fiber) == 0);
-  // Back on the host stack; tell ASan and remember where the host stack
-  // lives so yieldToHost() can announce the reverse switch.
-  asanFinishSwitch(fakeStack, &hostStackBottom_, &hostStackSize_);
-}
-
-void ExecutionContext::yieldToHost() {
-  void* fakeStack = nullptr;
-  asanStartSwitch(&fakeStack, hostStackBottom_, hostStackSize_);
-  tsanSwitchTo(tsanHost_);
-  TIB_REQUIRE(swapcontext(&swap_->fiber, &swap_->host) == 0);
-  asanFinishSwitch(fakeStack, &hostStackBottom_, &hostStackSize_);
-}
-
-#else
-
-void ExecutionContext::switchIn() {
-  TIB_ASSERT(armed_ && !done_);
-  if (fiberSp_ == nullptr)
-    fiberSp_ = writeEntryFrame(stack_ + stackBytes_, &run, this);
+  tsanHost_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(tsanFiber_, 0);
+#endif
   tibsim_switch_stacks(&hostSp_, fiberSp_);
+#if TIBSIM_ASAN
+  // Back on the host stack. The fiber side learns where the host stack
+  // lives from its own finish call.
+  __sanitizer_finish_switch_fiber(fakeStack, nullptr, nullptr);
+#endif
 }
 
 void ExecutionContext::yieldToHost() {
+#if TIBSIM_ASAN
+  void* fakeStack = nullptr;
+  __sanitizer_start_switch_fiber(&fakeStack, hostStackBottom_,
+                                 hostStackSize_);
+#endif
+#if TIBSIM_TSAN
+  __tsan_switch_to_fiber(tsanHost_, 0);
+#endif
   tibsim_switch_stacks(&fiberSp_, hostSp_);
+#if TIBSIM_ASAN
+  __sanitizer_finish_switch_fiber(fakeStack, &hostStackBottom_,
+                                  &hostStackSize_);
+#endif
 }
-
-#endif  // TIBSIM_SWAPCONTEXT
 
 void ExecutionContext::run(ExecutionContext* self) {
+#if TIBSIM_ASAN
   // First time on the fiber stack: complete the switch the host started.
-  asanFinishSwitch(nullptr, &self->hostStackBottom_, &self->hostStackSize_);
-  self->entry_();
-  self->done_ = true;
-#if TIBSIM_SWAPCONTEXT
-  // Final exit: a nullptr fake-stack save tells ASan this fiber is dying.
-  asanStartSwitch(nullptr, self->hostStackBottom_, self->hostStackSize_);
-  tsanSwitchTo(self->tsanHost_);
-  swapcontext(&self->swap_->fiber, &self->swap_->host);
-#else
-  tibsim_switch_stacks(&self->fiberSp_, self->hostSp_);
+  __sanitizer_finish_switch_fiber(nullptr, &self->hostStackBottom_,
+                                  &self->hostStackSize_);
 #endif
+  self->entry_(self->arg_);
+  self->done_ = true;
+#if TIBSIM_ASAN
+  // Final exit: a nullptr fake-stack save tells ASan this fiber is dying.
+  __sanitizer_start_switch_fiber(nullptr, self->hostStackBottom_,
+                                 self->hostStackSize_);
+#endif
+#if TIBSIM_TSAN
+  __tsan_switch_to_fiber(self->tsanHost_, 0);
+#endif
+  tibsim_switch_stacks(&self->fiberSp_, self->hostSp_);
   TIB_ASSERT(false && "resumed a finished fiber");
 }
 

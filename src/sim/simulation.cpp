@@ -44,33 +44,35 @@ void requireFinite(const char* what, double value) {
 // ---------------------------------------------------------------------------
 
 Process::Process(Simulation& sim, std::uint64_t id, std::string name,
-                 Body body)
-    : sim_(sim), id_(id), name_(std::move(name)), body_(std::move(body)) {}
+                 Body body, bool pooledStack)
+    : sim_(sim),
+      context_(&Process::fiberMain, this, pooledStack),
+      id_(id),
+      name_(std::move(name)),
+      body_(std::move(body)) {}
 
 Process::~Process() { kill(); }
 
-void Process::start(bool pooledStack) {
-  context_ = std::make_unique<ExecutionContext>(pooledStack);
-  context_->start([this] {
-    if (!killRequested_) {
-      try {
-        body_(*this);
-      } catch (const ProcessKilled&) {
-        // Simulation torn down while this process was blocked: unwind.
-      } catch (...) {
-        // Keep the simulation alive; the owner inspects exception() after
-        // the event loop drains and rethrows on its own thread.
-        exception_ = std::current_exception();
-      }
+void Process::fiberMain(void* self) {
+  Process& p = *static_cast<Process*>(self);
+  if (!p.killRequested_) {
+    try {
+      p.body_(p);
+    } catch (const ProcessKilled&) {
+      // Simulation torn down while this process was blocked: unwind.
+    } catch (...) {
+      // Keep the simulation alive; the owner inspects exception() after
+      // the event loop drains and rethrows on its own thread.
+      p.exception_ = std::current_exception();
     }
-    finished_ = true;
-  });
+  }
+  p.finished_ = true;
 }
 
 void Process::switchIn() {
-  TIB_ASSERT(context_ != nullptr && !finished_);
+  TIB_ASSERT(!finished_);
   sim_.noteContextSwitch();
-  context_->switchIn();
+  context_.switchIn();
   if (finished_) sim_.noteProcessFinished(*this);
 }
 
@@ -86,7 +88,7 @@ void Process::yieldToHost() {
                  name_.c_str());
     std::abort();
   }
-  context_->yieldToHost();
+  context_.yieldToHost();
   if (killRequested_) throw ProcessKilled{};
 }
 
@@ -115,7 +117,7 @@ void Process::suspend() {
 double Process::now() const { return sim_.now(); }
 
 void Process::kill() {
-  if (context_ == nullptr || finished_) return;
+  if (finished_) return;
   killRequested_ = true;
   // Run the context until the body has unwound (yieldToHost rethrows the
   // kill as ProcessKilled). A body that swallows ProcessKilled and blocks
@@ -284,10 +286,9 @@ void Simulation::scheduleIn(double dt, UniqueFunction fn) {
 }
 
 Process& Simulation::spawn(std::string name, Process::Body body) {
-  auto process = std::unique_ptr<Process>(
-      new Process(*this, nextProcessId_++, std::move(name), std::move(body)));
+  auto process = std::unique_ptr<Process>(new Process(
+      *this, nextProcessId_++, std::move(name), std::move(body), pooledStacks_));
   Process& ref = *process;
-  ref.start(pooledStacks_);
   processes_.push_back(std::move(process));
   ++stats_.processesSpawned;
   ++liveNow_;
@@ -326,13 +327,14 @@ double Simulation::runUntil(double deadline) {
   return now_;
 }
 
-// A deep queue's wake-ups land on processes, contexts and fiber stacks
-// that have gone cold since they blocked; dispatching one then stalls on
-// each of those lines in turn. The loop therefore works two stages ahead:
-// the hot Process lines of the top's children are requested one dispatch
-// before either can be the top, so when one is, its context_ and resumeSp_
-// read from a line already in flight, and the lines they point at get the
-// whole current dispatch to arrive.
+// A deep queue's wake-ups land on processes and fiber stacks that have
+// gone cold since they blocked; dispatching one then stalls on each of
+// those lines in turn. The loop therefore works two stages ahead: the hot
+// Process lines of the top's children, which also hold their contexts'
+// saved stack pointers, are requested one dispatch before either can be
+// the top, so when one is, its resumeSp_ reads from a line already in
+// flight, and the stack lines it points at get the whole current dispatch
+// to arrive.
 //
 // The prefetches stay in this function's body on purpose: GCC judges a
 // function that only prefetches to be free of side effects and drops calls
@@ -344,7 +346,6 @@ Simulation::Event Simulation::popAndPrefetch() {
   if (next.proc != nullptr) {
     const Process& p = *next.proc;
     __builtin_prefetch(&p, 1);
-    p.context_->prefetchSwitchState();
     if (p.resumeSp_ != nullptr) {
       // Integer arithmetic: the window may run past the stack's ends, and a
       // prefetch of an unmapped line is simply dropped.
@@ -395,9 +396,9 @@ void Simulation::noteProcessFinished(Process& p) {
   // Harvest stack telemetry while the context is still alive: the body has
   // unwound, so the stack's resident pages are final.
   stats_.fiberStackBytes =
-      std::max(stats_.fiberStackBytes, p.context_->stackBytes());
+      std::max(stats_.fiberStackBytes, p.context_.stackBytes());
   stats_.stackHighWaterBytes =
-      std::max(stats_.stackHighWaterBytes, p.context_->stackHighWaterBytes());
+      std::max(stats_.stackHighWaterBytes, p.context_.stackHighWaterBytes());
 }
 
 std::size_t Simulation::liveProcessCount() const {

@@ -5,12 +5,17 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "stack_mappings.hpp"
 #include "tibsim/apps/hpl.hpp"
 #include "tibsim/apps/hydro.hpp"
 #include "tibsim/cluster/cluster.hpp"
 #include "tibsim/common/assert.hpp"
 #include "tibsim/common/units.hpp"
+#include "tibsim/sim/simulation.hpp"
 
 namespace tibsim::cluster {
 namespace {
@@ -153,6 +158,33 @@ TEST(ClusterSim, ArndaleClusterUsesUsbNic) {
     if (ctx.rank() == 2) ctx.recv(0, 1);
   });
   EXPECT_GT(result.wallClockSeconds, 80e-6);  // USB-laden small message
+}
+
+// Private fiber stacks are capped per host process, not per world. Worlds
+// below kPooledStacksMinRanks ranks each, live at once as in a campaign at
+// --jobs 32, must not together map more than the cap: at 2 VMAs a stack
+// they would exhaust vm.max_map_count, and the next guard mprotect would
+// fail mid-spawn. Past the cap a rank runs on a pooled stack. (CI's TSan
+// job does not run this binary: TSan cannot hold this many fibers.)
+TEST(FiberStacks, LiveWorldsMapAtMostTheCapOfPrivateStacks) {
+  constexpr int kWorlds = 3;
+  constexpr int kRanks = sim::kPooledStacksMinRanks / 2;
+  std::vector<std::unique_ptr<sim::Simulation>> worlds;
+  int finished = 0;
+  for (int w = 0; w < kWorlds; ++w) {
+    sim::Simulation& world =
+        *worlds.emplace_back(std::make_unique<sim::Simulation>());
+    for (int r = 0; r < kRanks; ++r)
+      world.spawn(std::string("r").append(std::to_string(r)),
+                  [&finished](sim::Process& p) {
+                    p.delay(1.0);
+                    ++finished;
+                  });
+  }
+  EXPECT_LE(testmaps::privateStackMappings(),
+            static_cast<std::size_t>(sim::kPooledStacksMinRanks));
+  for (auto& world : worlds) world->run();
+  EXPECT_EQ(finished, kWorlds * kRanks);
 }
 
 }  // namespace

@@ -11,12 +11,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,6 +22,7 @@
 #include <vector>
 
 #include "host_threads.hpp"
+#include "stack_mappings.hpp"
 #include "tibsim/common/assert.hpp"
 #include "tibsim/sim/simulation.hpp"
 
@@ -620,10 +619,11 @@ TEST_P(SimulationTest, CalleeSavedRegistersSurviveASwitch) {
   // leaves one process's accumulators for the host loop's registers and
   // enters the other's.
   for (int i = 0; i < 2; ++i)
-    sim.spawn("p" + std::to_string(i), [&got, i](Process& p) {
-      if (i == 1) p.delay(0.5);
-      got[i] = accumulate(i + 1, kRounds, [&p] { p.delay(1.0); });
-    });
+    sim.spawn(std::string("p").append(std::to_string(i)),
+              [&got, i](Process& p) {
+                if (i == 1) p.delay(0.5);
+                got[i] = accumulate(i + 1, kRounds, [&p] { p.delay(1.0); });
+              });
   run(sim);
   for (int i = 0; i < 2; ++i)
     EXPECT_EQ(got[i], accumulate(i + 1, kRounds, [] {})) << "process " << i;
@@ -780,40 +780,21 @@ TEST(FiberGuardPageDeathTest, OverflowFaultsOnGuardPage) {
 // size takes the stacks the first one parked, so it maps none, and the
 // first one unmapped none.
 TEST(FiberStacks, SecondWorldOfTheSameSizeMapsNoStack) {
-  // The lines of /proc/self/maps shaped like a private fiber stack:
-  // anonymous, read-write and exactly one stack long (its guard page is a
-  // line of its own). Other lines may come and go with the allocator: a
-  // sanitizer's quarantines freed memory, so the second world's objects
-  // land in fresh mappings.
-  const auto mappings = [] {
-    std::ifstream maps("/proc/self/maps");
-    std::size_t stacks = 0;
-    for (std::string line; std::getline(maps, line);) {
-      std::istringstream fields(line);
-      std::string range, perms, offset, device, inode, path;
-      fields >> range >> perms >> offset >> device >> inode >> path;
-      const std::size_t dash = range.find('-');
-      const auto begin = std::stoull(range.substr(0, dash), nullptr, 16);
-      const auto end = std::stoull(range.substr(dash + 1), nullptr, 16);
-      if (perms == "rw-p" && path.empty() &&
-          end - begin == ExecutionContext::defaultStackBytes())
-        ++stacks;
-    }
-    return stacks;
-  };
   constexpr int kRanks = 8;
   std::size_t inside = 0;
   const auto runWorld = [&](bool probe) {
     Simulation sim;
     for (int i = 0; i < kRanks; ++i)
-      sim.spawn("p" + std::to_string(i), [&, probe, i](Process& p) {
-        p.delay(1.0);
-        if (probe && i == kRanks - 1) inside = mappings();
-      });
+      sim.spawn(std::string("p").append(std::to_string(i)),
+                [&, probe, i](Process& p) {
+                  p.delay(1.0);
+                  if (probe && i == kRanks - 1)
+                    inside = testmaps::privateStackMappings();
+                });
     sim.run();
   };
   runWorld(false);
-  const std::size_t after = mappings();
+  const std::size_t after = testmaps::privateStackMappings();
   runWorld(true);
   EXPECT_GE(after, static_cast<std::size_t>(kRanks));
   EXPECT_EQ(inside, after);
