@@ -5,18 +5,18 @@
 // that could change its byte-exact artefacts: the experiment name and its
 // version tag, the constexpr Table-1 platform-spec *bytes* (arch/table1.hpp
 // field values, not version strings), the campaign seed, the
-// trace/verify campaign options, and a fingerprint of the
-// running executable's bytes. An entry is {schema, experiment, key, cells,
-// resultJson}: the cell's result document, stored once and verbatim. On a
-// hit the document replays byte-identically, and the engine counters and
-// world accounting are read back from its own engine/worlds/links/
-// criticalPath objects. On a miss the freshly computed cell is stored
-// atomically (write-temp + rename) so campaigns sharing a cache directory
-// never see torn entries. A corrupt or truncated entry is
+// trace/verify campaign options, and a fingerprint of the running
+// executable's bytes (no fingerprint, no cache). An entry is {schema,
+// experiment, key, cells, resultJson}: the cell's result document, stored
+// once and verbatim. On a hit the document replays byte-identically, and
+// the engine counters and world accounting are read back from its own
+// engine/worlds/links/criticalPath objects. On a miss the freshly computed
+// cell is stored atomically (write-temp + rename) so campaigns sharing a
+// cache directory never see torn entries. A corrupt or truncated entry is
 // indistinguishable from a miss: load() validates the whole document and
 // returns nothing rather than trusting partial bytes.
 //
-// Everything here is host-side I/O running on the campaign driver thread
+// Everything here is host-side I/O running on the campaign's host threads
 // (never inside fiber-run simulation code), so host clocks/getpid are fine;
 // determinism obligations are only that replayed artefacts match a fresh
 // run byte-for-byte, which holds because the document's numbers are exact
@@ -75,11 +75,20 @@ struct CacheKeyInputs {
 /// invalidates every cached cell, without trusting any version string.
 std::uint64_t hashPlatformSpecs();
 
-/// Digest of the running executable's bytes (/proc/self/exe), computed
+/// Digest of a file's bytes, streamed through a 64 KiB buffer: four
+/// 64-bit word lanes over each 32-byte block, then the lanes, the last
+/// < 32 bytes and the byte count folded through CacheHasher. A change to
+/// one word always leaves its lane different. Returns 0 when the file
+/// cannot be opened or read to its end; a digest that comes out as 0 is
+/// returned as 1.
+std::uint64_t fingerprintFile(const std::string& path);
+
+/// fingerprintFile() of the running executable (/proc/self/exe), computed
 /// once per process. A rebuilt binary — new code, new compiler, new flags
-/// — never replays stale cells. Returns 0 when the executable cannot be
-/// read (non-procfs hosts); callers may still cache, just without binary
-/// discrimination.
+/// — never replays stale cells. 0 means the executable could not be read
+/// (a host without procfs); runCampaign then runs uncached, because a
+/// shared fingerprint of 0 would let every binary on that host replay
+/// every other binary's cells.
 std::uint64_t executableFingerprint();
 
 /// The cell's content address: 16 lowercase hex digits.

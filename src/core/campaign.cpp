@@ -166,15 +166,25 @@ CampaignResult runCampaign(const CampaignOptions& options,
 
   // Result cache. Keys are computed after the scoped overrides above, so
   // the resolved-effective settings key identically whether they came from
-  // a flag, the environment or the default. --trace-export disables the
-  // cache entirely: timeline artefacts are written while an experiment
-  // runs and a replayed cell cannot reproduce them.
-  const bool cacheEnabled =
-      !options.cacheDir.empty() && options.traceExportDir.empty();
+  // a flag, the environment or the default. Two things disable the cache
+  // entirely: --trace-export, because timeline artefacts are written while
+  // an experiment runs and a replayed cell cannot reproduce them; and an
+  // executable that cannot be read, because its fingerprint of 0 would be
+  // shared by every binary on the host.
   std::optional<ResultCache> cache;
   std::vector<std::string> keys(selected.size());
-  if (cacheEnabled) {
-    cache.emplace(options.cacheDir);
+  const char* cacheDisabled = nullptr;  // why a requested cache is off
+  if (!options.cacheDir.empty()) {
+    if (!options.traceExportDir.empty())
+      cacheDisabled =
+          "--trace-export artefacts are written during the run and cannot "
+          "replay";
+    else if (executableFingerprint() == 0)
+      cacheDisabled = "cannot read the executable to fingerprint it";
+    else
+      cache.emplace(options.cacheDir);
+  }
+  if (cache) {
     CacheKeyInputs base;
     base.seed = options.seed;
     base.traceMode = obs::toString(obs::defaultTraceMode());
@@ -354,9 +364,8 @@ CampaignResult runCampaign(const CampaignOptions& options,
           << campaign.cacheMisses << " miss"
           << (campaign.cacheMisses == 1 ? "" : "es") << " (" << cache->dir()
           << ")\n";
-    } else if (!options.cacheDir.empty()) {
-      out << "result cache disabled: --trace-export artefacts are written "
-             "during the run and cannot replay\n";
+    } else if (cacheDisabled != nullptr) {
+      out << "result cache disabled: " << cacheDisabled << '\n';
     }
     // Engine block: only experiments that ran discrete-event simulations.
     bool anyEngine = false;
@@ -484,7 +493,8 @@ void printUsage(std::ostream& out) {
          "               [--compat] [--no-summary]\n\n"
          "Globs match experiment names ('fig0?', 'ablation_*'); no glob "
          "selects every experiment.\n"
-         "Flags accept both '--flag value' and '--flag=value'.\n"
+         "Flags accept both '--flag value' and '--flag=value'; a value may "
+         "not be empty.\n"
          "--jobs N runs experiments and their cells on N worker threads "
          "(0 = hardware concurrency, at most "
       << TaskPool::kMaxThreads << ").\n"
@@ -543,9 +553,11 @@ int socbenchMain(int argc, const char* const* argv) {
   CampaignOptions options;
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
+    // An empty value ("--json=") is refused like a missing one: taken as
+    // given, it would silently turn that output off.
     const auto flagValue = [&](const char* flag) -> const std::string* {
       if (arg != flag) return nullptr;
-      if (++i >= args.size()) {
+      if (++i >= args.size() || args[i].empty()) {
         std::cerr << "socbench: " << flag << " needs a value\n";
         return nullptr;
       }

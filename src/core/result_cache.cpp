@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -68,20 +69,18 @@ void hashSpec(CacheHasher& h, const arch::table1::PlatformSpec& p) {
   h.f64(p.power.nicActiveW);
 }
 
-std::uint64_t computeExecutableFingerprint() {
-  std::ifstream exe("/proc/self/exe", std::ios::binary);
-  if (!exe.good()) return 0;
-  CacheHasher h;
-  char buffer[65536];
-  std::uint64_t total = 0;
-  while (exe.read(buffer, sizeof buffer) || exe.gcount() > 0) {
-    const std::streamsize n = exe.gcount();
-    h.bytes(buffer, static_cast<std::size_t>(n));
-    total += static_cast<std::uint64_t>(n);
-    if (n < static_cast<std::streamsize>(sizeof buffer)) break;
-  }
-  h.u64(total);
-  return h.digest();
+// xxHash64's primes. kPrime1 is odd, so multiplying by it is a bijection.
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::size_t kLanes = 4;
+constexpr std::size_t kBlockBytes = kLanes * sizeof(std::uint64_t);
+
+// One lane step, xxHash64's round. For a fixed word it is a bijection of
+// `acc`, so a lane that sees one different word ends different. The rotate
+// matters: a multiply only carries differences upward, so without it two
+// bit-63 flips fed to one lane (words 32 bytes apart) cancel.
+std::uint64_t laneRound(std::uint64_t acc, std::uint64_t word) {
+  return std::rotl(acc + word * kPrime2, 31) * kPrime1;
 }
 
 // --- entry deserialisation ---------------------------------------------------
@@ -201,10 +200,45 @@ std::uint64_t hashPlatformSpecs() {
   return h.digest();
 }
 
+std::uint64_t fingerprintFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return 0;
+  // xxHash64's lane seeds for seed 0: four distinct starting points.
+  std::uint64_t lanes[kLanes] = {kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1};
+  // A multiple of the block, so only the file's last chunk has a tail.
+  char buffer[65536];
+  static_assert(sizeof buffer % kBlockBytes == 0);
+  std::uint64_t total = 0;
+  std::size_t n = 0;
+  std::size_t whole = 0;  // the bytes of the chunk in complete blocks
+  do {
+    in.read(buffer, sizeof buffer);
+    n = static_cast<std::size_t>(in.gcount());
+    total += n;
+    whole = n - n % kBlockBytes;
+    for (std::size_t block = 0; block < whole; block += kBlockBytes) {
+      for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        // A host-order word: little-endian on both supported ISAs, and a
+        // fingerprint is only ever compared with the same binary's.
+        std::uint64_t w = 0;
+        std::memcpy(&w, buffer + block + lane * sizeof w, sizeof w);
+        lanes[lane] = laneRound(lanes[lane], w);
+      }
+    }
+  } while (n == sizeof buffer);
+  if (in.bad()) return 0;  // a read failed: the digest would cover a prefix
+  CacheHasher h;
+  for (const std::uint64_t lane : lanes) h.u64(lane);
+  h.bytes(buffer + whole, n - whole);
+  h.u64(total);
+  const std::uint64_t digest = h.digest();
+  return digest == 0 ? 1 : digest;  // 0 means "could not read"
+}
+
 std::uint64_t executableFingerprint() {
   // Computed once per process: the binary cannot change under a running
   // campaign, and hashing it costs a full read of the executable.
-  static const std::uint64_t fingerprint = computeExecutableFingerprint();
+  static const std::uint64_t fingerprint = fingerprintFile("/proc/self/exe");
   return fingerprint;
 }
 

@@ -79,6 +79,96 @@ TEST(CacheKey, SpecHashAndBinaryFingerprintAreStableAndNonzero) {
   // /proc/self/exe is always readable on the Linux CI hosts.
   EXPECT_NE(core::executableFingerprint(), 0u);
   EXPECT_EQ(core::executableFingerprint(), core::executableFingerprint());
+  EXPECT_EQ(core::executableFingerprint(),
+            core::fingerprintFile("/proc/self/exe"));
+}
+
+// ---------------------------------------------------------------------------
+// File fingerprint
+// ---------------------------------------------------------------------------
+
+// Sizes around the 32-byte lane block and the 64 KiB read chunk.
+constexpr std::size_t kFingerprintSizes[] = {
+    0, 1, 31, 32, 33, 65535, 65536, 65537, 65536 + 33};
+
+std::vector<unsigned char> patternBytes(std::size_t n) {
+  std::vector<unsigned char> bytes(n);
+  for (std::size_t i = 0; i < n; ++i)
+    bytes[i] = static_cast<unsigned char>((i * 131) ^ (i >> 8));
+  return bytes;
+}
+
+// fingerprintFile() of `bytes` written to a temporary file named `name`.
+std::uint64_t fingerprintOf(const std::vector<unsigned char>& bytes,
+                            const char* name) {
+  const fs::path path = fs::temp_directory_path() / name;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  const std::uint64_t digest = core::fingerprintFile(path.string());
+  fs::remove(path);
+  return digest;
+}
+
+TEST(FingerprintFile, SameBytesGiveTheSameNonzeroDigest) {
+  for (const std::size_t size : kFingerprintSizes) {
+    const std::vector<unsigned char> bytes = patternBytes(size);
+    const std::uint64_t digest = fingerprintOf(bytes, "tibsim_fp_same.bin");
+    EXPECT_NE(digest, 0u) << size;
+    EXPECT_EQ(fingerprintOf(bytes, "tibsim_fp_same.bin"), digest) << size;
+  }
+}
+
+TEST(FingerprintFile, FlippingAnyOneByteChangesTheDigest) {
+  for (const std::size_t size : kFingerprintSizes) {
+    const std::vector<unsigned char> bytes = patternBytes(size);
+    const std::uint64_t digest = fingerprintOf(bytes, "tibsim_fp_flip.bin");
+    std::vector<std::size_t> offsets;
+    if (size >= 1) offsets.push_back(0);                // the first byte
+    if (size >= 32) offsets.push_back(21);              // inside a block
+    if (size % 32 != 0) offsets.push_back(size - 1);    // in the tail
+    if (size >= 65536) offsets.push_back(65535);        // before the chunk
+    if (size > 65536) offsets.push_back(65536);         // after the chunk
+    for (const std::size_t offset : offsets) {
+      std::vector<unsigned char> flipped = bytes;
+      flipped[offset] ^= 0x01;
+      EXPECT_NE(fingerprintOf(flipped, "tibsim_fp_flip.bin"), digest)
+          << size << " bytes, offset " << offset;
+    }
+  }
+}
+
+TEST(FingerprintFile, TopBitFlipsInOneLaneDoNotCancel) {
+  // Words 32 bytes apart feed the same lane. Without the rotate in the
+  // lane round, flipping bit 63 of both cancels: a multiply only carries
+  // a difference upward, out of the word.
+  const std::vector<unsigned char> bytes = patternBytes(65536 + 33);
+  const std::uint64_t digest = fingerprintOf(bytes, "tibsim_fp_top.bin");
+  for (const std::size_t word : {0u, 8u, 24u, 65504u}) {
+    std::vector<unsigned char> flipped = bytes;
+    flipped[word + 7] ^= 0x80;       // bit 63 of a little-endian word
+    flipped[word + 32 + 7] ^= 0x80;  // and of the lane's next word
+    EXPECT_NE(fingerprintOf(flipped, "tibsim_fp_top.bin"), digest) << word;
+  }
+}
+
+TEST(FingerprintFile, AppendingAZeroByteChangesTheDigest) {
+  for (const std::size_t size : kFingerprintSizes) {
+    std::vector<unsigned char> bytes = patternBytes(size);
+    const std::uint64_t digest = fingerprintOf(bytes, "tibsim_fp_grow.bin");
+    bytes.push_back(0);
+    EXPECT_NE(fingerprintOf(bytes, "tibsim_fp_grow.bin"), digest) << size;
+  }
+}
+
+TEST(FingerprintFile, UnreadablePathGivesZero) {
+  const fs::path missing =
+      fs::temp_directory_path() / "tibsim_fp_missing" / "no_such_file";
+  EXPECT_EQ(core::fingerprintFile(missing.string()), 0u);
+  // A directory opens but every read fails.
+  EXPECT_EQ(core::fingerprintFile(fs::temp_directory_path().string()), 0u);
 }
 
 TEST(CacheKey, ExperimentVersionTagDefaultsToOne) {

@@ -549,6 +549,18 @@ TEST(Cli, RejectsNonNumericIntegerFlags) {
   EXPECT_EQ(cliExit({"run", "--jobs=banana"}), 2);  // --flag=value spelling
 }
 
+TEST(Cli, RejectsEmptyFlagValues) {
+  // `run tab01 --cache= --json=` used to exit 0 having written neither a
+  // cache nor JSON, and `--trace-mode=` ran the default mode.
+  for (const char* flag : {"--json", "--csv", "--jobs", "--seed", "--cache",
+                           "--trace-mode", "--trace-export"}) {
+    EXPECT_EQ(cliExit({"run", "tab01", "--no-summary", flag, ""}), 2) << flag;
+    const std::string joined = std::string(flag).append("=");
+    EXPECT_EQ(cliExit({"run", "tab01", "--no-summary", joined.c_str()}), 2)
+        << joined;
+  }
+}
+
 TEST(Cli, RejectsJobsAboveTheCeiling) {
   // Exactly one over: refused at parse time, before any thread starts.
   const std::string over = std::to_string(TaskPool::kMaxThreads + 1);
