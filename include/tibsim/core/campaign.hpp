@@ -30,14 +30,14 @@ struct CampaignOptions {
   bool compat = false;  ///< render each experiment's full text report
   bool summary = true;  ///< print the campaign run summary
   /// Trace recording mode for traced worlds: "" keeps the process-wide
-  /// default (full, or TIBSIM_TRACE_MODE), else "full"/"sampled"/
+  /// default (full unless a caller set it), else "full"/"sampled"/
   /// "aggregate".
   std::string traceMode;
   /// Arm the runtime collective-matching verifier (--verify-collectives):
   /// every collective entry stamps its traffic and any rank matching a
   /// stamp that disagrees with its own active collective throws a
   /// deterministic mismatch report (mpi/collective_verify.hpp). false
-  /// keeps the process-wide default (off, or TIBSIM_VERIFY_COLLECTIVES).
+  /// keeps the process-wide default (off unless a caller set it).
   bool verifyCollectives = false;
   /// Content-addressed result cache directory (--cache). When non-empty,
   /// each experiment cell is keyed by core/result_cache.hpp's digest

@@ -13,6 +13,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tibsim/common/result_set.hpp"
@@ -51,20 +52,8 @@ class ExperimentContext {
   /// Total sweep cells executed through parallelFor, for the run summary.
   std::size_t cellsExecuted() const { return cells_.load(); }
 
-  /// Fold a simulation's engine counters into this experiment's totals.
-  /// Call once per Simulation/MpiWorld run (typically from a parallelFor
-  /// cell with `result.stats.engine`). Thread-safe, and totals do not
-  /// depend on --jobs: records are re-sorted into a canonical order before
-  /// the (rounding-sensitive) double sums are taken.
-  void recordEngineStats(const sim::EngineStats& stats) const;
-
-  /// Engine counters accumulated so far across every recorded simulation.
+  /// Engine counters accumulated so far across every recorded world.
   sim::EngineStats engineStats() const;
-
-  /// Fold one world's traffic/trace accounting into this experiment's
-  /// totals. Thread-safe; totals are --jobs-independent (canonical-order
-  /// folding, like recordEngineStats).
-  void recordRunCounters(const obs::RunCounters& counters) const;
 
   /// Traffic/trace accounting accumulated across every recorded world.
   obs::RunCounters runCounters() const;
@@ -83,13 +72,18 @@ class ExperimentContext {
   bool exportArtefact(const std::string& filename,
                       const std::string& content) const;
 
-  /// Record a full mpi::WorldStats in one call: engine counters plus the
-  /// message/trace accounting. Templated so core/ needs no mpi/ dependency;
-  /// any type with the WorldStats field set works.
+  /// Fold one world's mpi::WorldStats into this experiment's totals:
+  /// engine counters plus the message/trace accounting. Call once per
+  /// MpiWorld run (typically from a parallelFor cell with
+  /// `result.stats`). Thread-safe, and totals do not depend on --jobs:
+  /// records are re-sorted into a canonical order before the
+  /// (rounding-sensitive) double sums are taken. Templated so core/ needs
+  /// no mpi/ dependency; any type with the WorldStats field set works.
   template <typename WorldStatsT>
   void recordWorldStats(const WorldStatsT& stats) const {
-    recordEngineStats(stats.engine);
-    obs::RunCounters counters;
+    WorldRecord world;
+    world.engine = stats.engine;
+    obs::RunCounters& counters = world.counters;
     counters.worlds = 1;
     counters.messages = stats.messageCount;
     counters.collectiveChecks = stats.collectiveChecks;
@@ -107,16 +101,19 @@ class ExperimentContext {
     counters.payloadPoolLiveHighWater = stats.payloadPoolLiveHighWater;
     counters.links = stats.linkStats;
     counters.criticalPath = stats.criticalPath;
-    recordRunCounters(counters);
+    record(std::move(world));
   }
 
  private:
-  /// Recorded stats, in the order a --jobs 1 run records them (see
-  /// parallelFor).
-  struct Records {
-    std::vector<sim::EngineStats> engine;
-    std::vector<obs::RunCounters> counters;
+  /// One recorded world.
+  struct WorldRecord {
+    sim::EngineStats engine;
+    obs::RunCounters counters;
   };
+  /// Recorded worlds, in the order a --jobs 1 run records them (see
+  /// parallelFor).
+  using Records = std::vector<WorldRecord>;
+  void record(WorldRecord&& world) const;
   /// Where a record made on the calling thread goes: the buffer of the
   /// parallelFor cell it is running, or records_ outside any cell.
   Records& recordsHere() const;
@@ -129,7 +126,7 @@ class ExperimentContext {
   TaskPool* pool_;
   std::string traceExportDir_;
   mutable std::atomic<std::size_t> cells_{0};
-  mutable std::mutex engineMutex_;
+  mutable std::mutex recordsMutex_;
   mutable Records records_;
   mutable std::mutex exportMutex_;
 };

@@ -1,18 +1,18 @@
 #pragma once
 // Deterministic runtime collective-matching verifier (PARCOACH-style).
 //
-// With verification enabled (--verify-collectives /
-// TIBSIM_VERIFY_COLLECTIVES=1) every message sent from inside a collective
-// carries a CollectiveStamp — the (communicator, collective kind, reduce
-// op, per-communicator sequence number, element/byte count, call site)
-// tuple of the collective the sender is executing. The receiving rank
-// compares that stamp against its own active collective at match time: the
-// first tuple a rank pins for a given (communicator, sequence) slot must
-// equal every peer's, and any divergence raises ContractError with a
-// report naming both ranks, both tuples, the call sites and the simulated
-// time. The comparison happens on the existing match path in canonical
-// delivery order, so the report is byte-identical across runs — the
-// dynamic cross-check for the static `collective-match` lint rule.
+// With verification enabled (--verify-collectives) every message sent from
+// inside a collective carries a CollectiveStamp — the (communicator,
+// collective kind, reduce op, per-communicator sequence number, element/
+// byte count, call site) tuple of the collective the sender is executing.
+// The receiving rank compares that stamp against its own active collective
+// at match time: the first tuple a rank pins for a given (communicator,
+// sequence) slot must equal every peer's, and any divergence raises
+// ContractError with a report naming both ranks, both tuples, the call
+// sites and the simulated time. The comparison happens on the existing
+// match path in canonical delivery order, so the report is byte-identical
+// across runs — the dynamic cross-check for the static `collective-match`
+// lint rule.
 //
 // Mismatches whose tag subspaces never meet (e.g. barrier vs gather) do
 // not match any message and therefore stall; the deadlock error's stall
@@ -23,9 +23,7 @@
 
 namespace tibsim::mpi {
 
-/// Process-wide default for WorldConfig::verifyCollectives. Initialised
-/// once from TIBSIM_VERIFY_COLLECTIVES: "1"/"on"/"true" enable,
-/// "0"/"off"/"false" disable, anything else is a ContractError.
+/// Process-wide default for WorldConfig::verifyCollectives; off until set.
 bool defaultVerifyCollectives();
 void setDefaultVerifyCollectives(bool on);
 

@@ -52,8 +52,8 @@ struct WorldConfig {
   int ranksPerNode = 1;
   net::TopologySpec topology;  ///< .nodes is derived from the rank count
   /// How a traced run records spans (obs layer sink: full / sampled /
-  /// aggregate). Snapshot of the process-wide default so --trace-mode and
-  /// TIBSIM_TRACE_MODE flow through. Tracing itself stays opt-in via
+  /// aggregate). Snapshot of the process-wide default so --trace-mode
+  /// flows through. Tracing itself stays opt-in via
   /// MpiWorld::enableTracing().
   obs::TraceMode traceMode = obs::defaultTraceMode();
   std::size_t traceReservoirPerRank = 512;  ///< sampled mode: spans kept/rank
@@ -63,9 +63,9 @@ struct WorldConfig {
   /// it off to measure its cost.
   bool linkTelemetry = true;
   /// Runtime collective-matching verifier (mpi/collective_verify.hpp).
-  /// Snapshot of the process-wide default (--verify-collectives /
-  /// TIBSIM_VERIFY_COLLECTIVES). Stamps ride inside Message, so enabling
-  /// it never changes the event schedule or the artefact bytes.
+  /// Snapshot of the process-wide default (--verify-collectives). Stamps
+  /// ride inside Message, so enabling it never changes the event schedule
+  /// or the artefact bytes.
   bool verifyCollectives = defaultVerifyCollectives();
 
   static WorldConfig tibidaboNode();  ///< Tegra2 node, 1 GbE, TCP/IP
@@ -379,9 +379,11 @@ class MpiWorld {
   /// (kNoSlot when `slot` is the head).
   void unlink(Mailbox& box, std::uint32_t prev, std::uint32_t slot);
   // In-flight message slab: a scheduled delivery captures [this, dst, slot]
-  // (16 bytes, inline in the event closure) instead of the Message itself,
-  // so scheduling never heap-allocates. A message lives in its slot from
-  // send to consumption; slots are recycled LIFO by takeSlot().
+  // instead of the Message itself. Those 16 trivially copyable bytes are
+  // the most std::function stores inline (libstdc++), so scheduling a
+  // delivery never heap-allocates; test_alloc fails if the capture grows.
+  // A message lives in its slot from send to consumption; slots are
+  // recycled LIFO by takeSlot().
   std::uint32_t stashInflight(Message&& message);
   /// Move the slot's payload out and recycle the slot.
   MessagePayload takeSlot(std::uint32_t slot);

@@ -45,11 +45,9 @@ const char* toString(TraceMode mode);
 /// Parse "full"/"sampled"/"aggregate". Throws ContractError otherwise.
 TraceMode parseTraceMode(const std::string& name);
 
-/// Process-wide default mode used by WorldConfig. Initialised once from the
-/// TIBSIM_TRACE_MODE environment variable; Full when unset, and a
-/// ContractError naming the variable for any value parseTraceMode rejects
-/// (tracing itself stays opt-in per world — the mode only says how a traced
-/// world records).
+/// Process-wide default mode used by WorldConfig; Full until set (tracing
+/// itself stays opt-in per world — the mode only says how a traced world
+/// records).
 TraceMode defaultTraceMode();
 void setDefaultTraceMode(TraceMode mode);
 

@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "tibsim/common/unique_function.hpp"
 #include "tibsim/sim/engine_stats.hpp"
 #include "tibsim/sim/execution_context.hpp"
 
@@ -63,9 +62,6 @@ class alignas(kCacheLineBytes) Process {
   bool finished() const { return finished_; }
   /// True while the process is suspended waiting for an external resume.
   bool suspended() const { return suspended_; }
-  /// Identifier of the current (or most recent) suspension; resumes are
-  /// tagged with this so stale wake-ups cannot disturb a later suspension.
-  std::uint64_t suspendId() const { return suspendSeq_; }
   /// Exception that escaped the body, if any (rethrow with std::rethrow).
   std::exception_ptr exception() const { return exception_; }
 
@@ -127,16 +123,16 @@ class Simulation {
   /// each — a 65,536-rank world would exceed vm.max_map_count). Worlds turn
   /// this on at/above kPooledStacksMinRanks. Call before the first spawn.
   void setPooledStacks(bool on) { pooledStacks_ = on; }
-  bool pooledStacks() const { return pooledStacks_; }
 
-  /// Schedule a callback at absolute time t (>= now()). The callback type
-  /// is move-only with 48 bytes of inline storage (UniqueFunction), so the
-  /// hot-path closures — message delivery, process wake-ups — never touch
-  /// the heap.
-  void scheduleAt(double t, UniqueFunction fn);
+  /// Schedule a callback at absolute time t (>= now()). The callback waits
+  /// in the closure slab, not in the queue entry. A capture that fits
+  /// std::function's inline buffer (16 trivially copyable bytes in
+  /// libstdc++, e.g. a message delivery's [this, dst, slot]) never touches
+  /// the heap; process wake-ups take no closure at all (resumeAt).
+  void scheduleAt(double t, std::function<void()> fn);
 
   /// Schedule a callback dt seconds from now (dt >= 0).
-  void scheduleIn(double dt, UniqueFunction fn);
+  void scheduleIn(double dt, std::function<void()> fn);
 
   /// Create a process and schedule it to start at the current time.
   Process& spawn(std::string name, Process::Body body);
@@ -160,7 +156,7 @@ class Simulation {
     closures_.reserve(n);
   }
 
-  std::size_t liveProcessCount() const;
+  std::size_t liveProcessCount() const { return liveNow_; }
   std::uint64_t processedEvents() const { return stats_.eventsDispatched; }
 
   /// Engine observability counters accumulated so far (simSeconds = now()).
@@ -261,7 +257,7 @@ class Simulation {
   static constexpr int kStackLinesAbove = 12;
 
   void dispatch(const Event& ev);
-  std::uint32_t stashClosure(UniqueFunction fn);
+  std::uint32_t stashClosure(std::function<void()> fn);
   void noteContextSwitch() { ++stats_.contextSwitches; }
   void noteProcessFinished(Process& p);
   void pushQueue(double t, Process* proc, std::uint64_t aux);
@@ -276,7 +272,7 @@ class Simulation {
   // Closure slab for callback events; slots are recycled LIFO, so a steady
   // stream of scheduleIn() calls reuses the same few slots with no
   // allocator traffic.
-  std::vector<UniqueFunction> closures_;
+  std::vector<std::function<void()>> closures_;
   std::vector<std::uint32_t> freeClosureSlots_;
   std::vector<std::unique_ptr<Process>> processes_;
 };

@@ -155,7 +155,7 @@ CampaignResult runCampaign(const CampaignOptions& options,
 
   // Collective-verifier override (--verify-collectives): WorldConfig
   // snapshots the default, so every world built below inherits it; off
-  // keeps whatever TIBSIM_VERIFY_COLLECTIVES set.
+  // keeps the process-wide default.
   std::optional<mpi::ScopedVerifyCollectives> verifyOverride;
   if (options.verifyCollectives) verifyOverride.emplace(true);
 
@@ -166,7 +166,7 @@ CampaignResult runCampaign(const CampaignOptions& options,
 
   // Result cache. Keys are computed after the scoped overrides above, so
   // the resolved-effective settings key identically whether they came from
-  // a flag, the environment or the default. Two things disable the cache
+  // a flag or the process-wide default. Two things disable the cache
   // entirely: --trace-export, because timeline artefacts are written while
   // an experiment runs and a replayed cell cannot reproduce them; and an
   // executable that cannot be read, because its fingerprint of 0 would be
@@ -507,7 +507,7 @@ void printUsage(std::ostream& out) {
          "--trace-mode bounds traced worlds' span memory: 'full' keeps "
          "every span, 'sampled' a deterministic per-rank reservoir,\n"
          "'aggregate' streaming per-rank histograms only (O(ranks), the "
-         "choice at scale). TIBSIM_TRACE_MODE sets the same default.\n"
+         "choice at scale).\n"
          "--trace-export DIR writes the traced jobs' timelines as tool-"
          "ready artefacts (Chrome trace_event JSON for chrome://tracing/\n"
          "Perfetto, Paraver .prv, per-rank breakdown CSV). Timeline "
@@ -522,7 +522,6 @@ void printUsage(std::ostream& out) {
          "matching a disagreeing stamp fails with a deterministic report\n"
          "naming both ranks, both tuples and the call sites — the dynamic "
          "cross-check for tibsim_lint's collective-match rule.\n"
-         "TIBSIM_VERIFY_COLLECTIVES=1 sets the same default.\n"
          "--compat prints each selected experiment's text report — its "
          "tables and ASCII charts — instead of the run summary.\n";
 }

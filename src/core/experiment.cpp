@@ -47,14 +47,11 @@ void ExperimentContext::parallelFor(
   } else {
     for (std::size_t i = 0; i < n; ++i) cell(i);
   }
-  std::lock_guard lock(engineMutex_);
+  std::lock_guard lock(recordsMutex_);
   Records& into = recordsHere();
-  for (Records& r : cellRecords) {
-    into.engine.insert(into.engine.end(), r.engine.begin(), r.engine.end());
-    into.counters.insert(into.counters.end(),
-                         std::make_move_iterator(r.counters.begin()),
-                         std::make_move_iterator(r.counters.end()));
-  }
+  for (Records& r : cellRecords)
+    into.insert(into.end(), std::make_move_iterator(r.begin()),
+                std::make_move_iterator(r.end()));
 }
 
 ExperimentContext::Records& ExperimentContext::recordsHere() const {
@@ -79,16 +76,17 @@ bool ExperimentContext::exportArtefact(const std::string& filename,
   return true;
 }
 
-void ExperimentContext::recordEngineStats(const sim::EngineStats& stats) const {
-  std::lock_guard lock(engineMutex_);
-  recordsHere().engine.push_back(stats);
+void ExperimentContext::record(WorldRecord&& world) const {
+  std::lock_guard lock(recordsMutex_);
+  recordsHere().push_back(std::move(world));
 }
 
 sim::EngineStats ExperimentContext::engineStats() const {
   std::vector<sim::EngineStats> records;
   {
-    std::lock_guard lock(engineMutex_);
-    records = records_.engine;
+    std::lock_guard lock(recordsMutex_);
+    records.reserve(records_.size());
+    for (const WorldRecord& world : records_) records.push_back(world.engine);
   }
   // Double addition is not associative, so fold in a canonical order to
   // keep simSeconds (serialised into campaign JSON) byte-deterministic.
@@ -106,17 +104,13 @@ sim::EngineStats ExperimentContext::engineStats() const {
   return total;
 }
 
-void ExperimentContext::recordRunCounters(
-    const obs::RunCounters& counters) const {
-  std::lock_guard lock(engineMutex_);
-  recordsHere().counters.push_back(counters);
-}
-
 obs::RunCounters ExperimentContext::runCounters() const {
   std::vector<obs::RunCounters> records;
   {
-    std::lock_guard lock(engineMutex_);
-    records = records_.counters;
+    std::lock_guard lock(recordsMutex_);
+    records.reserve(records_.size());
+    for (const WorldRecord& world : records_)
+      records.push_back(world.counters);
   }
   // Same canonical-order fold as engineStats(): payloadBytes/wireBytes are
   // double sums and land in the serialised campaign artefacts. The key

@@ -1,31 +1,18 @@
 #include "tibsim/mpi/collective_verify.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
-#include "tibsim/common/assert.hpp"
 #include "tibsim/common/json.hpp"
 
 namespace tibsim::mpi {
 
 namespace {
 
-bool readVerifyCollectivesFromEnv() {
-  const char* env = std::getenv("TIBSIM_VERIFY_COLLECTIVES");
-  if (env == nullptr) return false;
-  const std::string value(env);
-  if (value == "1" || value == "on" || value == "true") return true;
-  TIB_REQUIRE_MSG(value == "0" || value == "off" || value == "false",
-                  "TIBSIM_VERIFY_COLLECTIVES must be 1/on/true or "
-                  "0/off/false, got \"" + value + "\"");
-  return false;
-}
-
 bool& verifyCollectivesSlot() {
   // Process-wide default, mutated only from the host thread between runs
   // (socbench flag parsing, ScopedVerifyCollectives in tests) — never
   // from inside a running world. tibsim-lint: allow(sim-static)
-  static bool slot = readVerifyCollectivesFromEnv();
+  static bool slot = false;
   return slot;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "tibsim/common/assert.hpp"
 
@@ -38,22 +37,11 @@ TraceMode parseTraceMode(const std::string& name) {
 
 namespace {
 
-TraceMode readModeFromEnv() {
-  const char* env = std::getenv("TIBSIM_TRACE_MODE");
-  if (env == nullptr) return TraceMode::Full;
-  try {
-    return parseTraceMode(env);
-  } catch (const ContractError& error) {
-    throw ContractError(std::string("TIBSIM_TRACE_MODE=\"") + env +
-                        "\": " + error.what());
-  }
-}
-
 TraceMode& defaultModeSlot() {
-  // Process-wide configuration, written from the host thread (CLI/env/
+  // Process-wide configuration, written from the host thread (CLI/
   // ScopedTraceMode) before any world runs and only snapshotted into
   // WorldConfig — never touched from inside a running world.
-  static TraceMode slot = readModeFromEnv();  // tibsim-lint: allow(sim-static)
+  static TraceMode slot = TraceMode::Full;  // tibsim-lint: allow(sim-static)
   return slot;
 }
 

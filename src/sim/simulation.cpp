@@ -258,7 +258,7 @@ Simulation::~Simulation() {
   for (auto& p : processes_) p->kill();
 }
 
-std::uint32_t Simulation::stashClosure(UniqueFunction fn) {
+std::uint32_t Simulation::stashClosure(std::function<void()> fn) {
   if (freeClosureSlots_.empty()) {
     closures_.push_back(std::move(fn));
     return static_cast<std::uint32_t>(closures_.size() - 1);
@@ -274,13 +274,13 @@ void Simulation::pushQueue(double t, Process* proc, std::uint64_t aux) {
   stats_.queueHighWater = std::max(stats_.queueHighWater, queue_.size());
 }
 
-void Simulation::scheduleAt(double t, UniqueFunction fn) {
+void Simulation::scheduleAt(double t, std::function<void()> fn) {
   requireFinite("event time", t);
   TIB_REQUIRE_MSG(t >= now_, "cannot schedule an event in the past");
   pushQueue(t, nullptr, stashClosure(std::move(fn)));
 }
 
-void Simulation::scheduleIn(double dt, UniqueFunction fn) {
+void Simulation::scheduleIn(double dt, std::function<void()> fn) {
   TIB_REQUIRE(dt >= 0.0);
   scheduleAt(now_ + dt, std::move(fn));
 }
@@ -357,10 +357,12 @@ Simulation::Event Simulation::popAndPrefetch() {
             1);
     }
   } else {
+    // The slab is only 16-byte aligned, so a 32 B slot may straddle two
+    // lines: request both ends.
     const auto* slot = reinterpret_cast<const char*>(
         &closures_[static_cast<std::size_t>(next.aux)]);
     __builtin_prefetch(slot, 1);
-    __builtin_prefetch(slot + sizeof(UniqueFunction) - 1, 1);
+    __builtin_prefetch(slot + sizeof(std::function<void()>) - 1, 1);
   }
   // The top's children, one of which is the next top, sit in heap slots 2
   // and 3, one line.
@@ -384,7 +386,7 @@ void Simulation::dispatch(const Event& ev) {
   }
   // Move the closure out and free its slot before invoking: the callback
   // may schedule again and immediately reuse the slot.
-  UniqueFunction fn =
+  std::function<void()> fn =
       std::move(closures_[static_cast<std::size_t>(ev.aux)]);
   freeClosureSlots_.push_back(static_cast<std::uint32_t>(ev.aux));
   fn();
@@ -399,13 +401,6 @@ void Simulation::noteProcessFinished(Process& p) {
       std::max(stats_.fiberStackBytes, p.context_.stackBytes());
   stats_.stackHighWaterBytes =
       std::max(stats_.stackHighWaterBytes, p.context_.stackHighWaterBytes());
-}
-
-std::size_t Simulation::liveProcessCount() const {
-  std::size_t live = 0;
-  for (const auto& p : processes_)
-    if (!p->finished()) ++live;
-  return live;
 }
 
 EngineStats Simulation::engineStats() const {

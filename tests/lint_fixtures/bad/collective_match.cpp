@@ -4,7 +4,7 @@ struct Comm {
   int rank() const;
   void barrier();
   void bcast(double v);
-  void allreduceSum(double v);
+  void allreduce(double v);
 };
 
 void divergentArms(Comm& world) {
@@ -19,5 +19,5 @@ void divergentArms(Comm& world) {
 void earlyReturnSkipsCollective(Comm& world) {
   const bool leader = world.rank() == 0;
   if (leader) return;
-  world.allreduceSum(2.0);
+  world.allreduce(2.0);
 }

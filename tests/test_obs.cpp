@@ -7,8 +7,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -58,45 +56,6 @@ TEST(TraceMode, ScopedOverrideRestoresPrevious) {
     EXPECT_EQ(cfg.traceMode, TraceMode::Aggregate);
   }
   EXPECT_EQ(obs::defaultTraceMode(), before);
-}
-
-// The child of the death test below. Each process-wide default reads its
-// variable once, on first use, and a read that throws leaves it unread, so
-// one child can try every malformed value and then a valid one. Exits 0
-// only when every malformed value was a ContractError.
-[[noreturn]] void readMalformedEnvironmentKnobs() {
-  const auto rejects = [](const char* name, const char* value,
-                          const auto& read) {
-    setenv(name, value, 1);
-    try {
-      read();
-      std::fprintf(stderr, "%s accepted \"%s\"\n", name, value);
-      std::exit(1);
-    } catch (const ContractError& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-    }
-  };
-  for (const char* bad : {"agregate", "Full", " full", ""})
-    rejects("TIBSIM_TRACE_MODE", bad, [] { return obs::defaultTraceMode(); });
-  for (const char* bad : {"yes", "TRUE", "2", ""})
-    rejects("TIBSIM_VERIFY_COLLECTIVES", bad,
-            [] { return mpi::defaultVerifyCollectives(); });
-  setenv("TIBSIM_TRACE_MODE", "aggregate", 1);
-  setenv("TIBSIM_VERIFY_COLLECTIVES", "off", 1);
-  std::exit(obs::defaultTraceMode() == TraceMode::Aggregate &&
-                    !mpi::defaultVerifyCollectives()
-                ? 0
-                : 1);
-}
-
-TEST(EnvironmentKnobDeathTest, MalformedValueIsAContractError) {
-  // A misspelt mode must not fall back to full mode (unbounded span memory
-  // at scale), nor may "yes" leave the verifier off without a word.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_EXIT(readMalformedEnvironmentKnobs(), ::testing::ExitedWithCode(0),
-              "TIBSIM_TRACE_MODE=\"agregate\": .*unknown trace mode .*"
-              "TIBSIM_VERIFY_COLLECTIVES must be 1/on/true or 0/off/false, "
-              "got \"yes\"");
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@
 #include <array>
 #include <cctype>
 #include <charconv>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "tibsim/common/json.hpp"
 #include "tibsim/common/thread_pool.hpp"
 
 namespace tibsim::lint {
@@ -731,9 +731,8 @@ struct CollectiveCall {
 std::vector<CollectiveCall> collectCollectiveCalls(const std::string& code) {
   static const std::regex kCall(
       "([A-Za-z_]\\w*)\\s*(?:\\.|->)\\s*(ibarrier|ibcast|iallreduce|"
-      "barrier|bcastBytes|pipelinedBcastBytes|bcast|reduceSum|"
-      "allreduceSum|allreduceMax|allreduce|reduce|allgatherBytes|"
-      "allgather|gatherBytes|gather|alltoallBytes|split|dup)\\s*\\(");
+      "barrier|bcastBytes|pipelinedBcastBytes|bcast|allreduceMax|"
+      "allreduce|reduce|allgather|gather|alltoallBytes|split|dup)\\s*\\(");
   std::vector<CollectiveCall> calls;
   for (std::sregex_iterator it(code.begin(), code.end(), kCall), end;
        it != end; ++it) {
@@ -934,30 +933,6 @@ bool ruleSelected(const Options& options, const char* id) {
          options.onlyRules.end();
 }
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string readFile(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in.good())
@@ -976,6 +951,22 @@ std::optional<std::size_t> parseJobs(std::string_view text) {
   if (ec != std::errc() || end != last || jobs > TaskPool::kMaxThreads)
     return std::nullopt;
   return jobs;
+}
+
+std::vector<std::string> parseRules(std::string_view text) {
+  const std::vector<RuleInfo> known = rules();
+  std::vector<std::string> ids;
+  for (std::size_t begin = 0;;) {
+    const std::size_t comma = text.find(',', begin);
+    std::string id(text.substr(begin, comma - begin));
+    if (std::none_of(known.begin(), known.end(),
+                     [&id](const RuleInfo& rule) { return rule.id == id; }))
+      throw std::invalid_argument("unknown rule '" + id +
+                                  "' (--list-rules names every rule)");
+    ids.push_back(std::move(id));
+    if (comma == std::string_view::npos) return ids;
+    begin = comma + 1;
+  }
 }
 
 std::vector<RuleInfo> rules() {
@@ -1121,42 +1112,38 @@ std::string formatFindings(const std::vector<Finding>& findings,
 }
 
 std::string formatSarif(const std::vector<Finding>& findings) {
-  // Minimal SARIF 2.1.0: one run, the full rule table, one result per
-  // finding. Hand-rolled emission (the lint library keeps zero deps);
-  // deterministic because findings arrive sorted and the rule table has a
-  // fixed order.
-  std::ostringstream out;
-  out << "{\n"
-      << "  \"$schema\": \"https://raw.githubusercontent.com/oasis-tcs/"
-         "sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\n"
-      << "  \"version\": \"2.1.0\",\n"
-      << "  \"runs\": [\n    {\n"
-      << "      \"tool\": {\n        \"driver\": {\n"
-      << "          \"name\": \"tibsim-lint\",\n"
-      << "          \"rules\": [\n";
-  const std::vector<RuleInfo> table = rules();
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    out << "            {\"id\": \"" << jsonEscape(table[i].id)
-        << "\", \"shortDescription\": {\"text\": \""
-        << jsonEscape(table[i].summary)
-        << "\"}, \"fullDescription\": {\"text\": \""
-        << jsonEscape(table[i].rationale) << "\"}}"
-        << (i + 1 < table.size() ? "," : "") << '\n';
+  // SARIF 2.1.0: one run, the full rule table, one result per finding.
+  // Deterministic because findings arrive sorted, the rule table has a
+  // fixed order and json::Value keeps members in insertion order.
+  json::Value ruleTable = json::Value::array();
+  for (const RuleInfo& rule : rules()) {
+    json::Value& entry = ruleTable.push(json::Value::object());
+    entry["id"] = rule.id;
+    entry["shortDescription"]["text"] = rule.summary;
+    entry["fullDescription"]["text"] = rule.rationale;
   }
-  out << "          ]\n        }\n      },\n"
-      << "      \"results\": [\n";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    out << "        {\"ruleId\": \"" << jsonEscape(f.rule)
-        << "\", \"level\": \"error\", \"message\": {\"text\": \""
-        << jsonEscape(f.message)
-        << "\"}, \"locations\": [{\"physicalLocation\": "
-           "{\"artifactLocation\": {\"uri\": \""
-        << jsonEscape(f.file) << "\"}, \"region\": {\"startLine\": " << f.line
-        << "}}}]}" << (i + 1 < findings.size() ? "," : "") << '\n';
+  json::Value results = json::Value::array();
+  for (const Finding& f : findings) {
+    json::Value& result = results.push(json::Value::object());
+    result["ruleId"] = f.rule;
+    result["level"] = "error";
+    result["message"]["text"] = f.message;
+    json::Value& location =
+        result["locations"].push(json::Value::object())["physicalLocation"];
+    location["artifactLocation"]["uri"] = f.file;
+    location["region"]["startLine"] = f.line;
   }
-  out << "      ]\n    }\n  ]\n}\n";
-  return out.str();
+  json::Value run = json::Value::object();
+  run["tool"]["driver"]["name"] = "tibsim-lint";
+  run["tool"]["driver"]["rules"] = std::move(ruleTable);
+  run["results"] = std::move(results);
+  json::Value sarif = json::Value::object();
+  sarif["$schema"] =
+      "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
+      "Schemata/sarif-schema-2.1.0.json";
+  sarif["version"] = "2.1.0";
+  sarif["runs"].push(std::move(run));
+  return sarif.dump(2) + "\n";
 }
 
 }  // namespace tibsim::lint

@@ -62,6 +62,12 @@ struct Options {
 /// an empty value, one above the ceiling).
 std::optional<std::size_t> parseJobs(std::string_view text);
 
+/// The value of --rules: comma-separated ids, each one that rules() lists,
+/// returned in the order given. Throws std::invalid_argument naming the
+/// first id it does not list (an empty one included), so a misspelt id
+/// cannot quietly select no rule.
+std::vector<std::string> parseRules(std::string_view text);
+
 /// Every implemented rule, in canonical (report) order. At least eight.
 std::vector<RuleInfo> rules();
 
@@ -74,9 +80,8 @@ std::vector<Finding> lintSource(const std::string& path,
                                 const Options& options = {});
 
 /// Cross-file rule: every ExperimentRegistry registration in root/src/core
-/// must have a matching backticked mention in root/EXPERIMENTS.md (the exact
-/// name, or a compat-binary name it prefixes, e.g. fig01 ->
-/// `fig01_top500_transitions`).
+/// must be mentioned in root/EXPERIMENTS.md by its exact name, backticked
+/// (`fig01`).
 std::vector<Finding> lintRegistryDocs(const std::string& root,
                                       const Options& options = {});
 

@@ -80,40 +80,34 @@ int main(int argc, char** argv) try {
       fixSuggestions = true;
     } else if (arg == "--verbose") {
       verbose = true;
-    } else if (arg == "--jobs") {
-      if (++i >= argc) {
-        std::cerr << "tibsim_lint: --jobs needs a value\n";
+    } else if (arg == "--jobs" || arg == "--sarif" || arg == "--root" ||
+               arg == "--rules") {
+      // An empty value would mean "no SARIF", "every rule" or "the working
+      // directory", none of which the caller asked for.
+      if (++i >= argc || *argv[i] == '\0') {
+        std::cerr << "tibsim_lint: " << arg << " needs a value\n";
         return 2;
       }
-      const std::optional<std::size_t> jobs = tibsim::lint::parseJobs(argv[i]);
-      if (!jobs) {
-        std::cerr << "tibsim_lint: --jobs needs a number from 0 to "
-                  << tibsim::TaskPool::kMaxThreads << ", got '" << argv[i]
-                  << "'\n";
-        return 2;
+      const std::string value = argv[i];
+      if (arg == "--jobs") {
+        const std::optional<std::size_t> jobs =
+            tibsim::lint::parseJobs(value);
+        if (!jobs) {
+          std::cerr << "tibsim_lint: --jobs needs a number from 0 to "
+                    << tibsim::TaskPool::kMaxThreads << ", got '" << value
+                    << "'\n";
+          return 2;
+        }
+        options.jobs = *jobs;
+      } else if (arg == "--sarif") {
+        sarifPath = value;
+      } else if (arg == "--root") {
+        root = value;
+      } else {
+        const std::vector<std::string> ids = tibsim::lint::parseRules(value);
+        options.onlyRules.insert(options.onlyRules.end(), ids.begin(),
+                                 ids.end());
       }
-      options.jobs = *jobs;
-    } else if (arg == "--sarif") {
-      if (++i >= argc) {
-        std::cerr << "tibsim_lint: --sarif needs a value\n";
-        return 2;
-      }
-      sarifPath = argv[i];
-    } else if (arg == "--root") {
-      if (++i >= argc) {
-        std::cerr << "tibsim_lint: --root needs a value\n";
-        return 2;
-      }
-      root = argv[i];
-    } else if (arg == "--rules") {
-      if (++i >= argc) {
-        std::cerr << "tibsim_lint: --rules needs a value\n";
-        return 2;
-      }
-      std::stringstream ids(argv[i]);
-      std::string id;
-      while (std::getline(ids, id, ','))
-        if (!id.empty()) options.onlyRules.push_back(id);
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "tibsim_lint: unknown flag " << arg << "\n";
       printUsage(std::cerr);
