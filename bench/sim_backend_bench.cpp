@@ -9,13 +9,15 @@
 //    process, context and stack that went cold while it slept — the cost
 //    of a deep queue that the one-process probe cannot see;
 //  * simMPI ping-pong: the Section 4.1 two-rank ping-pong through the full
-//    protocol stack — what a rank-level context switch costs in situ. Run
-//    size-only (pure engine + protocol overhead), with the paper's 64-byte
-//    payload (inline small-message storage), and with a 4 KiB payload
-//    (pool-backed buffer, recycled by every recv); plus a wildcard
-//    ping-pong, an 8-rank iallreduce, the observability tax of each
-//    recording layer, and cold vs warm campaign throughput through the
-//    result cache.
+//    protocol stack — what a rank-level context switch costs in situ. On
+//    one node (the shared-memory path) it runs size-only (pure engine +
+//    protocol overhead), with the paper's 64-byte payload (inline
+//    small-message storage), and with a 4 KiB payload (pool-backed buffer,
+//    recycled by every recv); on two nodes it runs size-only over TCP/IP
+//    at 64 B (an eager network send) and over Open-MX at 64 KiB (the
+//    rendezvous handshake); plus a wildcard ping-pong, an 8-rank
+//    iallreduce, the observability tax of each recording layer, and cold
+//    vs warm campaign throughput through the result cache.
 //
 // Every probe runs several times, interleaved with the others so that a
 // burst of host load lands on all of them, and is reported as the min,
@@ -124,13 +126,12 @@ Probe deepEngineProbe(int processes, int iterations) {
   return {std::chrono::duration<double>(t1 - t0).count(), e1 - e0};
 }
 
-/// Two ranks on one node exchanging `bytes`-sized messages. payloadBytes
-/// controls how much real data rides along: 0 = size-only, <= 64 exercises
-/// the inline small-message path, larger sizes the payload pool.
-Probe pingPongProbe(int repetitions, std::size_t payloadBytes) {
-  tibsim::mpi::MpiWorld world(tibsim::mpi::WorldConfig::tibidaboNode(), 2);
-  std::vector<std::byte> payload(payloadBytes, std::byte{0x5a});
-  const std::size_t bytes = payloadBytes > 0 ? payloadBytes : 64;
+/// Two ranks of `config`'s world exchanging `bytes`-sized messages; with
+/// `realPayload`, that many bytes of data ride along each message.
+Probe pingPongProbe(int repetitions, std::size_t bytes, bool realPayload,
+                    const tibsim::mpi::WorldConfig& config) {
+  tibsim::mpi::MpiWorld world(config, 2);
+  std::vector<std::byte> payload(realPayload ? bytes : 0, std::byte{0x5a});
   const auto start = std::chrono::steady_clock::now();
   const tibsim::mpi::WorldStats stats = world.run(
       [repetitions, bytes, &payload](tibsim::mpi::MpiContext& ctx) {
@@ -148,6 +149,26 @@ Probe pingPongProbe(int repetitions, std::size_t payloadBytes) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return {seconds, stats.engine.contextSwitches, repetitions};
+}
+
+/// Two ranks on one node (the shared-memory path). payloadBytes controls
+/// how much real data rides along: 0 = size-only 64 B messages, <= 64
+/// exercises the inline small-message path, larger sizes the payload pool.
+Probe pingPongProbe(int repetitions, std::size_t payloadBytes) {
+  return pingPongProbe(repetitions, payloadBytes > 0 ? payloadBytes : 64,
+                       payloadBytes > 0,
+                       tibsim::mpi::WorldConfig::tibidaboNode());
+}
+
+/// Two ranks on two nodes, size-only, so every message crosses the fabric
+/// through `protocol`'s stack: 64 B over TCP/IP is an eager network send,
+/// 64 KiB over Open-MX the RTS/CTS/data rendezvous handshake.
+Probe networkPingPongProbe(int repetitions, tibsim::net::Protocol protocol,
+                           std::size_t bytes) {
+  tibsim::mpi::WorldConfig config = tibsim::mpi::WorldConfig::tibidaboNode();
+  config.ranksPerNode = 1;
+  config.protocol = protocol;
+  return pingPongProbe(repetitions, bytes, false, config);
 }
 
 /// The size-only ping-pong with the observability layers dialled through
@@ -354,6 +375,18 @@ int main(int argc, char** argv) {
        [&] { return pingPongProbe(kPingPongReps, 4096); }, {}},
       {"ping-pong wildcard", "pingPongWildcard",
        [&] { return wildcardPingPongProbe(kPingPongReps); }, {}},
+      {"ping-pong network 64 B", "pingPongNetwork",
+       [&] {
+         return networkPingPongProbe(kPingPongReps,
+                                     tibsim::net::Protocol::TcpIp, 64);
+       },
+       {}},
+      {"ping-pong rendezvous 64 KiB", "pingPongRendezvous",
+       [&] {
+         return networkPingPongProbe(
+             kPingPongReps, tibsim::net::Protocol::OpenMx, 64 * 1024);
+       },
+       {}},
       {"iallreduce 8 ranks", "iallreduce8Ranks",
        [&] { return iallreduceProbe(kIallreduceReps); }, {}},
   };

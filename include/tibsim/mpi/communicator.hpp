@@ -185,6 +185,9 @@ class Communicator {
       : ctx_(ctx), id_(id), rank_(rank), group_(std::move(group)) {}
 
   void requireMember() const;
+  /// requireMember(), and `root` is a rank of this communicator; `op`
+  /// names the rooted collective in the error.
+  void requireRoot(int root, const char* op) const;
   /// recv() up to the decode: the matched payload, still owning any pooled
   /// buffer.
   MessagePayload receive(int src, int tag, std::size_t* receivedBytes,

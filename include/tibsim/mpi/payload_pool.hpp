@@ -98,9 +98,9 @@ class MessagePayload {
 
   // Moves reset the source to the empty state (a defaulted move would leave
   // its size_/pooled_ behind, making the moved-from payload look live).
-  // Only the live prefix of the inline array is copied: a Message is moved
-  // several times between send and receive (in-flight slab, mailbox), and
-  // size-only traffic would otherwise pay for 64 bytes it never wrote.
+  // Only the live prefix of the inline array is copied: a payload is moved
+  // into its message's in-flight slot at send and out of it at receive,
+  // and size-only traffic would otherwise pay for 64 bytes it never wrote.
   MessagePayload(MessagePayload&& other) noexcept
       : size_(std::exchange(other.size_, 0)),
         pooled_(std::exchange(other.pooled_, false)),

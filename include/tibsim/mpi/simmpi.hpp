@@ -225,13 +225,6 @@ class MpiContext : public Communicator {
   int node_;
   /// Running critical-path chain ending at this rank's current sim time.
   obs::PathSnapshot path_;
-  // Stall-report state: set while the rank is blocked in a rendezvous
-  // send (recv-side waits live in the mailbox).
-  bool sendBlocked_ = false;
-  int sendPeer_ = -1;
-  int sendTag_ = 0;
-  std::uint64_t sendComm_ = 0;
-  double sendBlockedSince_ = 0.0;
   std::uint64_t nextRequest_ = 1;
   /// Per-rank communicator-creation counter: each split()/dup() this rank
   /// participates in consumes one ordinal, and the new communicator's id is
@@ -291,26 +284,29 @@ class MpiWorld {
   friend class MpiContext;
   friend class Communicator;
 
+  /// A rendezvous message is RtsPending from its RTS's delivery until a
+  /// receive matches it, then AwaitingData until its payload lands.
   enum class Stage : std::uint8_t { Delivered, RtsPending, AwaitingData };
 
   /// End marker of a mailbox's slot list.
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
+  /// One message from send to consumption, in its in-flight slot. The slot
+  /// index is the message's identity: every event of its life, the
+  /// rendezvous CTS and data arrival included, names it by slot.
   struct Message {
-    int src = 0;
+    int src = 0;  ///< world rank of the sender
     int tag = 0;
     std::size_t bytes = 0;
     MessagePayload payload;  ///< inline or pooled; see payload_pool.hpp
     Stage stage = Stage::Delivered;
-    double receiverCost = 0.0;
-    sim::Process* sender = nullptr;  ///< for rendezvous CTS wake-up
-    std::uint64_t id = 0;
     /// True when delivery already charged receiverCost and folded it into
-    /// the wake-up time, so doRecv must not delay again (see deliver()).
+    /// the wake-up time, so doRecv must not delay again (see wakeReceiver).
     bool receiverCharged = false;
     /// The slot delivered after this one to the same mailbox (kNoSlot at
     /// the tail); meaningful only while the message is in a mailbox.
     std::uint32_t next = kNoSlot;
+    double receiverCost = 0.0;
     /// Communicator the message was sent on; part of the match key. The
     /// world is id 0, so legacy world traffic is unchanged byte-for-byte.
     std::uint64_t comm = 0;
@@ -318,22 +314,28 @@ class MpiWorld {
     /// for point-to-point traffic and when verification is off). Rides the
     /// message wholesale, so it has no schedule effect.
     CollectiveStamp verify{};
-    /// Critical-path piggyback: the sender's chain when the payload left,
-    /// and the wire interval, so a receiver that waited can adopt the
-    /// sender's chain plus the link time (obs/critical_path.hpp).
+    /// Critical-path piggyback: a chain and the time its hop left, so the
+    /// party that waited for the hop adopts that chain plus the link time
+    /// (obs/critical_path.hpp). An eager message carries the sender's
+    /// chain. A rendezvous message carries the receiver's chain at its CTS
+    /// until ctsArrived reads it, then the sender's at its data stream.
     obs::PathSnapshot path{};
-    double departTime = 0.0;   ///< sim time the transfer was committed
-    double arrivalTime = 0.0;  ///< sim time deliver() ran (mailbox entry)
+    double departTime = 0.0;   ///< sim time the hop was committed
+    double arrivalTime = 0.0;  ///< sim time the payload reached the mailbox
   };
 
-  /// The one matching predicate, shared by doRecv's scan, deliver()'s
-  /// wake-up check and dataArrived()'s first-match fold, so all three agree
-  /// on wildcard semantics: first match in delivery order wins.
+  /// The one matching predicate, shared by doRecv's scan and the wake-up
+  /// checks of deliver() and dataArrived(), so all agree on wildcard
+  /// semantics: first match in delivery order wins.
   static bool matches(const Message& m, std::uint64_t comm, int src,
                       int tag) {
     return m.comm == comm && (src == kAnySource || m.src == src) &&
            (tag == kAnyTag || m.tag == tag);
   }
+
+  /// What a blocked rank waits for: a receive matching (waitComm,
+  /// waitPeer, waitTag), or the CTS of its rendezvous send to waitPeer.
+  enum class Wait : std::uint8_t { None, Recv, RendezvousSend };
 
   struct Mailbox {
     /// In-flight slab slots of messages delivered to this rank but not yet
@@ -343,23 +345,30 @@ class MpiWorld {
     /// slots stay valid across slab growth where references would not.
     std::uint32_t head = kNoSlot;
     std::uint32_t tail = kNoSlot;
-    // A rank blocked in recv(comm, src, tag); waitSrc/waitTag may be the
-    // kAnySource/kAnyTag wildcards.
-    bool waiting = false;
+    /// The rank's one wait record, also what the stall report reads. A
+    /// receive's waitPeer and waitTag may be kAnySource/kAnyTag.
+    Wait wait = Wait::None;
     std::uint64_t waitComm = 0;
-    int waitSrc = 0;
+    int waitPeer = 0;
     int waitTag = 0;
-    sim::Process* waiter = nullptr;
+    sim::Process* waiter = nullptr;  ///< the blocked receiver
     /// Sim time the rank entered the wait (stall-report bookkeeping).
     double blockedSince = 0.0;
   };
 
   int nodeOfRank(int rank) const { return rank / config_.ranksPerNode; }
-  /// Rendezvous data-arrival completion: marks the message delivered and
-  /// stamps the sender's chain when the data left (`path`/`departTime`)
-  /// into it, then wakes a waiting receiver.
-  void dataArrived(int dstRank, std::uint64_t id,
-                   const obs::PathSnapshot& path, double departTime);
+  /// Rendezvous CTS arrival: the sender adopts the chain the receiver left
+  /// in the slot, plus the CTS hop, and resumes to stream the data.
+  void ctsArrived(std::uint32_t slot);
+  /// Rendezvous data arrival: the message becomes Delivered, and a waiting
+  /// receiver wakes to consume it.
+  void dataArrived(int dstRank, std::uint32_t slot);
+  /// Resume the receiver blocked on `dstRank`'s mailbox. `consumed` is
+  /// the Delivered message that matched its wait: its receive cost is
+  /// charged here and folded into the wake-up time, one context switch
+  /// instead of wake + delay at the same simulated instant. nullptr (a
+  /// matched RTS) is a plain resume.
+  void wakeReceiver(int dstRank, Message* consumed);
 
   void doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
               std::size_t bytes, std::span<const std::byte> payload,
@@ -378,12 +387,13 @@ class MpiWorld {
   /// Remove `slot` from `box`'s list; `prev` is the slot before it
   /// (kNoSlot when `slot` is the head).
   void unlink(Mailbox& box, std::uint32_t prev, std::uint32_t slot);
-  // In-flight message slab: a scheduled delivery captures [this, dst, slot]
-  // instead of the Message itself. Those 16 trivially copyable bytes are
-  // the most std::function stores inline (libstdc++), so scheduling a
-  // delivery never heap-allocates; test_alloc fails if the capture grows.
-  // A message lives in its slot from send to consumption; slots are
-  // recycled LIFO by takeSlot().
+  // In-flight message slab: every scheduled message event captures
+  // [this, dst, slot] or [this, slot] instead of the Message or any part
+  // of it. Those at most 16 trivially copyable bytes are the most
+  // std::function stores inline (libstdc++), so no message event
+  // heap-allocates; test_alloc fails if a capture grows. A message lives
+  // in its slot from send to consumption; slots are recycled LIFO by
+  // takeSlot().
   std::uint32_t stashInflight(Message&& message);
   /// Move the slot's payload out and recycle the slot.
   MessagePayload takeSlot(std::uint32_t slot);
@@ -412,7 +422,6 @@ class MpiWorld {
   std::vector<Mailbox> mailboxes_;
   std::vector<std::unique_ptr<MpiContext>> contexts_;
   WorldStats stats_;
-  std::uint64_t nextMessageId_ = 0;
   bool tracing_ = false;
   obs::TraceSink tracer_;
   // Payload buffers survive across run() calls (stats are reset per run),

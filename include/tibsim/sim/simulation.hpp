@@ -58,17 +58,16 @@ class alignas(kCacheLineBytes) Process {
 
   Simulation& simulation() { return sim_; }
   const std::string& name() const { return name_; }
-  std::uint64_t id() const { return id_; }
   bool finished() const { return finished_; }
-  /// True while the process is suspended waiting for an external resume.
+  /// True while the process waits for a wake-up: blocked in delay() or
+  /// suspend(), or spawned and not yet dispatched.
   bool suspended() const { return suspended_; }
   /// Exception that escaped the body, if any (rethrow with std::rethrow).
   std::exception_ptr exception() const { return exception_; }
 
  private:
   friend class Simulation;
-  Process(Simulation& sim, std::uint64_t id, std::string name, Body body,
-          bool pooledStack);
+  Process(Simulation& sim, std::string name, Body body, bool pooledStack);
 
   static void fiberMain(void* self);  // the context's entry: runs the body
   void switchIn();      // scheduler -> process; blocks scheduler until yield
@@ -89,12 +88,13 @@ class alignas(kCacheLineBytes) Process {
   std::uint64_t suspendSeq_ = 0;  ///< tag of the current suspension
   Simulation& sim_;
   bool finished_ = false;
-  bool suspended_ = false;
+  /// Born true: a new process waits for its first wake-up (tag 0), which
+  /// spawn() schedules like any other.
+  bool suspended_ = true;
   bool killRequested_ = false;
   ExecutionContext context_;  ///< the fiber; its switch state leads
 
-  // Cold: identity, body and the escaped exception.
-  std::uint64_t id_;
+  // Cold: name, body and the escaped exception.
   std::string name_;
   Body body_;
   std::exception_ptr exception_;
@@ -134,7 +134,8 @@ class Simulation {
   /// Schedule a callback dt seconds from now (dt >= 0).
   void scheduleIn(double dt, std::function<void()> fn);
 
-  /// Create a process and schedule it to start at the current time.
+  /// Create a process, suspended, and schedule its first wake-up at the
+  /// current time: a process starts the way it resumes.
   Process& spawn(std::string name, Process::Body body);
 
   /// Wake a suspended process at time t (>= now()).
@@ -265,7 +266,6 @@ class Simulation {
   double now_ = 0.0;
   bool pooledStacks_ = false;
   std::uint64_t nextSeq_ = 0;
-  std::uint64_t nextProcessId_ = 0;
   std::size_t liveNow_ = 0;
   EngineStats stats_;
   EventQueue queue_;

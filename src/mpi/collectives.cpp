@@ -79,7 +79,7 @@ void Communicator::barrier(std::source_location loc) const {
 std::vector<double> Communicator::bcast(std::vector<double> values,
                                         int root,
                                         std::source_location loc) const {
-  requireMember();
+  requireRoot(root, "bcast");
   MpiContext::CollectiveGuard guard(*ctx_, id_, CollectiveKind::Bcast,
                                     kNoReduceOp, values.size(),
                                     loc.file_name(), loc.line());
@@ -105,7 +105,7 @@ std::vector<double> Communicator::bcast(std::vector<double> values,
 
 void Communicator::bcastBytes(std::size_t bytes, int root,
                               std::source_location loc) const {
-  requireMember();
+  requireRoot(root, "bcastBytes");
   MpiContext::CollectiveGuard guard(*ctx_, id_, CollectiveKind::BcastBytes,
                                     kNoReduceOp, bytes, loc.file_name(),
                                     loc.line());
@@ -124,7 +124,7 @@ void Communicator::bcastBytes(std::size_t bytes, int root,
 
 void Communicator::pipelinedBcastBytes(std::size_t bytes, int root,
                                        std::source_location loc) const {
-  requireMember();
+  requireRoot(root, "pipelinedBcastBytes");
   MpiContext::CollectiveGuard guard(*ctx_, id_,
                                     CollectiveKind::PipelinedBcastBytes,
                                     kNoReduceOp, bytes, loc.file_name(),
@@ -155,7 +155,7 @@ void Communicator::pipelinedBcastBytes(std::size_t bytes, int root,
 std::vector<double> Communicator::reduce(std::span<const double> values,
                                          CombineFn combine, int root,
                                          std::source_location loc) const {
-  requireMember();
+  requireRoot(root, "reduce");
   MpiContext::CollectiveGuard guard(*ctx_, id_, CollectiveKind::Reduce,
                                     kCustomCombineOp, values.size(),
                                     loc.file_name(), loc.line());
@@ -192,7 +192,7 @@ std::vector<double> Communicator::reduce(std::span<const double> values,
 std::vector<double> Communicator::reduce(std::span<const double> values,
                                          ReduceOp op, int root,
                                          std::source_location loc) const {
-  requireMember();
+  requireRoot(root, "reduce");
   MpiContext::CollectiveGuard guard(*ctx_, id_, CollectiveKind::Reduce,
                                     static_cast<std::uint8_t>(op),
                                     values.size(), loc.file_name(),
@@ -221,7 +221,7 @@ double Communicator::allreduce(double value, ReduceOp op,
 
 std::vector<double> Communicator::gather(double value, int root,
                                          std::source_location loc) const {
-  requireMember();
+  requireRoot(root, "gather");
   MpiContext::CollectiveGuard guard(*ctx_, id_, CollectiveKind::Gather,
                                     kNoReduceOp, 1, loc.file_name(),
                                     loc.line());

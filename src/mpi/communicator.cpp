@@ -54,6 +54,14 @@ void Communicator::requireMember() const {
                   "split() returned kUndefinedColor for this rank)");
 }
 
+void Communicator::requireRoot(int root, const char* op) const {
+  requireMember();
+  TIB_REQUIRE_MSG(root >= 0 && root < size(),
+                  std::string(op) + ": root " + std::to_string(root) +
+                      " is not a rank of this " + std::to_string(size()) +
+                      "-rank communicator");
+}
+
 int Communicator::size() const {
   requireMember();
   return group_ ? static_cast<int>(group_->size()) : ctx_->world_.ranks();
@@ -351,7 +359,7 @@ Communicator::Request Communicator::ibarrier(
 Communicator::Request Communicator::ibcast(std::vector<double> values,
                                            int root,
                                            std::source_location loc) const {
-  requireMember();
+  requireRoot(root, "ibcast");
   MpiContext::PendingOp op;
   op.kind = MpiContext::PendingOp::Kind::Bcast;
   op.comm = *this;

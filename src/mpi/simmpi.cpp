@@ -136,34 +136,26 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
   // buffer from the pool (recycled by doRecv/wait), so a steady-state send
   // performs no heap allocation. The receive side still allocates the one
   // vector it hands the application (bytes or doubles).
-  MessagePayload copy(payload, pool_);
+  Message msg{ctx.rank(), tag, bytes, MessagePayload(payload, pool_)};
+  msg.comm = comm;
+  msg.verify = ctx.activeCollective_;
   const int srcNode = ctx.node();
   const int dstNode = nodeOfRank(dst);
   sim::Simulation& sim = *sim_;
-
   const double sendBegin = sim.now();
-  if (srcNode == dstNode) {
-    // Shared-memory path: one copy in, one copy out, no NIC.
-    const double side =
-        0.3e-6 + static_cast<double>(bytes) / sameNodeCopyBandwidth_;
-    chargeCpu(srcNode, side);
-    ctx.path_.sendSeconds += side;
-    ctx.process_.delay(side);
-    traceSpan(ctx.rank(), SpanKind::Send, sendBegin, sim.now(), dst,
-              bytes, comm);
-    Message msg{ctx.rank(), tag, bytes, std::move(copy), Stage::Delivered,
-                side, nullptr, nextMessageId_++};
-    msg.comm = comm;
-    msg.verify = ctx.activeCollective_;
-    msg.path = ctx.path_;
-    msg.departTime = sim.now();
-    const std::uint32_t slot = stashInflight(std::move(msg));
-    sim.scheduleIn(0.2e-6, [this, dst, slot] { deliver(dst, slot); });
-    return;
-  }
 
-  net::MessageCosts costs = protocol_->messageCosts(bytes);
-  if (!allowRendezvous) costs.rendezvous = false;
+  net::MessageCosts costs;
+  if (srcNode == dstNode) {
+    // Shared-memory path: an eager send with one copy in and one copy out
+    // and no NIC.
+    costs.senderSeconds = costs.receiverSeconds =
+        0.3e-6 + static_cast<double>(bytes) / sameNodeCopyBandwidth_;
+  } else {
+    costs = protocol_->messageCosts(bytes);
+    if (!allowRendezvous) costs.rendezvous = false;
+  }
+  msg.receiverCost = costs.receiverSeconds;
+  const double wireBytes = costs.wireSeconds * platform().nicLinkRateBytesPerS;
 
   if (!costs.rendezvous) {
     // Eager: pay the sender stack, put the bytes on the wire, return.
@@ -172,16 +164,12 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
     ctx.process_.delay(costs.senderSeconds);
     traceSpan(ctx.rank(), SpanKind::Send, sendBegin, sim.now(), dst,
               bytes, comm);
-    const double wireBytes =
-        costs.wireSeconds * platform().nicLinkRateBytesPerS;
-    Message msg{ctx.rank(), tag, bytes, std::move(copy), Stage::Delivered,
-                costs.receiverSeconds, nullptr, nextMessageId_++};
-    msg.comm = comm;
-    msg.verify = ctx.activeCollective_;
     msg.path = ctx.path_;
     msg.departTime = sim.now();
     const double arrival =
-        fabric_->scheduleWire(srcNode, dstNode, wireBytes, sim.now());
+        srcNode == dstNode
+            ? sim.now() + 0.2e-6
+            : fabric_->scheduleWire(srcNode, dstNode, wireBytes, sim.now());
     const std::uint32_t slot = stashInflight(std::move(msg));
     sim.scheduleAt(arrival, [this, dst, slot] { deliver(dst, slot); });
     return;
@@ -193,25 +181,19 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
   chargeCpu(srcNode, rts.senderSeconds);
   ctx.path_.sendSeconds += rts.senderSeconds;
   ctx.process_.delay(rts.senderSeconds);
-  const std::uint64_t id = nextMessageId_++;
-  Message msg{ctx.rank(), tag,     bytes, std::move(copy),
-              Stage::RtsPending,   costs.receiverSeconds,
-              &ctx.process_,       id};
-  msg.comm = comm;
-  msg.verify = ctx.activeCollective_;
+  msg.stage = Stage::RtsPending;
   const double rtsArrival =
       fabric_->scheduleWire(srcNode, dstNode, 84.0, sim.now());
   const std::uint32_t slot = stashInflight(std::move(msg));
   sim.scheduleAt(rtsArrival, [this, dst, slot] { deliver(dst, slot); });
-  // Stall-report bookkeeping: the rank is about to block outside any
-  // mailbox wait, so record what it is blocked on here.
-  ctx.sendBlocked_ = true;
-  ctx.sendPeer_ = dst;
-  ctx.sendTag_ = tag;
-  ctx.sendComm_ = comm;
-  ctx.sendBlockedSince_ = sim.now();
-  ctx.process_.suspend();  // woken by the receiver's CTS
-  ctx.sendBlocked_ = false;
+  Mailbox& own = mailboxes_[static_cast<std::size_t>(ctx.rank())];
+  own.wait = Wait::RendezvousSend;
+  own.waitComm = comm;
+  own.waitPeer = dst;
+  own.waitTag = tag;
+  own.blockedSince = sim.now();
+  ctx.process_.suspend();  // woken by ctsArrived
+  own.wait = Wait::None;
 
   // CTS received: stream the payload. The wake-up already adopted the
   // receiver's chain (the CTS is what unblocked us); the stream CPU and
@@ -219,55 +201,51 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
   chargeCpu(srcNode, costs.senderSeconds);
   ctx.path_.sendSeconds += costs.senderSeconds;
   ctx.process_.delay(costs.senderSeconds);
-  const double wireBytes = costs.wireSeconds * platform().nicLinkRateBytesPerS;
   traceSpan(ctx.rank(), SpanKind::Send, sendBegin, sim.now(), dst, bytes,
             comm);
-  const obs::PathSnapshot dataPath = ctx.path_;
-  const double dataDepart = sim.now();
+  // The receiver stays in its doRecv, and the message AwaitingData, until
+  // dataArrived, so nothing reads these two fields before it does.
+  Message& data = inflight_[slot];
+  data.path = ctx.path_;
+  data.departTime = sim.now();
   const double dataArrival =
       fabric_->scheduleWire(srcNode, dstNode, wireBytes, sim.now());
-  sim.scheduleAt(dataArrival, [this, dst, id, dataPath, dataDepart] {
-    dataArrived(dst, id, dataPath, dataDepart);
-  });
+  sim.scheduleAt(dataArrival, [this, dst, slot] { dataArrived(dst, slot); });
 }
 
-void MpiWorld::dataArrived(int dstRank, std::uint64_t id,
-                           const obs::PathSnapshot& path, double departTime) {
+void MpiWorld::ctsArrived(std::uint32_t slot) {
+  const Message& m = inflight_[slot];
+  MpiContext& sender = *contexts_[static_cast<std::size_t>(m.src)];
+  // This event fires at the CTS's arrival, so now() - departTime is the
+  // CTS hop's link time.
+  sender.adoptPath(m.path, std::max(0.0, sim_->now() - m.departTime));
+  sim_->resume(sender.process_);
+}
+
+void MpiWorld::dataArrived(int dstRank, std::uint32_t slot) {
+  Message& m = inflight_[slot];
+  m.stage = Stage::Delivered;
+  m.arrivalTime = sim_->now();
+  const Mailbox& box = mailboxes_[static_cast<std::size_t>(dstRank)];
+  if (box.wait != Wait::Recv) return;
+  // The receiver matched the RTS as its first match and stays in that
+  // doRecv until the data lands: deliveries queue behind the message, and
+  // a wake-up by one of them rescans and finds this message first again.
+  // So a waiting receiver will consume exactly this message.
+  TIB_ASSERT(matches(m, box.waitComm, box.waitPeer, box.waitTag));
+  wakeReceiver(dstRank, &m);
+}
+
+void MpiWorld::wakeReceiver(int dstRank, Message* consumed) {
   Mailbox& box = mailboxes_[static_cast<std::size_t>(dstRank)];
-  Message* arrived = nullptr;
-  for (std::uint32_t s = box.head; s != kNoSlot; s = inflight_[s].next) {
-    Message& m = inflight_[s];
-    if (m.id == id) {
-      arrived = &m;
-      arrived->stage = Stage::Delivered;
-      // Rendezvous completion: the chain that matters is the sender's at
-      // data-stream time, not the stale RTS-time snapshot.
-      arrived->path = path;
-      arrived->departTime = departTime;
-      arrived->arrivalTime = sim_->now();
-      break;
-    }
-  }
-  if (!box.waiting) return;
-  box.waiting = false;
-  // Fold the receive cost into the wake-up only when the waiter will
-  // consume exactly this message, i.e. it is the first (src, tag) match
-  // in mailbox order; otherwise a plain wake and the receiver rescans.
-  Message* firstMatch = nullptr;
-  for (std::uint32_t s = box.head; s != kNoSlot; s = inflight_[s].next) {
-    Message& m = inflight_[s];
-    if (matches(m, box.waitComm, box.waitSrc, box.waitTag)) {
-      firstMatch = &m;
-      break;
-    }
-  }
-  if (arrived != nullptr && firstMatch == arrived) {
-    chargeCpu(nodeOfRank(dstRank), arrived->receiverCost);
-    arrived->receiverCharged = true;
-    sim_->resumeAt(sim_->now() + arrived->receiverCost, *box.waiter);
-  } else {
+  box.wait = Wait::None;
+  if (consumed == nullptr) {
     sim_->resume(*box.waiter);
+    return;
   }
+  chargeCpu(nodeOfRank(dstRank), consumed->receiverCost);
+  consumed->receiverCharged = true;
+  sim_->resumeAt(sim_->now() + consumed->receiverCost, *box.waiter);
 }
 
 std::uint32_t MpiWorld::stashInflight(Message&& message) {
@@ -296,20 +274,11 @@ void MpiWorld::deliver(int dstRank, std::uint32_t slot) {
     inflight_[box.tail].next = slot;
   box.tail = slot;
   msg.arrivalTime = sim_->now();
-  if (box.waiting && matches(msg, box.waitComm, box.waitSrc, box.waitTag)) {
-    box.waiting = false;
-    if (msg.stage == Stage::Delivered) {
-      // The receiver is already blocked on exactly this message, so the
-      // receive-side protocol cost can be charged here and folded into the
-      // wake-up time: one context switch instead of wake + delay. The
-      // receiver resumes at the same simulated instant either way.
-      chargeCpu(nodeOfRank(dstRank), msg.receiverCost);
-      msg.receiverCharged = true;
-      sim_->resumeAt(sim_->now() + msg.receiverCost, *box.waiter);
-    } else {
-      sim_->resume(*box.waiter);
-    }
-  }
+  // The receiver is blocked on a match for this message, so its receive
+  // cost folds into the wake-up; an RTS has no receive cost to fold.
+  if (box.wait == Wait::Recv &&
+      matches(msg, box.waitComm, box.waitPeer, box.waitTag))
+    wakeReceiver(dstRank, msg.stage == Stage::Delivered ? &msg : nullptr);
 }
 
 void MpiWorld::unlink(Mailbox& box, std::uint32_t prev, std::uint32_t slot) {
@@ -382,40 +351,33 @@ MessagePayload MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm, int src,
         // Matched a rendezvous request: return a CTS and wait for the data.
         // msgSrc (not the possibly-wildcard src) names the sender.
         m.stage = Stage::AwaitingData;
-        sim::Process* sender = m.sender;  // before delay(): the yield may
-                                          // grow the slab and move Messages
         const net::MessageCosts cts = protocol_->messageCosts(0);
         chargeCpu(ctx.node(), cts.senderSeconds);
         ctx.path_.recvSeconds += cts.senderSeconds;
         ctx.process_.delay(cts.senderSeconds);
         // The CTS is what unblocks the rendezvous sender, so the sender's
-        // chain becomes this receiver's chain plus the CTS hop, adopted at
-        // the sender's wake-up.
-        const obs::PathSnapshot ctsPath = ctx.path_;
-        MpiContext* senderCtx =
-            contexts_[static_cast<std::size_t>(msgSrc)].get();
-        const double ctsDepart = sim.now();
+        // chain becomes this receiver's chain plus the CTS hop: the slot
+        // carries both to ctsArrived. Index it afresh: the yield may have
+        // grown the slab and moved the Message.
+        Message& rts = inflight_[slot];
+        rts.path = ctx.path_;
+        rts.departTime = sim.now();
         const double ctsArrival = fabric_->scheduleWire(
-            ctx.node(), nodeOfRank(msgSrc), 84.0, ctsDepart);
-        const double ctsLink = std::max(0.0, ctsArrival - ctsDepart);
-        sim.scheduleAt(ctsArrival,
-                       [this, sender, senderCtx, ctsPath, ctsLink] {
-                         senderCtx->adoptPath(ctsPath, ctsLink);
-                         sim_->resume(*sender);
-                       });
+            ctx.node(), nodeOfRank(msgSrc), 84.0, sim.now());
+        sim.scheduleAt(ctsArrival, [this, slot] { ctsArrived(slot); });
         break;  // fall through to waiting for the data-arrival wake-up
       }
       // AwaitingData: the exchange is in flight; keep waiting.
       break;
     }
-    box.waiting = true;
+    // Only wakeReceiver resumes this wait, and it clears the record.
+    box.wait = Wait::Recv;
     box.waitComm = comm;
-    box.waitSrc = src;
+    box.waitPeer = src;
     box.waitTag = tag;
     box.waiter = &ctx.process_;
     box.blockedSince = sim.now();
     ctx.process_.suspend();
-    box.waiting = false;
   }
 }
 
@@ -543,23 +505,13 @@ std::string MpiWorld::deadlockMessage(double now) {
   std::vector<obs::StallEntry> entries;
   for (int r = 0; r < ranks_; ++r) {
     const Mailbox& box = mailboxes_[static_cast<std::size_t>(r)];
-    const MpiContext* ctx = contexts_[static_cast<std::size_t>(r)].get();
+    if (box.wait == Wait::None) continue;  // finished (or never blocked)
     obs::StallEntry entry;
-    if (box.waiting) {
-      entry.op = "recv";
-      entry.peer = box.waitSrc;
-      entry.tag = box.waitTag;
-      entry.comm = box.waitComm;
-      entry.blockedSince = box.blockedSince;
-    } else if (ctx != nullptr && ctx->sendBlocked_) {
-      entry.op = "rendezvous-send";
-      entry.peer = ctx->sendPeer_;
-      entry.tag = ctx->sendTag_;
-      entry.comm = ctx->sendComm_;
-      entry.blockedSince = ctx->sendBlockedSince_;
-    } else {
-      continue;  // this rank finished (or never blocked)
-    }
+    entry.op = box.wait == Wait::Recv ? "recv" : "rendezvous-send";
+    entry.peer = box.waitPeer;
+    entry.tag = box.waitTag;
+    entry.comm = box.waitComm;
+    entry.blockedSince = box.blockedSince;
     entry.rank = r;
     entry.node = nodeOfRank(r);
     entry.lastSpans = std::move(recent[static_cast<std::size_t>(r)]);

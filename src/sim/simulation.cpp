@@ -43,11 +43,10 @@ void requireFinite(const char* what, double value) {
 // Process
 // ---------------------------------------------------------------------------
 
-Process::Process(Simulation& sim, std::uint64_t id, std::string name,
-                 Body body, bool pooledStack)
+Process::Process(Simulation& sim, std::string name, Body body,
+                 bool pooledStack)
     : sim_(sim),
       context_(&Process::fiberMain, this, pooledStack),
-      id_(id),
       name_(std::move(name)),
       body_(std::move(body)) {}
 
@@ -286,16 +285,14 @@ void Simulation::scheduleIn(double dt, std::function<void()> fn) {
 }
 
 Process& Simulation::spawn(std::string name, Process::Body body) {
-  auto process = std::unique_ptr<Process>(new Process(
-      *this, nextProcessId_++, std::move(name), std::move(body), pooledStacks_));
+  auto process = std::unique_ptr<Process>(
+      new Process(*this, std::move(name), std::move(body), pooledStacks_));
   Process& ref = *process;
   processes_.push_back(std::move(process));
   ++stats_.processesSpawned;
   ++liveNow_;
   stats_.peakLiveProcesses = std::max(stats_.peakLiveProcesses, liveNow_);
-  scheduleAt(now_, [&ref] {
-    if (!ref.finished()) ref.switchIn();
-  });
+  resumeAt(now_, ref);
   return ref;
 }
 

@@ -2,12 +2,14 @@
 // global operator new with a counting one, so it is a test binary of its
 // own: the count covers the whole process.
 //
-// A message delivery is a scheduled callback that captures [this, dst,
-// slot], 16 trivially copyable bytes. That is the most std::function
-// stores inline (libstdc++), so a delivery costs no allocation; a capture
-// that outgrew the buffer would cost one per message. The inline limit
-// belongs to the platform's standard library, so CI runs this binary on
-// every architecture it builds.
+// Every message event is a scheduled callback that names the message by
+// its in-flight slot: a delivery (eager, or a rendezvous RTS) captures
+// [this, dst, slot], a rendezvous CTS [this, slot] and its data arrival
+// [this, dst, slot], at most 16 trivially copyable bytes. That is the most
+// std::function stores inline (libstdc++), so no message event costs an
+// allocation; a capture that outgrew the buffer would cost one per
+// message. The inline limit belongs to the platform's standard library,
+// so CI runs this binary on every architecture it builds.
 
 #include <gtest/gtest.h>
 
@@ -36,13 +38,16 @@ namespace tibsim::mpi {
 namespace {
 
 /// Heap allocations made while two ranks on two Tibidabo nodes run
-/// `roundTrips` ping-pong round trips. `payloadBytes` of real data ride
-/// along each message; 0 sends 64-byte messages that carry sizes only.
-long long allocationsFor(int roundTrips, std::size_t payloadBytes) {
+/// `roundTrips` ping-pong round trips of `bytes`-byte messages over
+/// `protocol`. With `realPayload`, that many bytes of data ride along each
+/// message; otherwise the messages carry sizes only.
+long long allocationsFor(int roundTrips, net::Protocol protocol,
+                         std::size_t bytes, bool realPayload) {
   WorldConfig config = WorldConfig::tibidaboNode();
   config.ranksPerNode = 1;
-  const std::vector<std::byte> payload(payloadBytes, std::byte{0x5a});
-  const std::size_t bytes = payloadBytes > 0 ? payloadBytes : 64;
+  config.protocol = protocol;
+  const std::vector<std::byte> payload(realPayload ? bytes : 0,
+                                       std::byte{0x5a});
   MpiWorld world(config, 2);
   const long long before = allocations.load();
   world.run([&](MpiContext& ctx) {
@@ -62,20 +67,40 @@ long long allocationsFor(int roundTrips, std::size_t payloadBytes) {
 /// What 1,000 more round trips allocate: world set-up, warm-up and
 /// teardown cancel in the difference. A first world warms the
 /// process-wide caches (recycled fiber stacks) that a later one reuses.
-long long allocationsPer1000RoundTrips(std::size_t payloadBytes) {
-  allocationsFor(1, payloadBytes);
-  const long long thousand = allocationsFor(1000, payloadBytes);
-  return allocationsFor(2000, payloadBytes) - thousand;
+long long allocationsPer1000RoundTrips(net::Protocol protocol,
+                                       std::size_t bytes, bool realPayload) {
+  allocationsFor(1, protocol, bytes, realPayload);
+  const long long thousand =
+      allocationsFor(1000, protocol, bytes, realPayload);
+  return allocationsFor(2000, protocol, bytes, realPayload) - thousand;
 }
 
 TEST(MessagePathAllocations, SizeOnlyRoundTripAllocatesNothing) {
-  EXPECT_EQ(allocationsPer1000RoundTrips(0), 0);
+  EXPECT_EQ(allocationsPer1000RoundTrips(net::Protocol::TcpIp, 64, false),
+            0);
 }
 
 TEST(MessagePathAllocations, InlinePayloadRoundTripAllocatesTheTwoReceiveVectors) {
   // A 64 B payload rides inline in the Message; each recv() hands its
   // bytes back in a fresh std::vector, one per rank per round trip.
-  EXPECT_EQ(allocationsPer1000RoundTrips(64), 2 * 1000);
+  EXPECT_EQ(allocationsPer1000RoundTrips(net::Protocol::TcpIp, 64, true),
+            2 * 1000);
+}
+
+// 64 KiB over Open-MX takes the rendezvous handshake: an RTS delivery, a
+// CTS and a data arrival per message.
+TEST(MessagePathAllocations, SizeOnlyRendezvousRoundTripAllocatesNothing) {
+  EXPECT_EQ(
+      allocationsPer1000RoundTrips(net::Protocol::OpenMx, 64 * 1024, false),
+      0);
+}
+
+TEST(MessagePathAllocations, RendezvousPayloadRoundTripAllocatesTheTwoReceiveVectors) {
+  // The payload borrows a warm pool buffer on the send side; each recv()
+  // still hands its bytes back in a fresh std::vector.
+  EXPECT_EQ(
+      allocationsPer1000RoundTrips(net::Protocol::OpenMx, 64 * 1024, true),
+      2 * 1000);
 }
 
 }  // namespace

@@ -7,10 +7,12 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "host_threads.hpp"
 #include "tibsim/apps/taskfarm.hpp"
@@ -193,7 +195,7 @@ TEST_P(SimMpiTest, RendezvousLargeMessageCompletes) {
   const std::size_t big = 256 * 1024;  // > 32 KiB threshold
   std::size_t got = 0;
   double senderDone = 0.0, receiverDone = 0.0;
-  run(world, [&](MpiContext& ctx) {
+  const WorldStats stats = run(world, [&](MpiContext& ctx) {
     if (ctx.rank() == 0) {
       ctx.send(1, 5, big);
       senderDone = ctx.now();
@@ -207,6 +209,64 @@ TEST_P(SimMpiTest, RendezvousLargeMessageCompletes) {
   // Rendezvous: the sender cannot complete before the receiver showed up.
   EXPECT_GT(senderDone, 0.01);
   EXPECT_GT(receiverDone, senderDone * 0.5);
+  // The critical path runs through the handshake: the receiver's compute,
+  // the CTS hop (adopted by the sender at its wake-up), then the data hop
+  // back to the receiver, which finishes last. Every blocked interval is
+  // explained, so no wait is left over; EXPECT_NEAR leaves room for FMA
+  // contraction on hosts that have it.
+  const obs::CriticalPath& path = stats.criticalPath;
+  EXPECT_EQ(path.endRank, 1);
+  EXPECT_EQ(path.edges, 2u);
+  EXPECT_DOUBLE_EQ(path.computeSeconds, 0.01);
+  EXPECT_NEAR(path.waitSeconds, 0.0, 1e-12 * stats.wallClockSeconds);
+}
+
+TEST_P(SimMpiTest, RootedCollectivesRejectAnOutOfRangeRoot) {
+  // A root outside [0, size()) once wrapped onto another rank (bcast at
+  // root 4 of 4 ran rooted at rank 0) or failed a generic rank check.
+  // Every rooted collective now refuses it by name before any traffic.
+  MpiWorld world(testConfig(), 4);
+  std::vector<std::string> problems;
+  run(world, [&](MpiContext& ctx) {
+    const std::vector<double> one{1.0};
+    const std::pair<const char*, std::function<void(int)>> calls[] = {
+        {"bcast", [&](int root) { ctx.bcast(one, root); }},
+        {"bcastBytes", [&](int root) { ctx.bcastBytes(64, root); }},
+        {"pipelinedBcastBytes",
+         [&](int root) { ctx.pipelinedBcastBytes(1 << 20, root); }},
+        {"reduce", [&](int root) { ctx.reduce(one, ReduceOp::Sum, root); }},
+        {"reduce",
+         [&](int root) {
+           ctx.reduce(one, [](double a, double b) { return a + b; }, root);
+         }},
+        {"gather", [&](int root) { ctx.gather(1.0, root); }},
+        {"ibcast", [&](int root) { ctx.ibcast(one, root); }},
+    };
+    for (const auto& [name, call] : calls) {
+      for (const int root : {-1, ctx.size()}) {
+        const std::string expected =
+            std::string(name)
+                .append(": root ")
+                .append(std::to_string(root))
+                .append(" is not a rank of this 4-rank communicator");
+        std::string what = "no error";
+        try {
+          call(root);
+        } catch (const ContractError& error) {
+          what = error.what();
+        }
+        if (what.find(expected) == std::string::npos)
+          problems.push_back(std::string("rank ")
+                                 .append(std::to_string(ctx.rank()))
+                                 .append(": expected '")
+                                 .append(expected)
+                                 .append("', got '")
+                                 .append(what)
+                                 .append("'"));
+      }
+    }
+  });
+  for (const std::string& problem : problems) ADD_FAILURE() << problem;
 }
 
 TEST_P(SimMpiTest, RendezvousBothDirectionsViaSendrecv) {
